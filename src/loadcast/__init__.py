@@ -25,7 +25,7 @@ from .harness import (
     run_experiment,
     select_model,
 )
-from .hyperopt import BOResult, Dimension, SearchSpace, bo_optimize, default_space
+from .hyperopt import BOResult, Dimension, SearchSpace, bo_optimize, default_space, to_hyperparams
 from .metrics import MetricReport, MetricTriple, aggregate_runs, mae, mape, percent_reduction, rmse
 from .report import emit_plot, emit_report
 from .series import (
@@ -88,5 +88,6 @@ __all__ = [
     "run_experiment",
     "select_model",
     "split_case",
+    "to_hyperparams",
     "__version__",
 ]

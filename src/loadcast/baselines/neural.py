@@ -173,21 +173,21 @@ class LSTMModel:
             fan_in = units
         return params
 
+    def _gate_matrices(self, layer: int) -> tuple[Tensor, Tensor, Tensor]:
+        """The layer's per-gate w, u and b joined column-wise in LSTM_GATES order."""
+        return tuple(
+            ad.concat([self.params.tensor(f"lstm{layer}.{gate}.{kind}") for gate in LSTM_GATES], axis=1)
+            for kind in ("w", "u", "b")
+        )
+
     def _forward(self, features: np.ndarray) -> Tensor:
         w = self.window_length
         batch = features.shape[0]
-        sequence = features[:, :w]
+        sequence = Tensor(features[:, :w, None])
         clock = features[:, w:]
-        steps = [Tensor(sequence[:, t : t + 1]) for t in range(w)]
-        for layer, units in enumerate(self.lstm_units):
-            h = Tensor(np.zeros((batch, units)))
-            c = Tensor(np.zeros((batch, units)))
-            outputs = []
-            for x_t in steps:
-                h, c = lstm_cell_step(x_t, h, c, self.params, prefix=f"lstm{layer}.")
-                outputs.append(h)
-            steps = outputs
-        h = ad.concat([steps[-1], Tensor(clock)], axis=1)
+        for layer in range(len(self.lstm_units)):
+            sequence = ad.lstm_layer(sequence, *self._gate_matrices(layer))
+        h = ad.concat([ad.index(sequence, (slice(None), -1)), Tensor(clock)], axis=1)
         last = len(self.dense_units)
         for idx in range(1, last + 1):
             h = ad.add(ad.matmul(h, self.params.tensor(f"dense.w{idx}")), self.params.tensor(f"dense.b{idx}"))

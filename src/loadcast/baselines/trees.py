@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import itertools
 import warnings
 
 import numpy as np
@@ -11,10 +12,6 @@ from ..errors import ConfigWarning, InsufficientDataError
 from ..series import SupervisedWindowSet
 
 MIN_GAIN = 1e-12
-
-
-def _sse(total: float, total_sq: float, count: int) -> float:
-    return total_sq - total * total / count
 
 
 def best_split(
@@ -32,7 +29,7 @@ def best_split(
         return None
     total = float(targets.sum())
     total_sq = float((targets * targets).sum())
-    parent = _sse(total, total_sq, n)
+    parent = total_sq - total * total / n
     best: tuple[int, float, float] | None = None
     for f in range(features.shape[1]):
         column = features[:, f]
@@ -63,122 +60,116 @@ def best_split(
     return best
 
 
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self, value: float):
-        self.feature: int | None = None
-        self.threshold = 0.0
-        self.left: "_Node | None" = None
-        self.right: "_Node | None" = None
-        self.value = value
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+#: The node arrays of a RegressionTree and their dtypes.
+_COLUMNS = {"feature": np.intp, "threshold": np.float64, "left": np.intp, "right": np.intp, "value": np.float64}
 
 
 class RegressionTree:
     """CART-style tree grown best-first so the leaf budget binds gracefully.
 
     Candidate leaves are expanded in order of decreasing variance reduction
-    until max_leaves is reached, depth runs out, or no split improves.
+    until max_leaves is reached, depth runs out, or no split improves. Nodes
+    are parallel arrays in growth order, root first: `feature` (-1 at a
+    leaf), `threshold`, `left`, `right` (a leaf points at itself) and `value`
+    (the prediction, read at leaves only).
     """
 
     def __init__(self, max_depth: int = 4, max_leaves: int = 25, min_child_samples: int = 1):
         self.max_depth = max_depth
         self.max_leaves = max_leaves
         self.min_child_samples = min_child_samples
-        self.root: _Node | None = None
+        self.feature = self.threshold = self.left = self.right = self.value = None
 
     def fit(self, windows: SupervisedWindowSet, seed: int = 0) -> "RegressionTree":
-        self.fit_arrays(windows.inputs, windows.targets)
-        return self
+        return self.fit_arrays(windows.inputs, windows.targets)
 
     def fit_arrays(self, features: np.ndarray, targets: np.ndarray) -> "RegressionTree":
         if len(targets) == 0:
             raise InsufficientDataError("cannot fit a tree on zero samples")
-        self.root = _Node(float(targets.mean()))
-        leaves = 1
-        counter = 0
-        heap: list[tuple[float, int, _Node, np.ndarray, tuple[int, float]]] = []
+        nodes: list[list] = []  # one [feature, threshold, left, right, value] per node
+        tiebreak = itertools.count()
+        heap: list[tuple[float, int, int, np.ndarray, tuple[int, float], int]] = []
 
-        def consider(node: _Node, index: np.ndarray, depth: int):
-            nonlocal counter
+        def add_leaf(index: np.ndarray) -> int:
+            nodes.append([-1, 0.0, len(nodes), len(nodes), float(targets[index].mean())])
+            return len(nodes) - 1
+
+        def consider(node: int, index: np.ndarray, depth: int):
             if depth >= self.max_depth:
                 return
             found = best_split(features[index], targets[index], self.min_child_samples)
             if found is None:
                 return
             f, threshold, gain = found
-            heapq.heappush(heap, (-gain, counter, node, index, (f, threshold), depth))
-            counter += 1
+            heapq.heappush(heap, (-gain, next(tiebreak), node, index, (f, threshold), depth))
 
         all_index = np.arange(len(targets))
-        consider(self.root, all_index, 0)
-        while heap and leaves < self.max_leaves:
+        consider(add_leaf(all_index), all_index, 0)
+        while heap and len(nodes) < 2 * self.max_leaves - 1:  # a split adds one leaf, two nodes
             _, _, node, index, (f, threshold), depth = heapq.heappop(heap)
             mask = features[index, f] <= threshold
             left_index, right_index = index[mask], index[~mask]
-            node.feature = f
-            node.threshold = threshold
-            node.left = _Node(float(targets[left_index].mean()))
-            node.right = _Node(float(targets[right_index].mean()))
-            leaves += 1
-            consider(node.left, left_index, depth + 1)
-            consider(node.right, right_index, depth + 1)
+            nodes[node][:4] = [f, threshold, add_leaf(left_index), add_leaf(right_index)]
+            consider(nodes[node][2], left_index, depth + 1)
+            consider(nodes[node][3], right_index, depth + 1)
+        self._set_nodes(nodes)
         return self
 
+    def _set_nodes(self, nodes: list) -> None:
+        for (name, dtype), column in zip(_COLUMNS.items(), zip(*nodes)):
+            setattr(self, name, np.array(column, dtype=dtype))
+
+    @property
+    def root(self) -> "RegressionTree | None":
+        """The tree itself once fitted, else None, so `tree.root.is_leaf` reads naturally."""
+        return None if self.feature is None else self
+
+    @property
+    def is_leaf(self) -> bool:
+        """True when the fitted tree is a single leaf: no split improved."""
+        return bool(self.feature[0] < 0)
+
+    def _descend(self, features: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """The leaf reached from each start node, walked for all rows at once.
+
+        A leaf is its own child, so rows that reach theirs early stay put
+        while the rest go on, for at most max_depth levels. `node` may have
+        any shape whose last axis runs over the rows of `features`.
+        """
+        rows = np.arange(len(features))
+        for _ in range(self.max_depth):
+            split_on = self.feature[node]
+            if (split_on < 0).all():
+                break
+            go_left = features[rows, split_on] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return node
+
     def predict(self, features: np.ndarray) -> np.ndarray:
-        if self.root is None:
+        if self.feature is None:
             raise InsufficientDataError("tree is not fitted")
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        out = np.empty(len(features))
-        for i, row in enumerate(features):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
+        return self.value[self._descend(features, np.zeros(len(features), dtype=np.intp))]
 
     def depth(self) -> int:
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root) if self.root else 0
+        if self.feature is None:
+            return 0
+        frontier, depth = np.zeros(1, dtype=np.intp), 0
+        while (inner := frontier[self.feature[frontier] >= 0]).size:
+            frontier, depth = np.concatenate([self.left[inner], self.right[inner]]), depth + 1
+        return depth
 
     def leaf_count(self) -> int:
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-
-        return walk(self.root) if self.root else 0
+        return 0 if self.feature is None else int((self.feature < 0).sum())
 
     def to_dict(self) -> dict:
         """Flat node-list encoding: children referenced by list index."""
-        nodes: list[dict] = []
-
-        def emit(node: _Node) -> int:
-            slot = len(nodes)
-            nodes.append({})
-            if node.is_leaf:
-                nodes[slot] = {"leaf": node.value}
-            else:
-                left = emit(node.left)
-                right = emit(node.right)
-                nodes[slot] = {
-                    "feature": node.feature,
-                    "threshold": node.threshold,
-                    "left": left,
-                    "right": right,
-                }
-            return slot
-
-        if self.root is not None:
-            emit(self.root)
+        columns = [] if self.feature is None else [getattr(self, name) for name in _COLUMNS]
+        nodes = [
+            {"leaf": float(v)} if f < 0
+            else {"feature": int(f), "threshold": float(t), "left": int(lo), "right": int(hi)}
+            for f, t, lo, hi, v in zip(*columns)
+        ]
         return {
             "max_depth": self.max_depth,
             "max_leaves": self.max_leaves,
@@ -189,23 +180,25 @@ class RegressionTree:
     @classmethod
     def from_dict(cls, payload: dict) -> "RegressionTree":
         tree = cls(payload["max_depth"], payload["max_leaves"], payload["min_child_samples"])
-        nodes = payload["nodes"]
-        if not nodes:
-            return tree
-
-        def build(slot: int) -> _Node:
-            raw = nodes[slot]
-            if "leaf" in raw:
-                return _Node(raw["leaf"])
-            node = _Node(0.0)
-            node.feature = raw["feature"]
-            node.threshold = raw["threshold"]
-            node.left = build(raw["left"])
-            node.right = build(raw["right"])
-            return node
-
-        tree.root = build(0)
+        if payload["nodes"]:
+            tree._set_nodes([
+                [raw.get("feature", -1), raw.get("threshold", 0.0), raw.get("left", k), raw.get("right", k),
+                 raw.get("leaf", np.nan)]
+                for k, raw in enumerate(payload["nodes"])
+            ])
         return tree
+
+
+def _stack(trees: list[RegressionTree]) -> tuple[RegressionTree, np.ndarray]:
+    """All trees' nodes end to end in one tree, plus the index of each tree's root."""
+    sizes = [len(tree.feature) for tree in trees]
+    starts = np.cumsum([0] + sizes[:-1]).astype(np.intp)
+    joint = RegressionTree(max_depth=max(tree.max_depth for tree in trees))
+    for name in _COLUMNS:
+        setattr(joint, name, np.concatenate([getattr(tree, name) for tree in trees]))
+    shift = np.repeat(starts, sizes)
+    joint.left, joint.right = joint.left + shift, joint.right + shift
+    return joint, starts
 
 
 class GradientBoostedTrees:
@@ -232,6 +225,7 @@ class GradientBoostedTrees:
         self.inner_depth = inner_depth
         self.initial = 0.0
         self.trees: list[RegressionTree] = []
+        self._stacked: tuple[RegressionTree, np.ndarray] | None = None
 
     def fit(self, windows: SupervisedWindowSet, seed: int = 0) -> "GradientBoostedTrees":
         features, targets = windows.inputs, windows.targets
@@ -285,13 +279,18 @@ class GradientBoostedTrees:
                         break
         if val_count and best_round < len(self.trees):
             self.trees = self.trees[:best_round]
+        self._stacked = _stack(self.trees) if self.trees else None
         return self
 
     def predict(self, features: np.ndarray) -> np.ndarray:
+        """Walks all kept trees at once; adding leaves in boosting order keeps sums bitwise."""
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         out = np.full(len(features), self.initial)
-        for tree in self.trees:
-            out += self.learning_rate * tree.predict(features)
+        if self.trees:
+            joint, starts = self._stacked
+            start = np.broadcast_to(starts[:, None], (len(starts), len(features)))
+            for leaf in joint.value[joint._descend(features, start)]:
+                out += self.learning_rate * leaf
         return out
 
     def training_curve(self, features: np.ndarray, targets: np.ndarray) -> list[float]:

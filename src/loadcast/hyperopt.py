@@ -262,7 +262,10 @@ def export_history(result: BOResult, path: str) -> None:
 
 
 def default_space(model_id: str) -> SearchSpace:
-    """Tuning ranges bracketing each benchmark default by a factor of four."""
+    """Tuning ranges bracketing each benchmark default by a factor of four.
+
+    Pass a realized point through `to_hyperparams` before `create_baseline`.
+    """
     if model_id == "rt":
         return SearchSpace(
             (
@@ -301,3 +304,19 @@ def default_space(model_id: str) -> SearchSpace:
             )
         )
     raise ConfigError(f"model {model_id!r} has no tunable hyper-parameters")
+
+
+def to_hyperparams(model_id: str, point: dict) -> dict:
+    """`create_baseline` keyword arguments for a `default_space(model_id)` point.
+
+    The neural spaces search layer widths one dimension each; the models
+    take them as tuples, so those dimensions are folded into `layers`,
+    `lstm_units` and `dense_units`. Every other dimension passes through.
+    """
+    rest = dict(point)
+    if model_id == "mlp":
+        return {"layers": (rest.pop("hidden1"), rest.pop("hidden2"), 1), **rest}
+    if model_id == "lstm":
+        units = (rest.pop("lstm1"), rest.pop("lstm2"))
+        return {"lstm_units": units, "dense_units": (rest.pop("dense1"), 1), **rest}
+    return rest

@@ -49,14 +49,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    @property
-    def rows(self) -> int:
-        return int(self.value.shape[-2])
-
-    @property
-    def cols(self) -> int:
-        return int(self.value.shape[-1])
-
     def _ensure_grad(self) -> np.ndarray:
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
@@ -205,11 +197,25 @@ def relu(a) -> Tensor:
     return _make(value, (a,), backward)
 
 
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function split by sign for stability on large |x|.
+
+    With e = exp(-|x|) it is 1 / (1 + e) for x >= 0 and e / (1 + e) below.
+    The numerator max(x >= 0, e) picks 1 or e (e <= 1) without the
+    data-dependent branching of np.where, which costs more than the exp.
+    `out` may be x itself; `work`, if given, is scratch of x's shape.
+    """
+    e = np.abs(x, out=work)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(x >= 0, e, out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
+
+
 def sigmoid(a) -> Tensor:
     a = astensor(a)
-    # Split by sign for numerical stability on large |x|.
-    x = a.value
-    value = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    value = _sigmoid(a.value)
 
     def backward(g):
         _accumulate(a, g * value * (1.0 - value))
@@ -302,6 +308,19 @@ def concat(tensors, axis: int = -1) -> Tensor:
             _accumulate(t, g[tuple(index)])
 
     return _make(value, tuple(tensors), backward)
+
+
+def index(a, key) -> Tensor:
+    """a[key] for any numpy index; the gradient is scattered back (repeats add)."""
+    a = astensor(a)
+    value = a.value[key]
+
+    def backward(g):
+        full = np.zeros_like(a.value)
+        np.add.at(full, key, g)
+        _accumulate(a, full)
+
+    return _make(value, (a,), backward)
 
 
 def softmax(a, mask: np.ndarray | None = None) -> Tensor:
@@ -414,6 +433,84 @@ def maxpool1d_same(x, pool_range: int, causal: bool = False) -> Tensor:
         _accumulate(x, dxpad[..., left : left + t, :])
 
     return _make(value, (x,), backward)
+
+
+def lstm_layer(x, w, u, b) -> Tensor:
+    """One LSTM layer over a whole sequence as a single tape node.
+
+    x: (B, T, in); w: (in, 4n); u: (n, 4n); b: (1, 4n). Gate columns run
+    input, forget, output (sigmoid) then the cell candidate (tanh), so every
+    step matches `baselines.lstm_cell_step` from a zero state. Returns the
+    hidden sequence (B, T, n). The input projection is one GEMM over all
+    steps and the recurrence one h @ u per step; the backward pass is an
+    explicit backpropagation through time whose weight gradients are single
+    GEMMs over all steps (Appleyard, Kocisky & Blunsom, arXiv:1604.01946).
+    Work arrays are time-major, so each step touches contiguous blocks, and
+    are written in place; without a tape only one step's worth is kept.
+    """
+    x, w, u, b = astensor(x), astensor(w), astensor(u), astensor(b)
+    batch, steps, width = x.value.shape
+    n = u.value.shape[0]
+    if w.value.shape != (width, 4 * n) or u.value.shape != (n, 4 * n) or b.value.shape != (1, 4 * n):
+        raise ShapeError(
+            f"lstm_layer shapes x {x.value.shape}, w {w.value.shape}, u {u.value.shape}, "
+            f"b {b.value.shape} do not fit (B, T, in), (in, 4n), (n, 4n), (1, 4n)"
+        )
+    tracked = _GRAD_ENABLED and any(t.requires_grad for t in (x, w, u, b))
+    inputs = x.value.transpose(1, 0, 2).reshape(-1, width)
+    projected = (inputs @ w.value).reshape(steps, batch, 4 * n)
+    keep = steps if tracked else 1
+    gates = np.empty((keep, batch, 4 * n))  # activated: i, f, o sigmoids, then g
+    squashed = np.empty((keep, batch, n))  # tanh(c)
+    cells = np.zeros((steps + 1 if tracked else 1, batch, n))  # cells[0], hidden[0]: zero state
+    hidden = np.zeros((steps + 1, batch, n))
+    ig = np.empty((batch, n))
+    work = np.empty((batch, 3 * n))
+    for t in range(steps):
+        k = t if tracked else 0
+        z, tc = gates[k], squashed[k]
+        c_prev, c = (cells[t], cells[t + 1]) if tracked else (cells[0], cells[0])
+        np.matmul(hidden[t], u.value, out=z)
+        np.add(projected[t], z, out=z)
+        z += b.value
+        _sigmoid(z[:, : 3 * n], out=z[:, : 3 * n], work=work)
+        np.tanh(z[:, 3 * n :], out=z[:, 3 * n :])
+        np.multiply(z[:, n : 2 * n], c_prev, out=c)
+        c += np.multiply(z[:, :n], z[:, 3 * n :], out=ig)
+        np.tanh(c, out=tc)
+        np.multiply(z[:, 2 * n : 3 * n], tc, out=hidden[t + 1])
+
+    def backward(grad):
+        grad = grad.transpose(1, 0, 2)
+        i, f, o, g = (gates[..., k * n : (k + 1) * n] for k in range(4))
+        # Per gate, d(pre-activation) / d(carried gradient); and dh -> dc.
+        mult = np.concatenate(
+            [g * i * (1.0 - i), cells[:-1] * f * (1.0 - f), squashed * o * (1.0 - o), i * (1.0 - g * g)],
+            axis=-1,
+        )
+        through = o * (1.0 - squashed * squashed)
+        u_t = u.value.T
+        d_z = np.empty_like(gates)
+        dh_next = np.zeros((batch, n))
+        dc = np.zeros((batch, n))
+        for t in range(steps - 1, -1, -1):
+            dh = grad[t] + dh_next
+            dc = dc + dh * through[t]
+            m, dz = mult[t], d_z[t]
+            np.multiply(dc, m[:, :n], out=dz[:, :n])
+            np.multiply(dc, m[:, n : 2 * n], out=dz[:, n : 2 * n])
+            np.multiply(dh, m[:, 2 * n : 3 * n], out=dz[:, 2 * n : 3 * n])
+            np.multiply(dc, m[:, 3 * n :], out=dz[:, 3 * n :])
+            dc = dc * f[t]
+            dh_next = dz @ u_t
+        flat = d_z.reshape(-1, 4 * n)
+        _accumulate(w, inputs.T @ flat)
+        _accumulate(u, hidden[:-1].reshape(-1, n).T @ flat)
+        _accumulate(b, flat.sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            _accumulate(x, (flat @ w.value.T).reshape(steps, batch, width).transpose(1, 0, 2))
+
+    return _make(hidden[1:].transpose(1, 0, 2), (x, w, u, b), backward)
 
 
 def mse(prediction, target) -> Tensor:

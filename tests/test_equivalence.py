@@ -1,0 +1,214 @@
+"""Fast kernels against the plain code they replace.
+
+The fused LSTM layer is checked against `lstm_cell_step` unrolled on the
+tape, and the array tree walks against a per-row walk and a per-tree sum.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+import loadcast.nn.autodiff as ad
+from loadcast.baselines import GradientBoostedTrees, LSTMModel, RegressionTree, lstm_cell_step
+from loadcast.baselines.neural import LSTM_GATES
+from loadcast.errors import ShapeError
+from loadcast.nn import ParamStore, Tensor, grad_check
+from loadcast.series import SupervisedWindowSet
+
+
+def _lstm_store(rng, units, width=1):
+    """Per-gate parameters for a stack of LSTM layers, named as LSTMModel names them."""
+    params = ParamStore()
+    for layer, n in enumerate(units):
+        for gate in LSTM_GATES:
+            params.add(f"lstm{layer}.{gate}.w", rng.normal(scale=0.6, size=(width, n)))
+            params.add(f"lstm{layer}.{gate}.u", rng.normal(scale=0.6, size=(n, n)))
+            params.add(f"lstm{layer}.{gate}.b", rng.normal(scale=0.3, size=(1, n)))
+        width = n
+    return params
+
+
+def _fused_stack(x, params, units):
+    for layer in range(len(units)):
+        joined = [
+            ad.concat([params.tensor(f"lstm{layer}.{gate}.{kind}") for gate in LSTM_GATES], axis=1)
+            for kind in ("w", "u", "b")
+        ]
+        x = ad.lstm_layer(x, *joined)
+    return x
+
+
+def _unrolled_stack(x, params, units):
+    """Hidden states per step from lstm_cell_step, one tape node per gate op."""
+    batch, steps = x.value.shape[:2]
+    sequence = [ad.index(x, (slice(None), t)) for t in range(steps)]
+    for layer, n in enumerate(units):
+        h, c = Tensor(np.zeros((batch, n))), Tensor(np.zeros((batch, n)))
+        outputs = []
+        for x_t in sequence:
+            h, c = lstm_cell_step(x_t, h, c, params, prefix=f"lstm{layer}.")
+            outputs.append(h)
+        sequence = outputs
+    return sequence
+
+
+CASES = [
+    (1, 5, (16, 8)),  # one row
+    (3, 1, (16, 8)),  # one step
+    (4, 6, (16, 8)),  # the LSTMModel default widths
+    (2, 7, (4, 2)),  # the narrowest tuning corner
+]
+
+
+@pytest.mark.parametrize("batch,steps,units", CASES)
+def test_lstm_layer_matches_unrolled_cell_steps(batch, steps, units):
+    rng = np.random.default_rng(batch * 100 + steps)
+    params = _lstm_store(rng, units)
+    x_value = rng.normal(size=(batch, steps, 1))
+    weights = rng.normal(size=(batch, steps, units[-1]))
+
+    x_fused = Tensor(x_value.copy(), requires_grad=True)
+    fused = _fused_stack(x_fused, params, units)
+    ad.tsum(ad.mul(fused, weights)).backward()
+    fused_grads = {p.name: p.grad.copy() for p in params}
+    params.zero_grads()
+
+    x_tape = Tensor(x_value.copy(), requires_grad=True)
+    steps_out = _unrolled_stack(x_tape, params, units)
+    loss = ad.tsum(ad.mul(steps_out[0], weights[:, 0]))
+    for t in range(1, steps):
+        loss = ad.add(loss, ad.tsum(ad.mul(steps_out[t], weights[:, t])))
+    loss.backward()
+
+    reference = np.stack([h.value for h in steps_out], axis=1)
+    np.testing.assert_allclose(fused.value, reference, rtol=0, atol=1e-12)
+    for p in params:
+        np.testing.assert_allclose(fused_grads[p.name], p.grad, rtol=0, atol=1e-10, err_msg=p.name)
+    np.testing.assert_allclose(x_fused.grad, x_tape.grad, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("batch,steps,units", CASES)
+def test_lstm_layer_passes_grad_check(batch, steps, units):
+    rng = np.random.default_rng(batch * 10 + steps)
+    params = _lstm_store(rng, units)
+    x = rng.normal(size=(batch, steps, 1))
+    target = rng.uniform(-0.5, 0.5, size=(batch, steps, units[-1]))
+
+    def forward():
+        return ad.mse(_fused_stack(Tensor(x), params, units), target)
+
+    assert grad_check(forward, params, probe_count=60, rng=np.random.default_rng(0)) < 1e-4
+
+
+def test_lstm_layer_keeps_no_tape_under_no_grad():
+    rng = np.random.default_rng(3)
+    params = _lstm_store(rng, (4,))
+    x = rng.normal(size=(2, 5, 1))
+    with ad.no_grad():
+        out = _fused_stack(Tensor(x), params, (4,))
+    assert out._backward is None and out._parents == ()
+    np.testing.assert_array_equal(out.value, _fused_stack(Tensor(x), params, (4,)).value)
+
+
+def test_lstm_layer_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError):
+        ad.lstm_layer(np.zeros((2, 3, 1)), np.zeros((1, 8)), np.zeros((2, 8)), np.zeros((1, 4)))
+
+
+class _TapeLSTM(LSTMModel):
+    """LSTMModel with the per-step, per-gate tape forward the fused layer replaced."""
+
+    def _forward(self, features):
+        sequence = Tensor(features[:, : self.window_length, None])
+        last = _unrolled_stack(sequence, self.params, self.lstm_units)[-1]
+        h = ad.concat([last, Tensor(features[:, self.window_length :])], axis=1)
+        for idx in range(1, len(self.dense_units) + 1):
+            h = ad.add(ad.matmul(h, self.params.tensor(f"dense.w{idx}")), self.params.tensor(f"dense.b{idx}"))
+            h = ad.sigmoid(h) if idx == len(self.dense_units) else ad.relu(h)
+        return ad.reshape(h, (features.shape[0],))
+
+
+def test_lstm_model_loss_curve_matches_tape_reference():
+    rng = np.random.default_rng(4)
+    t = np.arange(60)
+    lags = 0.5 + 0.3 * np.sin(2 * np.pi * (t[:, None] + np.arange(8)) / 24)
+    lags += rng.normal(scale=0.03, size=lags.shape)
+    clock = np.column_stack([np.sin(t), np.cos(t)])
+    windows = SupervisedWindowSet(
+        np.hstack([lags, clock]), rng.uniform(0.2, 0.8, 60), window_length=8, horizon_step=1
+    )
+    fused = LSTMModel(epochs=10).fit(windows, seed=5)
+    tape = _TapeLSTM(epochs=10).fit(windows, seed=5)
+    np.testing.assert_allclose(fused.curve, tape.curve, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fused.predict(windows.inputs), tape.predict(windows.inputs), rtol=1e-12)
+    assert fused.params.names() == tape.params.names()
+
+
+def _per_row_walk(tree, features):
+    """The pointer-chasing walk: one row at a time, one node at a time."""
+    out = np.empty(len(features))
+    for r, row in enumerate(features):
+        k = 0
+        while tree.feature[k] >= 0:
+            k = tree.left[k] if row[tree.feature[k]] <= tree.threshold[k] else tree.right[k]
+        out[r] = tree.value[k]
+    return out
+
+
+def _random_tree_data(rng):
+    n, d = int(rng.integers(2, 200)), int(rng.integers(1, 6))
+    features = rng.normal(size=(n, d))
+    features[:, 0] = np.round(features[:, 0], 1)  # ties in the split scan
+    targets = rng.normal(size=n) + 2.0 * (features[:, 0] > 0)
+    probe = rng.normal(size=(64, d))
+    probe[::9, 0] = np.nan  # a failed comparison goes right, as in a per-row walk
+    return features, targets, probe
+
+
+def test_tree_array_walk_matches_per_row_walk():
+    rng = np.random.default_rng(6)
+    leaf_only = 0
+    for _ in range(40):
+        features, targets, probe = _random_tree_data(rng)
+        tree = RegressionTree(
+            max_depth=int(rng.integers(1, 7)),
+            max_leaves=int(rng.integers(2, 30)),
+            min_child_samples=int(rng.integers(1, 60)),
+        ).fit_arrays(features, targets)
+        leaf_only += tree.root.is_leaf
+        assert tree.leaf_count() == (len(tree.feature) + 1) // 2
+        np.testing.assert_array_equal(tree.predict(probe), _per_row_walk(tree, probe))
+    assert 0 < leaf_only < 40
+
+
+def test_gbt_predict_matches_sequential_per_tree_sum():
+    rng = np.random.default_rng(7)
+    for seed in range(6):
+        features, targets, probe = _random_tree_data(rng)
+        windows = SupervisedWindowSet(features, targets, window_length=features.shape[1], horizon_step=1)
+        model = GradientBoostedTrees(
+            estimators=int(rng.integers(1, 60)), min_child_samples=int(rng.integers(1, 40)),
+            early_stopping_rounds=10, inner_depth=int(rng.integers(1, 4)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model.fit(windows, seed=seed)
+        expected = np.full(len(probe), model.initial)
+        for tree in model.trees:
+            expected += model.learning_rate * _per_row_walk(tree, probe)
+        np.testing.assert_array_equal(model.predict(probe), expected)
+
+
+def test_tree_dict_round_trip_predicts_identically():
+    rng = np.random.default_rng(8)
+    for min_child in (1, 500):  # a split tree and a leaf-only one
+        features, targets, probe = _random_tree_data(rng)
+        tree = RegressionTree(max_depth=5, min_child_samples=min_child).fit_arrays(features, targets)
+        payload = tree.to_dict()
+        clone = RegressionTree.from_dict(payload)
+        assert clone.to_dict() == payload
+        assert (clone.depth(), clone.leaf_count()) == (tree.depth(), tree.leaf_count())
+        np.testing.assert_array_equal(clone.predict(probe), tree.predict(probe))
+    empty = RegressionTree().to_dict()
+    assert empty["nodes"] == [] and RegressionTree.from_dict(empty).root is None

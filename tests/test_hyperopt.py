@@ -1,9 +1,12 @@
 """Tests for the GP-guided hyper-parameter search."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from loadcast.errors import ConfigError, OptimizationError
+from loadcast.baselines import create_baseline
+from loadcast.errors import ConfigError, ConfigWarning, OptimizationError
 from loadcast.hyperopt import (
     BOResult,
     Dimension,
@@ -12,7 +15,9 @@ from loadcast.hyperopt import (
     bo_optimize,
     default_space,
     export_history,
+    to_hyperparams,
 )
+from loadcast.series import SupervisedWindowSet
 
 QUADRATIC_SPACE = SearchSpace((Dimension("x", "linear", 0.0, 1.0),))
 
@@ -201,3 +206,34 @@ def test_default_space_rejects_untunable_models():
     for model_id in ("pm", "lr", "tsfm", "nope"):
         with pytest.raises(ConfigError):
             default_space(model_id)
+
+
+@pytest.mark.parametrize("model_id", ["rt", "gbt", "mlp", "lstm"])
+def test_default_space_corners_build_and_fit(model_id):
+    """Both corners of every search space map to kwargs a baseline accepts and can fit."""
+    rng = np.random.default_rng(21)
+    lags = rng.uniform(size=(40, 8))
+    windows = SupervisedWindowSet(
+        np.hstack([lags, rng.uniform(-1.0, 1.0, size=(40, 2))]), lags.mean(axis=1),
+        window_length=8, horizon_step=1,
+    )
+    space = default_space(model_id)
+    for corner in (0.0, 1.0):
+        point = space.realize(np.full(len(space.dimensions), corner))
+        kwargs = to_hyperparams(model_id, point)
+        if "epochs" in kwargs:
+            kwargs["epochs"] = 1
+        model = create_baseline(model_id, kwargs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConfigWarning)
+            model.fit(windows, seed=0)
+        out = model.predict(windows.inputs)
+        assert out.shape == (40,) and np.all(np.isfinite(out))
+
+
+def test_to_hyperparams_folds_layer_widths():
+    assert to_hyperparams("mlp", {"hidden1": 5, "hidden2": 6, "batch": 4}) == {"layers": (5, 6, 1), "batch": 4}
+    assert to_hyperparams("lstm", {"lstm1": 9, "lstm2": 3, "dense1": 2, "epochs": 7}) == {
+        "lstm_units": (9, 3), "dense_units": (2, 1), "epochs": 7,
+    }
+    assert to_hyperparams("rt", {"max_depth": 3}) == {"max_depth": 3}

@@ -68,6 +68,32 @@ def test_elementwise_op_gradients():
         _check_op(build, (4, 3), seed)
 
 
+def test_sigmoid_matches_three_exp_formula_bitwise():
+    """The single-exp sigmoid equals the old form that evaluated exp(-|x|) three times."""
+
+    def three_exp(x):
+        return np.where(
+            x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))
+        )
+
+    rng = np.random.default_rng(16)
+    tiny = np.finfo(np.float64).tiny
+    edges = [750.0, -750.0, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, tiny / 3, -tiny / 3, 36.7, -36.7]
+    x = np.concatenate([edges, rng.normal(0.0, 30.0, size=100_000)])
+    expected = three_exp(x)
+    np.testing.assert_array_equal(ad.sigmoid(x).value.view(np.int64), expected.view(np.int64))
+    in_place = x.copy()
+    ad._sigmoid(in_place, out=in_place, work=np.empty_like(x))
+    np.testing.assert_array_equal(in_place.view(np.int64), expected.view(np.int64))
+
+
+def test_index_gradient_scatters_back():
+    _check_op(lambda t: ad.index(t, (slice(None), -1)), (4, 3), 13)
+    x = Tensor(np.arange(5.0), requires_grad=True)
+    ad.tsum(ad.index(x, np.array([1, 1, 3]))).backward()
+    np.testing.assert_array_equal(x.grad, [0.0, 2.0, 0.0, 1.0, 0.0])
+
+
 def test_log_gradient_on_positive_input():
     rng = np.random.default_rng(0)
     x = rng.uniform(0.5, 2.0, size=(3, 3))
