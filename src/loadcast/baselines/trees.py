@@ -232,14 +232,6 @@ class GradientBoostedTrees:
         n = len(targets)
         if n < 2:
             raise InsufficientDataError(f"boosting needs >= 2 windows, got {n}")
-        min_child = self.min_child_samples
-        if min_child > n:
-            warnings.warn(
-                f"min_child_samples {min_child} exceeds window count {n}; clamping",
-                ConfigWarning,
-                stacklevel=2,
-            )
-            min_child = n
         val_count = max(1, int(round(0.2 * n))) if n >= 5 else 0
         fit_count = n - val_count
         train_x, train_y = features[:fit_count], targets[:fit_count]
@@ -254,6 +246,14 @@ class GradientBoostedTrees:
         best_round = 0
         stale = 0
         sample_size = max(1, int(round(self.subsample * fit_count)))
+        if 2 * self.min_child_samples > sample_size:
+            warnings.warn(
+                f"min_child_samples {self.min_child_samples} needs {2 * self.min_child_samples} rows "
+                f"to split but each tree sees {sample_size}: no tree can split, so GBT "
+                "will predict a constant near the training mean",
+                ConfigWarning,
+                stacklevel=2,
+            )
         for _ in range(self.estimators):
             if self.subsample < 1.0:
                 chosen = rng.choice(fit_count, size=sample_size, replace=False)
@@ -261,7 +261,7 @@ class GradientBoostedTrees:
                 chosen = np.arange(fit_count)
             tree = RegressionTree(
                 max_depth=self.inner_depth, max_leaves=2**self.inner_depth,
-                min_child_samples=min_child,
+                min_child_samples=self.min_child_samples,
             )
             tree.fit_arrays(train_x[chosen], residual[chosen])
             self.trees.append(tree)

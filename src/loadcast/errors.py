@@ -38,4 +38,4 @@ class OptimizationError(LoadcastError):
 
 
 class ConfigWarning(UserWarning):
-    """Recoverable configuration issue that was clamped or defaulted."""
+    """A configuration that runs but cannot do what its values suggest."""

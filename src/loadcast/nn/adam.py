@@ -26,12 +26,24 @@ def adam_update(params: ParamStore, learning_rate: float, step: int) -> None:
     correction1 = 1.0 - BETA1**step
     correction2 = 1.0 - BETA2**step
     for param in params:
-        grad = param.grad
-        if not np.all(np.isfinite(grad)):
+        grad, m, v = param.grad, param.m, param.v
+        if not np.isfinite(grad).all():
             raise NumericError(f"non-finite gradient in parameter {param.name!r}")
-        param.m[...] = BETA1 * param.m + (1.0 - BETA1) * grad
-        param.v[...] = BETA2 * param.v + (1.0 - BETA2) * grad * grad
-        m_hat = param.m / correction1
-        v_hat = param.v / correction2
-        param.value[...] -= learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
-        param.grad[...] = 0.0
+        # In place, in the order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g
+        # and value -= lr (m / c1) / (sqrt(v / c2) + eps), so every rounding
+        # matches that formula; grad is spent once the moments hold it.
+        work = np.multiply(grad, 1.0 - BETA2)
+        work *= grad
+        v *= BETA2
+        v += work
+        m *= BETA1
+        grad *= 1.0 - BETA1
+        m += grad
+        np.divide(v, correction2, out=work)
+        np.sqrt(work, out=work)
+        work += EPSILON
+        np.divide(m, correction1, out=grad)
+        grad *= learning_rate
+        grad /= work
+        param.value -= grad
+        grad.fill(0.0)

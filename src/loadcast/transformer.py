@@ -51,6 +51,15 @@ def positional_encoding(seq_length: int, d_model: int) -> np.ndarray:
     return pe
 
 
+def _causal_mask(tq: int, tk: int) -> np.ndarray:
+    """True where a query may attend a key: the tq queries are the last tq of tk positions.
+
+    With tq == tk this is the plain lower triangle; with fewer queries (a
+    decoding step against cached keys) row i still sees keys 0 .. tk - tq + i.
+    """
+    return np.tril(np.ones((tq, tk), dtype=bool), k=tk - tq)
+
+
 def attention_weights(q, k, causal: bool = False) -> np.ndarray:
     """The row-stochastic softmax(QK^T/sqrt(d)) matrix, without applying V."""
     q, k = ad.astensor(q), ad.astensor(k)
@@ -58,10 +67,7 @@ def attention_weights(q, k, causal: bool = False) -> np.ndarray:
         raise ShapeError(f"Q/K feature dims differ: {q.value.shape[-1]} vs {k.value.shape[-1]}")
     d = q.value.shape[-1]
     scores = ad.scale(ad.matmul(q, ad.astensor(np.swapaxes(k.value, -1, -2))), 1.0 / np.sqrt(d))
-    mask = None
-    if causal:
-        tq, tk = scores.value.shape[-2], scores.value.shape[-1]
-        mask = np.tril(np.ones((tq, tk), dtype=bool))
+    mask = _causal_mask(*scores.value.shape[-2:]) if causal else None
     with no_grad():
         return ad.softmax(Tensor(scores.value), mask=mask).value
 
@@ -81,10 +87,7 @@ def scaled_dot_attention(q, k, v, causal: bool = False):
     axes = list(range(kt.value.ndim))
     axes[-1], axes[-2] = axes[-2], axes[-1]
     scores = ad.scale(ad.matmul(qt, ad.transpose(kt, axes)), 1.0 / np.sqrt(d))
-    mask = None
-    if causal:
-        tq, tk = scores.value.shape[-2], scores.value.shape[-1]
-        mask = np.tril(np.ones((tq, tk), dtype=bool))
+    mask = _causal_mask(*scores.value.shape[-2:]) if causal else None
     out = ad.matmul(ad.softmax(scores, mask=mask), vt)
     if any(isinstance(x, Tensor) for x in (q, k, v)):
         return out
@@ -94,12 +97,19 @@ def scaled_dot_attention(q, k, v, causal: bool = False):
 ATTENTION_WEIGHT_NAMES = ("wq", "wk", "wv", "wo")
 
 
-def multi_head_attention(x, params: ParamStore, head_count: int, causal: bool = False, kv=None, prefix: str = ""):
+def multi_head_attention(x, params: ParamStore, head_count: int, causal: bool = False, kv=None, prefix: str = "",
+                         cache: dict | None = None):
     """Project to per-head Q/K/V, attend in parallel, concatenate, project back.
 
     Expects square projection matrices named {prefix}wq/wk/wv/wo in `params`.
     `kv` switches the key/value source for cross-attention. Accepts (T, d)
     or (B, T, d) input; returns a Tensor when given one, else an ndarray.
+
+    `cache` is a dict that keeps the per-head keys and values between calls
+    for incremental decoding. In self-attention the rows of `x` are the
+    positions after the cached ones: their keys and values are appended and
+    the queries attend to all of them. With `kv` the source is projected on
+    the first call only and reused after.
     """
     xt = ad.astensor(x)
     d = xt.value.shape[-1]
@@ -118,8 +128,16 @@ def multi_head_attention(x, params: ParamStore, head_count: int, causal: bool = 
         return ad.transpose(ad.reshape(m, (b, t, head_count, dh)), (0, 2, 1, 3))
 
     qh = split_heads(ad.matmul(xt, params.tensor(prefix + "wq")))
-    kh = split_heads(ad.matmul(source, params.tensor(prefix + "wk")))
-    vh = split_heads(ad.matmul(source, params.tensor(prefix + "wv")))
+    if cache and kv is not None:
+        kh, vh = cache["k"], cache["v"]
+    else:
+        kh = split_heads(ad.matmul(source, params.tensor(prefix + "wk")))
+        vh = split_heads(ad.matmul(source, params.tensor(prefix + "wv")))
+        if cache:
+            kh = ad.concat([cache["k"], kh], axis=2)
+            vh = ad.concat([cache["v"], vh], axis=2)
+        if cache is not None:
+            cache.update(k=kh, v=vh)
     heads = scaled_dot_attention(qh, kh, vh, causal=causal)
     b, _, tq, _ = heads.value.shape
     merged = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (b, tq, d))
@@ -175,6 +193,25 @@ class TransformerConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "TransformerConfig":
         return cls(**payload)
+
+
+class _LayerCache:
+    """What one decoder layer keeps from the positions already decoded.
+
+    The decoder is causal position by position, so an earlier position's
+    hidden state never changes and a new position needs only: the
+    self-attention keys and values of every earlier position, the encoder's
+    cross-attention keys and values (projected on the first step), the last
+    conv_kernel_width - 1 conv inputs and the last pool_range - 1 post-ReLU
+    conv outputs. Before position 0 the conv rows are zeros and the pool
+    rows -inf, the padding the full-sequence kernels use.
+    """
+
+    def __init__(self, config: TransformerConfig, batch: int):
+        self.self_attn: dict = {}
+        self.cross_attn: dict = {}
+        self.conv_in = np.zeros((batch, config.conv_kernel_width - 1, config.d_model))
+        self.activated = np.full((batch, config.pool_range - 1, config.d_model), -np.inf)
 
 
 def _sequence_windows(values: np.ndarray, context: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -275,15 +312,23 @@ class TransformerForecaster:
     def _ln(self, prefix: str, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.params.tensor(prefix + "g"), self.params.tensor(prefix + "b"))
 
-    def _conv_block(self, prefix: str, x: Tensor, causal: bool = False) -> Tensor:
+    def _conv_block(self, prefix: str, x: Tensor, causal: bool = False, cache: _LayerCache | None = None) -> Tensor:
+        """Conv, ReLU and max-pool over every position of `x`; with a cache,
+        the causal block at the one new position `x` (B, 1, d) holds."""
         cfg = self.config
-        kernel = ad.reshape(
-            self.params.tensor(prefix + "w"),
-            (cfg.conv_kernel_width, cfg.d_model, cfg.d_model),
-        )
-        return conv_pool_forward(
-            x, kernel, self.params.tensor(prefix + "b"), cfg.pool_range, causal=causal
-        )
+        weights, bias = self.params.tensor(prefix + "w"), self.params.tensor(prefix + "b")
+        if cache is None:
+            kernel = ad.reshape(weights, (cfg.conv_kernel_width, cfg.d_model, cfg.d_model))
+            return conv_pool_forward(x, kernel, bias, cfg.pool_range, causal=causal)
+        # The (k * d, d) weight matrix applied to the flattened window of the
+        # new input and the k - 1 before it is the causal conv at that position.
+        window = np.concatenate([cache.conv_in, x.value], axis=1)
+        cache.conv_in = window[:, 1:]
+        b = window.shape[0]
+        activated = ad.relu(ad.add(ad.matmul(Tensor(window.reshape(b, -1)), weights), bias))
+        pooled = np.concatenate([cache.activated, activated.value[:, None]], axis=1)
+        cache.activated = pooled[:, 1:]
+        return Tensor(pooled.max(axis=1, keepdims=True))
 
     def _encode(self, contexts: np.ndarray) -> Tensor:
         cfg = self.config
@@ -299,32 +344,38 @@ class TransformerForecaster:
             h = self._ln(p + "ln2.", ad.add(h, self._conv_block(p + "conv.", h)))
         return h
 
-    def _decode(self, previous: np.ndarray, encoded: Tensor) -> Tensor:
+    def _decode(self, previous: np.ndarray, encoded: Tensor, cache: list[_LayerCache] | None = None) -> Tensor:
         """Run the decoder on [start token, embedded previous values].
 
         previous: (B, m) with m >= 0 already-known (or generated) outputs.
-        Returns hidden states (B, m + 1, d_model); position j predicts
-        output step j + 1.
+        Without a cache, returns hidden states (B, m + 1, d_model) for all
+        positions; position j predicts output step j + 1. With a cache that
+        holds positions 0 .. m - 1, only position m runs, so the result is
+        (B, 1, d_model), and the cache then holds it too.
         """
         cfg = self.config
         b = encoded.value.shape[0]
         d = cfg.d_model
-        start = ad.add(Tensor(np.zeros((b, 1, d))), ad.reshape(self.params.tensor("start"), (1, 1, d)))
         m = previous.shape[1]
-        if m > 0:
-            emb = ad.add(
-                ad.matmul(Tensor(previous.reshape(b, m, 1)), self.params.tensor("embed.dec.w")),
+        first = 0 if cache is None else m
+        tokens = []
+        if first == 0:
+            tokens.append(ad.add(Tensor(np.zeros((b, 1, d))), ad.reshape(self.params.tensor("start"), (1, 1, d))))
+        embedded = previous[:, max(first - 1, 0):]  # position j >= 1 embeds output j - 1
+        if embedded.shape[1] > 0:
+            tokens.append(ad.add(
+                ad.matmul(Tensor(embedded.reshape(b, -1, 1)), self.params.tensor("embed.dec.w")),
                 self.params.tensor("embed.dec.b"),
-            )
-            tokens = ad.concat([start, emb], axis=1)
-        else:
-            tokens = start
-        h = ad.add(tokens, Tensor(positional_encoding(m + 1, d)))
+            ))
+        h = ad.concat(tokens, axis=1) if len(tokens) > 1 else tokens[0]
+        h = ad.add(h, Tensor(positional_encoding(m + 1, d)[first:]))
         for i in range(cfg.decoder_layers):
             p = f"dec{i}."
-            h = self._ln(p + "ln1.", ad.add(h, multi_head_attention(h, self.params, cfg.head_count, causal=True, prefix=p + "self.")))
-            h = self._ln(p + "ln2.", ad.add(h, multi_head_attention(h, self.params, cfg.head_count, kv=encoded, prefix=p + "cross.")))
-            h = self._ln(p + "ln3.", ad.add(h, self._conv_block(p + "conv.", h, causal=True)))
+            layer = None if cache is None else cache[i]
+            self_kv, cross_kv = (None, None) if layer is None else (layer.self_attn, layer.cross_attn)
+            h = self._ln(p + "ln1.", ad.add(h, multi_head_attention(h, self.params, cfg.head_count, causal=True, prefix=p + "self.", cache=self_kv)))
+            h = self._ln(p + "ln2.", ad.add(h, multi_head_attention(h, self.params, cfg.head_count, kv=encoded, prefix=p + "cross.", cache=cross_kv)))
+            h = self._ln(p + "ln3.", ad.add(h, self._conv_block(p + "conv.", h, causal=True, cache=layer)))
         return h
 
     def _head(self, hidden: Tensor) -> Tensor:
@@ -368,14 +419,19 @@ class TransformerForecaster:
         return out[0] if flat else out
 
     def _generate(self, contexts: np.ndarray, steps: int) -> np.ndarray:
-        """Autoregressive decode of `steps` <= horizon_length normalized values."""
+        """Autoregressive decode of `steps` <= horizon_length normalized values.
+
+        Each step runs the decoder on the new position only, against a cache
+        of what the earlier positions left behind (see `_LayerCache`).
+        """
         b = contexts.shape[0]
         with no_grad():
             encoded = self._encode(contexts)
+            cache = [_LayerCache(self.config, b) for _ in range(self.config.decoder_layers)]
             generated = np.zeros((b, 0))
             for _ in range(steps):
-                hidden = self._head(self._decode(generated, encoded)).value
-                generated = np.concatenate([generated, hidden[:, -1:]], axis=1)
+                hidden = self._head(self._decode(generated, encoded, cache)).value
+                generated = np.concatenate([generated, hidden], axis=1)
         return generated
 
     # ---- inference --------------------------------------------------------

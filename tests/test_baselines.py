@@ -1,6 +1,7 @@
 """Tests for the six benchmark forecasters and their shared interface."""
 
 import json
+import warnings
 from datetime import datetime
 
 import numpy as np
@@ -224,14 +225,28 @@ def test_regression_tree_guards():
         RegressionTree().fit_arrays(np.zeros((0, 3)), np.zeros(0))
 
 
-def test_gbt_clamps_oversized_min_child_with_warning():
-    windows = window_fixture(seed=10, length=40, window=8)
-    model = GradientBoostedTrees(estimators=10)
-    with pytest.warns(ConfigWarning):
+@pytest.mark.parametrize("length", [40, 72, 120])  # 120: case2, 96 windows, more than min_child
+def test_gbt_warns_when_no_tree_can_split(length):
+    """The default min_child_samples at case1/case2 sizes (window 24) forbids every split."""
+    window = 8 if length == 40 else 24
+    windows = window_fixture(seed=10, length=length, window=window)
+    model = GradientBoostedTrees(estimators=20)
+    with pytest.warns(ConfigWarning, match="no tree can split"):
         model.fit(windows, seed=0)
-    out = model.predict(windows.inputs[:4])
-    assert out.shape == (4,)
+    assert all(tree.leaf_count() == 1 for tree in model.trees)
+    out = model.predict(windows.inputs)
     assert np.all(np.isfinite(out))
+    assert np.ptp(out) == 0.0
+
+
+def test_gbt_split_warning_boundary():
+    """68 windows: 54 fit rows, 43 per tree; min_child 21 can still split, 22 cannot."""
+    windows = window_fixture(seed=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConfigWarning)
+        GradientBoostedTrees(estimators=3, min_child_samples=21).fit(windows, seed=0)
+    with pytest.warns(ConfigWarning, match="each tree sees 43"):
+        GradientBoostedTrees(estimators=3, min_child_samples=22).fit(windows, seed=0)
 
 
 def test_gbt_is_deterministic_per_seed():

@@ -1,7 +1,9 @@
 """Fast kernels against the plain code they replace.
 
 The fused LSTM layer is checked against `lstm_cell_step` unrolled on the
-tape, and the array tree walks against a per-row walk and a per-tree sum.
+tape, the array tree walks against a per-row walk and a per-tree sum, and
+the transformer's cached decoding against re-running the decoder over the
+whole generated prefix at every step.
 """
 
 import warnings
@@ -13,8 +15,9 @@ import loadcast.nn.autodiff as ad
 from loadcast.baselines import GradientBoostedTrees, LSTMModel, RegressionTree, lstm_cell_step
 from loadcast.baselines.neural import LSTM_GATES
 from loadcast.errors import ShapeError
-from loadcast.nn import ParamStore, Tensor, grad_check
-from loadcast.series import SupervisedWindowSet
+from loadcast.nn import ParamStore, Tensor, grad_check, no_grad
+from loadcast.series import NormalizationParams, SupervisedWindowSet
+from loadcast.transformer import TransformerConfig, TransformerForecaster
 
 
 def _lstm_store(rng, units, width=1):
@@ -212,3 +215,61 @@ def test_tree_dict_round_trip_predicts_identically():
         np.testing.assert_array_equal(clone.predict(probe), tree.predict(probe))
     empty = RegressionTree().to_dict()
     assert empty["nodes"] == [] and RegressionTree.from_dict(empty).root is None
+
+
+def _prefix_recompute(model, contexts, steps):
+    """The uncached decode: the whole generated prefix through the decoder at every step."""
+    with no_grad():
+        encoded = model._encode(contexts)
+        generated = np.zeros((contexts.shape[0], 0))
+        for _ in range(steps):
+            hidden = model._head(model._decode(generated, encoded)).value
+            generated = np.concatenate([generated, hidden[:, -1:]], axis=1)
+    return generated
+
+
+class _PrefixRecomputeForecaster(TransformerForecaster):
+    def _generate(self, contexts, steps):
+        return _prefix_recompute(self, contexts, steps)
+
+
+TINY = TransformerConfig(d_model=8, head_count=2, encoder_layers=1, decoder_layers=1,
+                         context_length=12, horizon_length=3)
+DECODER_CONFIGS = [
+    TransformerConfig(),
+    TINY,
+    TransformerConfig(d_model=8, head_count=2, context_length=12, horizon_length=1),
+] + [
+    TransformerConfig(d_model=8, head_count=2, context_length=12, horizon_length=4,
+                      conv_kernel_width=k, pool_range=p)
+    for k in (1, 3, 5) for p in (1, 3, 5)
+]
+
+
+@pytest.mark.parametrize("config", DECODER_CONFIGS, ids=lambda c: f"d{c.d_model}-h{c.horizon_length}-k{c.conv_kernel_width}-p{c.pool_range}")
+def test_cached_generation_matches_prefix_recompute(config):
+    model = TransformerForecaster(config, init_seed=9)
+    rng = np.random.default_rng(10)
+    for batch in (1, 5):
+        contexts = rng.uniform(-0.2, 1.2, size=(batch, config.context_length))
+        for steps in range(1, config.horizon_length + 1):
+            np.testing.assert_allclose(
+                model._generate(contexts, steps), _prefix_recompute(model, contexts, steps), rtol=0, atol=1e-12
+            )
+        generated = model.forward(contexts)
+        replayed = model.forward(contexts, decoder_seed=generated[:, :-1])
+        np.testing.assert_allclose(replayed, generated, rtol=0, atol=1e-12)
+
+
+def test_cached_forecast_batch_matches_prefix_recompute():
+    """A 24 h recursive forecast: four 6-step chunks, each re-encoding the shifted window."""
+    model = TransformerForecaster(init_seed=11)
+    reference = _PrefixRecomputeForecaster(init_seed=0)
+    reference.params.load_values_from(model.params)
+    normalizer = NormalizationParams(10.0, 14.0)
+    model.set_normalizer(normalizer)
+    reference.set_normalizer(normalizer)
+    histories = np.random.default_rng(12).uniform(10.0, 14.0, size=(6, 40))
+    np.testing.assert_allclose(
+        model.forecast_batch(histories, 24), reference.forecast_batch(histories, 24), rtol=0, atol=1e-12
+    )

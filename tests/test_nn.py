@@ -335,6 +335,40 @@ def test_adam_two_steps_track_moments():
     np.testing.assert_allclose(p.value, [[value]], atol=1e-15)
 
 
+def _adam_allocating(params, learning_rate, step):
+    """The formula adam_update computes in place, written with temporaries."""
+    correction1 = 1.0 - BETA1**step
+    correction2 = 1.0 - BETA2**step
+    for param in params:
+        grad = param.grad
+        param.m[...] = BETA1 * param.m + (1.0 - BETA1) * grad
+        param.v[...] = BETA2 * param.v + (1.0 - BETA2) * grad * grad
+        m_hat = param.m / correction1
+        v_hat = param.v / correction2
+        param.value[...] -= learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
+        param.grad[...] = 0.0
+
+
+def test_adam_update_is_bitwise_the_allocating_formula():
+    rng = np.random.default_rng(14)
+    fast, slow = ParamStore(), ParamStore()
+    for i, shape in enumerate([(1, 1), (1, 7), (5, 3), (32, 32), (96, 32), (1, 4)]):
+        value = rng.normal(size=shape)
+        fast.add(f"p{i}", value)
+        slow.add(f"p{i}", value)
+    for step in range(1, 6):
+        for a, b in zip(fast, slow):
+            grad = rng.normal(scale=10.0 ** rng.integers(-8, 3), size=a.shape)
+            grad[rng.random(a.shape) < 0.2] = 0.0
+            a.grad[...] = grad
+            b.grad[...] = grad
+        adam_update(fast, learning_rate=1e-3 * step, step=step)
+        _adam_allocating(slow, learning_rate=1e-3 * step, step=step)
+        for a, b in zip(fast, slow):
+            for buffer in ("value", "m", "v", "grad"):
+                assert np.array_equal(getattr(a, buffer), getattr(b, buffer)), (a.name, buffer, step)
+
+
 def test_adam_guards():
     store = ParamStore()
     store.add("w", np.zeros((1, 1)))

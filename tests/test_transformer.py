@@ -126,6 +126,17 @@ def test_scaled_dot_attention_shape_guards():
         scaled_dot_attention(rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=(4, 2)))
 
 
+def test_causal_suffix_queries_match_rows_of_the_square_case():
+    """The newest tq queries against all tk keys see what they see in the full pass."""
+    rng = np.random.default_rng(31)
+    q, k, v = (rng.normal(size=(2, 6, 4)) for _ in range(3))
+    weights = attention_weights(q, k, causal=True)
+    out = scaled_dot_attention(q, k, v, causal=True)
+    for tq in range(1, 7):
+        np.testing.assert_allclose(attention_weights(q[:, -tq:], k, causal=True), weights[:, -tq:], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(scaled_dot_attention(q[:, -tq:], k, v, causal=True), out[:, -tq:], rtol=0, atol=1e-14)
+
+
 def _attention_store(rng, d, prefix=""):
     store = ParamStore()
     for name in ("wq", "wk", "wv", "wo"):
@@ -151,6 +162,25 @@ def test_multi_head_attention_is_permutation_equivariant():
     out = multi_head_attention(x, store, head_count=2)
     permuted = multi_head_attention(x[:, perm], store, head_count=2)
     np.testing.assert_allclose(permuted, out[:, perm], rtol=1e-10, atol=1e-12)
+
+
+def test_multi_head_attention_cache_extends_self_attention_and_reuses_cross_keys():
+    rng = np.random.default_rng(32)
+    store = _attention_store(rng, 8)
+    x = rng.normal(size=(3, 5, 8))
+    source = rng.normal(size=(3, 7, 8))
+    full = multi_head_attention(x, store, head_count=2, causal=True)
+    cross = multi_head_attention(x, store, head_count=2, kv=source)
+    self_cache, cross_cache = {}, {}
+    for t in range(5):
+        row = x[:, t : t + 1]
+        step = multi_head_attention(row, store, head_count=2, causal=True, cache=self_cache)
+        np.testing.assert_allclose(step, full[:, t : t + 1], rtol=0, atol=1e-14)
+        assert self_cache["k"].shape == (3, 2, t + 1, 4)
+        keys = cross_cache.get("k")
+        step = multi_head_attention(row, store, head_count=2, kv=source, cache=cross_cache)
+        np.testing.assert_allclose(step, cross[:, t : t + 1], rtol=0, atol=1e-14)
+        assert keys is None or cross_cache["k"] is keys
 
 
 def test_multi_head_attention_head_count_guard():
