@@ -3,6 +3,12 @@
 A Tensor wraps a float64 ndarray plus an optional node in the backward tape.
 Ops build the tape only while gradients are enabled; inference runs the same
 code under `no_grad()` with zero tape overhead. All math is 64-bit.
+
+Gradient ownership: a tensor adopts the first gradient array it is handed
+and adds later ones into it in place, so a handed-over array must not be
+written again. An op gives its incoming gradient, or a view of it, to one
+parent only; when `add`'s first parent adopts it, the second adopts a copy.
+ParamStore leaves keep their external `grad_buffer` and always add into it.
 """
 
 from __future__ import annotations
@@ -49,11 +55,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def _ensure_grad(self) -> np.ndarray:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        return self.grad
-
     def backward(self) -> None:
         """Reverse-accumulate d(self)/d(leaf) for every reachable leaf.
 
@@ -78,8 +79,9 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
-        self._ensure_grad()
-        self.grad += np.ones_like(self.value)
+        if self.grad is None:
+            self.grad = np.zeros_like(self.value)
+        self.grad += 1.0
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -127,10 +129,15 @@ def _make(value: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
+def _accumulate(tensor: Tensor, grad: np.ndarray, shared: bool = False) -> None:
+    """Add `grad` into tensor.grad, adopting it on the first write unless it is
+    `shared` with another tensor, which gets a copy (see the module docstring)."""
     if tensor.requires_grad:
-        tensor._ensure_grad()
-        tensor.grad += _unbroadcast(grad, tensor.value.shape)
+        reduced = _unbroadcast(grad, tensor.value.shape)
+        if tensor.grad is None:
+            tensor.grad = reduced.copy() if shared and reduced is grad else reduced
+        else:
+            tensor.grad += reduced
 
 
 def add(a, b) -> Tensor:
@@ -139,7 +146,7 @@ def add(a, b) -> Tensor:
 
     def backward(g):
         _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(b, g, shared=a.grad is g)
 
     return _make(value, (a, b), backward)
 
@@ -177,12 +184,20 @@ def scale(a, factor: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """a @ b. With a 2-D b, a's leading axes fold into rows, so the product
+    and both gradients are single GEMMs instead of a loop over the batch."""
     a, b = astensor(a), astensor(b)
-    value = a.value @ b.value
+    fold = b.value.ndim == 2
+    left = a.value.reshape(-1, a.value.shape[-1]) if fold else a.value
+    value = (left @ b.value).reshape(a.value.shape[:-1] + b.value.shape[1:]) if fold else left @ b.value
 
     def backward(g):
-        _accumulate(a, g @ np.swapaxes(b.value, -1, -2))
-        _accumulate(b, np.swapaxes(a.value, -1, -2) @ g)
+        g = g.reshape(-1, g.shape[-1]) if fold else g
+        if a.requires_grad:
+            da = g @ np.swapaxes(b.value, -1, -2)
+            _accumulate(a, da.reshape(a.value.shape) if fold else da)
+        if b.requires_grad:
+            _accumulate(b, np.swapaxes(left, -1, -2) @ g)
 
     return _make(value, (a, b), backward)
 
@@ -362,13 +377,20 @@ def layer_norm(x, gamma, beta, epsilon: float = 1e-5) -> Tensor:
 
     def backward(g):
         _accumulate(gamma, g * xhat)
-        _accumulate(beta, g)
         dxhat = g * gamma.value
         s1 = dxhat.sum(axis=-1, keepdims=True)
         s2 = (dxhat * xhat).sum(axis=-1, keepdims=True)
         _accumulate(x, (inv / n) * (n * dxhat - s1 - xhat * s2))
+        _accumulate(beta, g)
 
     return _make(value, (x, gamma, beta), backward)
+
+
+def _pad_time(x: np.ndarray, width: int, causal: bool, fill: float) -> tuple[np.ndarray, int]:
+    """Pad the time axis (-2) for a same-length window of odd `width`; also returns the left pad."""
+    left = width - 1 if causal else width // 2
+    pad_spec = [(0, 0)] * (x.ndim - 2) + [(left, width - 1 - left), (0, 0)]
+    return np.pad(x, pad_spec, constant_values=fill), left
 
 
 def conv1d_same(x, weights, bias, causal: bool = False) -> Tensor:
@@ -377,6 +399,8 @@ def conv1d_same(x, weights, bias, causal: bool = False) -> Tensor:
     x: (..., T, Cin); weights: (K, Cin, Cout) with odd K; bias: broadcastable
     to (Cout,). Output: (..., T, Cout). Centered windows by default; with
     causal=True all padding goes on the left so position t sees only <= t.
+    Computed as im2col (Chellapilla et al., 2006): the (N*T, K*Cin) matrix of
+    windows times the kernel as a (K*Cin, Cout) matrix, one GEMM each way.
     """
     x, weights, bias = astensor(x), astensor(weights), astensor(bias)
     k, cin, cout = weights.value.shape
@@ -385,23 +409,22 @@ def conv1d_same(x, weights, bias, causal: bool = False) -> Tensor:
     if x.value.shape[-1] != cin:
         raise ShapeError(f"input channels {x.value.shape[-1]} != kernel channels {cin}")
     t = x.value.shape[-2]
-    left = k - 1 if causal else k // 2
-    right = k - 1 - left
-    pad_spec = [(0, 0)] * (x.value.ndim - 2) + [(left, right), (0, 0)]
-    xpad = np.pad(x.value, pad_spec)
-    # (..., T, Cin, K) windows over the padded time axis
-    xw = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=-2)
-    value = np.einsum("...tck,kcd->...td", xw, weights.value) + bias.value
+    xpad, left = _pad_time(x.value, k, causal, 0.0)
+    # (..., T, Cin, K) windows -> rows of [x[t], x[t + 1], ..., x[t + K - 1]]
+    windows = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=-2)
+    cols = np.swapaxes(windows, -1, -2).reshape(-1, k * cin)
+    kernel = weights.value.reshape(k * cin, cout)
+    value = (cols @ kernel).reshape(x.value.shape[:-1] + (cout,)) + bias.value
 
     def backward(g):
-        xw_flat = xw.reshape(-1, cin, k)
-        g_flat = g.reshape(-1, cout)
-        _accumulate(weights, np.einsum("mck,md->kcd", xw_flat, g_flat))
-        _accumulate(bias, g)
+        g2 = g.reshape(-1, cout)
+        _accumulate(weights, (cols.T @ g2).reshape(k, cin, cout))
+        dcols = (g2 @ kernel.T).reshape(x.value.shape[:-1] + (k, cin))
         dxpad = np.zeros_like(xpad)
         for j in range(k):
-            dxpad[..., j : j + t, :] += g @ weights.value[j].T
+            dxpad[..., j : j + t, :] += dcols[..., j, :]
         _accumulate(x, dxpad[..., left : left + t, :])
+        _accumulate(bias, g)
 
     return _make(value, (x, weights, bias), backward)
 
@@ -411,6 +434,8 @@ def maxpool1d_same(x, pool_range: int, causal: bool = False) -> Tensor:
 
     Edge windows shrink to whatever lies inside the sequence. With
     causal=True the window at position t covers [t - pool_range + 1, t].
+    The max is pool_range - 1 shifted np.maximum passes; the gradient goes
+    to the first window position holding the max, argmax's tie rule.
     """
     x = astensor(x)
     if pool_range % 2 == 0 or pool_range < 1:
@@ -418,18 +443,18 @@ def maxpool1d_same(x, pool_range: int, causal: bool = False) -> Tensor:
     if pool_range == 1:
         return x
     t = x.value.shape[-2]
-    left = pool_range - 1 if causal else pool_range // 2
-    right = pool_range - 1 - left
-    pad_spec = [(0, 0)] * (x.value.ndim - 2) + [(left, right), (0, 0)]
-    xpad = np.pad(x.value, pad_spec, constant_values=-np.inf)
-    xw = np.lib.stride_tricks.sliding_window_view(xpad, pool_range, axis=-2)
-    arg = xw.argmax(axis=-1)
-    value = np.take_along_axis(xw, arg[..., None], axis=-1)[..., 0]
+    xpad, left = _pad_time(x.value, pool_range, causal, -np.inf)
+    value = xpad[..., :t, :].copy()
+    for j in range(1, pool_range):
+        np.maximum(value, xpad[..., j : j + t, :], out=value)
 
     def backward(g):
         dxpad = np.zeros_like(xpad)
+        unclaimed = np.ones(value.shape, dtype=bool)
         for j in range(pool_range):
-            dxpad[..., j : j + t, :] += g * (arg == j)
+            first = (xpad[..., j : j + t, :] == value) & unclaimed
+            unclaimed ^= first
+            dxpad[..., j : j + t, :] += g * first
         _accumulate(x, dxpad[..., left : left + t, :])
 
     return _make(value, (x,), backward)

@@ -1,9 +1,10 @@
 """Fast kernels against the plain code they replace.
 
 The fused LSTM layer is checked against `lstm_cell_step` unrolled on the
-tape, the array tree walks against a per-row walk and a per-tree sum, and
-the transformer's cached decoding against re-running the decoder over the
-whole generated prefix at every step.
+tape, the array tree walks against a per-row walk and a per-tree sum, the
+transformer's cached decoding against re-running the decoder over the
+whole generated prefix at every step, and the im2col conv, shifted-max
+pool and one-GEMM matmul against the einsum, argmax and batched kernels.
 """
 
 import warnings
@@ -273,3 +274,171 @@ def test_cached_forecast_batch_matches_prefix_recompute():
     np.testing.assert_allclose(
         model.forecast_batch(histories, 24), reference.forecast_batch(histories, 24), rtol=0, atol=1e-12
     )
+
+
+def _einsum_conv(x, weights, bias, causal=False):
+    """conv1d_same as an einsum over a sliding-window view, the kernel im2col replaced."""
+    k, cin, cout = weights.value.shape
+    t = x.value.shape[-2]
+    left = k - 1 if causal else k // 2
+    xpad = np.pad(x.value, [(0, 0)] * (x.value.ndim - 2) + [(left, k - 1 - left), (0, 0)])
+    xw = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=-2)
+    value = np.einsum("...tck,kcd->...td", xw, weights.value) + bias.value
+
+    def backward(g):
+        ad._accumulate(weights, np.einsum("mck,md->kcd", xw.reshape(-1, cin, k), g.reshape(-1, cout)))
+        dxpad = np.zeros_like(xpad)
+        for j in range(k):
+            dxpad[..., j : j + t, :] += g @ weights.value[j].T
+        ad._accumulate(x, dxpad[..., left : left + t, :])
+        ad._accumulate(bias, g)
+
+    return ad._make(value, (x, weights, bias), backward)
+
+
+def _argmax_pool(x, pool_range, causal=False):
+    """maxpool1d_same by argmax over a sliding-window view, the kernel shifted maxima replaced."""
+    t = x.value.shape[-2]
+    left = pool_range - 1 if causal else pool_range // 2
+    pad_spec = [(0, 0)] * (x.value.ndim - 2) + [(left, pool_range - 1 - left), (0, 0)]
+    xpad = np.pad(x.value, pad_spec, constant_values=-np.inf)
+    xw = np.lib.stride_tricks.sliding_window_view(xpad, pool_range, axis=-2)
+    arg = xw.argmax(axis=-1)
+    value = np.take_along_axis(xw, arg[..., None], axis=-1)[..., 0]
+
+    def backward(g):
+        dxpad = np.zeros_like(xpad)
+        for j in range(pool_range):
+            dxpad[..., j : j + t, :] += g * (arg == j)
+        ad._accumulate(x, dxpad[..., left : left + t, :])
+
+    return ad._make(value, (x,), backward)
+
+
+def _batched_matmul(a, b):
+    """matmul with numpy's batched product and a batched weight gradient summed back."""
+    value = a.value @ b.value
+
+    def backward(g):
+        ad._accumulate(a, g @ np.swapaxes(b.value, -1, -2))
+        ad._accumulate(b, np.swapaxes(a.value, -1, -2) @ g)
+
+    return ad._make(value, (a, b), backward)
+
+
+def _value_and_grads(op, arrays, seed):
+    """op's output and the gradients of sum(output * C) for a fixed random C, one per input."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    weights = np.random.default_rng(seed).normal(size=out.value.shape)
+    ad.tsum(ad.mul(out, Tensor(weights))).backward()
+    return [out.value] + [leaf.grad for leaf in leaves]
+
+
+def _assert_near(actual, expected, tol=1e-12):
+    """Agreement relative to the largest reference entry, so near-zero entries do not blow it up."""
+    for a, e in zip(actual, expected):
+        assert a.shape == e.shape
+        assert np.max(np.abs(a - e)) <= tol * np.max(np.abs(e)), np.max(np.abs(a - e))
+
+
+CONV_SHAPES = [(9, 3), (4, 9, 3)]  # (T, Cin) and (N, T, Cin)
+
+
+@pytest.mark.parametrize("causal", [False, True], ids=["centered", "causal"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("shape", CONV_SHAPES, ids=["2d", "3d"])
+def test_im2col_conv_matches_einsum_kernel(shape, k, causal):
+    rng = np.random.default_rng(30 + k)
+    arrays = [rng.normal(size=shape), rng.normal(size=(k, 3, 4)), rng.normal(size=(1, 4))]
+    new = _value_and_grads(lambda x, w, b: ad.conv1d_same(x, w, b, causal=causal), arrays, seed=k)
+    old = _value_and_grads(lambda x, w, b: _einsum_conv(x, w, b, causal=causal), arrays, seed=k)
+    _assert_near(new, old)
+
+
+@pytest.mark.parametrize("causal", [False, True], ids=["centered", "causal"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_im2col_conv_passes_grad_check(k, causal):
+    rng = np.random.default_rng(40 + k)
+    store = ParamStore()
+    store.add("x", rng.normal(size=(2 * 7, 3)))
+    store.add("w", rng.normal(size=(k * 3, 4)))
+    store.add("b", rng.normal(size=(1, 4)))
+    target = rng.normal(size=(2, 7, 4))
+
+    def forward():
+        x = ad.reshape(store.tensor("x"), (2, 7, 3))
+        w = ad.reshape(store.tensor("w"), (k, 3, 4))
+        return ad.mse(ad.tanh(ad.conv1d_same(x, w, store.tensor("b"), causal=causal)), target)
+
+    assert grad_check(forward, store, probe_count=40, rng=np.random.default_rng(k)) < 1e-4
+
+
+def _tied_pool_input(rng, shape):
+    """ReLU of small integers (many zero ties) with constant plateaus along time."""
+    x = np.maximum(rng.integers(-3, 4, size=shape).astype(np.float64), 0.0)
+    x[..., 2:7, 0] = 1.5  # a plateau longer than any window
+    x[..., :, -1] = 0.0  # an all-zero channel
+    return x
+
+
+@pytest.mark.parametrize("causal", [False, True], ids=["centered", "causal"])
+@pytest.mark.parametrize("pool_range", [3, 5])
+@pytest.mark.parametrize("shape", [(11, 4), (3, 11, 4)], ids=["2d", "3d"])
+def test_shifted_max_pool_is_bitwise_the_argmax_kernel(shape, pool_range, causal):
+    x = _tied_pool_input(np.random.default_rng(50 + pool_range), shape)
+    new = _value_and_grads(lambda t: ad.maxpool1d_same(t, pool_range, causal=causal), [x], seed=pool_range)
+    old = _value_and_grads(lambda t: _argmax_pool(t, pool_range, causal=causal), [x], seed=pool_range)
+    for a, e in zip(new, old):
+        np.testing.assert_array_equal(a.view(np.int64), e.view(np.int64))
+
+
+MATMUL_SHAPES = [
+    ((5, 7, 4), (4, 3)),  # a batch of sequences times a weight matrix
+    ((6, 1, 4), (4, 3)),  # one row per batch entry (a cached decoding step)
+    ((2, 3, 5, 4), (4, 3)),
+    ((7, 4), (4, 3)),
+]
+
+
+@pytest.mark.parametrize("a_shape,b_shape", MATMUL_SHAPES, ids=str)
+def test_folded_matmul_matches_batched_product(a_shape, b_shape):
+    rng = np.random.default_rng(len(a_shape))
+    arrays = [rng.normal(size=a_shape), rng.normal(size=b_shape)]
+    new = _value_and_grads(ad.matmul, arrays, seed=1)
+    old = _value_and_grads(_batched_matmul, arrays, seed=1)
+    _assert_near(new, old)
+
+
+def test_folded_matmul_on_a_transposed_view_and_a_vector():
+    rng = np.random.default_rng(60)
+    arrays = [rng.normal(size=(5, 4, 7)), rng.normal(size=(4, 3))]
+    new = _value_and_grads(lambda a, w: ad.matmul(ad.transpose(a, (0, 2, 1)), w), arrays, seed=2)
+    old = _value_and_grads(lambda a, w: _batched_matmul(ad.transpose(a, (0, 2, 1)), w), arrays, seed=2)
+    _assert_near(new, old)
+    # (k,) @ (k, n): the batched kernel cannot transpose a vector; check against the formulas.
+    vector, weights = rng.normal(size=4), rng.normal(size=(4, 3))
+    value, dv, dw = _value_and_grads(ad.matmul, [vector, weights], seed=3)
+    upstream = np.random.default_rng(3).normal(size=3)
+    _assert_near([value, dv, dw], [vector @ weights, weights @ upstream, np.outer(vector, upstream)])
+
+
+def test_folded_matmul_skips_inputs_without_gradient():
+    rng = np.random.default_rng(61)
+    constant, w = Tensor(rng.normal(size=(5, 7, 4))), Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    ad.tsum(ad.matmul(constant, w)).backward()
+    assert constant.grad is None
+    _assert_near([w.grad], [constant.value.reshape(-1, 4).T @ np.ones((35, 3))])
+
+
+def test_folded_matmul_passes_grad_check():
+    rng = np.random.default_rng(62)
+    store = ParamStore()
+    store.add("x", rng.normal(size=(2 * 5, 4)))
+    store.add("w", rng.normal(size=(4, 3)))
+    target = rng.normal(size=(2, 5, 3))
+
+    def forward():
+        return ad.mse(ad.tanh(ad.matmul(ad.reshape(store.tensor("x"), (2, 5, 4)), store.tensor("w"))), target)
+
+    assert grad_check(forward, store, probe_count=30, rng=np.random.default_rng(0)) < 1e-4

@@ -421,3 +421,108 @@ def test_param_requires_two_dimensional_values():
     with pytest.raises(StateError):
         store.add("a", np.zeros((2, 2)))
     assert store.parameter_count() == 4
+
+
+def _zero_then_add(tensor, grad, shared=False):
+    """The gradient rule before first-write adoption: a fresh zero buffer, then +=.
+
+    Nothing is adopted, so `shared` makes no difference here.
+    """
+    if tensor.requires_grad:
+        if tensor.grad is None:
+            tensor.grad = np.zeros_like(tensor.value)
+        tensor.grad += ad._unbroadcast(grad, tensor.value.shape)
+
+
+def _leaf_grads_both_rules(monkeypatch, make_leaves, build, passes=1):
+    """Leaf gradients after `passes` forward/backward passes, under adoption and under the old rule."""
+    results = []
+    for rule in (None, _zero_then_add):
+        with monkeypatch.context() as patch:
+            if rule is not None:
+                patch.setattr(ad, "_accumulate", rule)
+            leaves = make_leaves()
+            for _ in range(passes):
+                build(*leaves).backward()
+            results.append([leaf.grad.copy() for leaf in leaves])
+    return results
+
+
+def _weighted_sum(out, seed=0):
+    return ad.tsum(ad.mul(out, Tensor(np.random.default_rng(seed).normal(size=out.value.shape))))
+
+
+def _leaves(*shapes, seed=1):
+    rng = np.random.default_rng(seed)
+    return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+
+
+def _residual(x, w):
+    """x + x @ w: both branches of the add end at the leaf x."""
+    return _weighted_sum(ad.add(x, ad.matmul(x, w)))
+
+
+def _hidden_residual(x, w):
+    """h + h @ w with h = x @ w: the branches meet at h, then at the leaves."""
+    h = ad.matmul(x, w)
+    return _weighted_sum(ad.add(h, ad.matmul(h, w)))
+
+
+def test_first_write_gradients_for_a_tensor_added_to_itself(monkeypatch):
+    new, old = _leaf_grads_both_rules(
+        monkeypatch, lambda: _leaves((3, 4)), lambda x: _weighted_sum(ad.add(ad.add(x, x), x))
+    )
+    np.testing.assert_array_equal(new[0], old[0])
+    np.testing.assert_array_equal(new[0], 3.0 * np.random.default_rng(0).normal(size=(3, 4)))
+
+
+def test_first_write_gradients_for_a_residual_meeting_at_one_leaf(monkeypatch):
+    new, old = _leaf_grads_both_rules(monkeypatch, lambda: _leaves((5, 4), (4, 4)), _residual)
+    for a, b in zip(new, old):
+        np.testing.assert_array_equal(a, b)
+    x, w = _leaves((5, 4), (4, 4))
+    upstream = np.random.default_rng(0).normal(size=(5, 4))
+    np.testing.assert_allclose(new[0], upstream + upstream @ w.value.T, rtol=1e-12)
+    np.testing.assert_allclose(new[1], x.value.T @ upstream, rtol=1e-12)
+
+
+def test_first_write_gradients_through_reshape_transpose_and_concat_views(monkeypatch):
+    def build(x, w):
+        joined = ad.concat([ad.reshape(x, (6, 4)), ad.transpose(x, (1, 0))], axis=0)  # (12, 4)
+        return _weighted_sum(ad.add(joined, ad.matmul(joined, w)))
+
+    new, old = _leaf_grads_both_rules(monkeypatch, lambda: _leaves((4, 6), (4, 4)), build)
+    for a, b in zip(new, old):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_first_write_gradients_accumulate_over_two_backward_passes(monkeypatch):
+    new, old = _leaf_grads_both_rules(monkeypatch, lambda: _leaves((5, 4), (4, 4)), _hidden_residual, passes=2)
+    once, _ = _leaf_grads_both_rules(monkeypatch, lambda: _leaves((5, 4), (4, 4)), _hidden_residual)
+    for a, b, single in zip(new, old, once):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_allclose(a, 2.0 * single, rtol=1e-12)
+
+
+def test_param_store_gradient_buffer_keeps_its_identity(monkeypatch):
+    """adam_update reads Param.grad, so backward must add into that array, never replace it."""
+    stores = []
+    for rule in (None, _zero_then_add):
+        with monkeypatch.context() as patch:
+            if rule is not None:
+                patch.setattr(ad, "_accumulate", rule)
+            store = ParamStore()
+            for name, leaf in zip(("x", "w"), _leaves((5, 4), (4, 4))):
+                store.add(name, leaf.value)
+            buffers = [p.grad for p in store]
+            tensors = [store.tensor("x"), store.tensor("w")]
+            _hidden_residual(*tensors).backward()
+            assert all(p.grad is buf and t.grad is buf for p, buf, t in zip(store, buffers, tensors))
+            stores.append(store)
+    new, old = stores
+    for name in ("x", "w"):
+        np.testing.assert_array_equal(new.get(name).grad, old.get(name).grad)
+    g = new.get("w").grad.copy()
+    before = new.get("w").value.copy()
+    adam_update(new, learning_rate=0.01, step=1)
+    np.testing.assert_allclose(before - new.get("w").value, 0.01 * g / (np.abs(g) + EPSILON), rtol=1e-12)

@@ -5,7 +5,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from loadcast.corpus import GeneratorSpec, generate_series
+from loadcast.corpus import GeneratorSpec, build_corpus, generate_series
 from loadcast.errors import ConfigError, InsufficientDataError, ShapeError, StateError
 from loadcast.nn import ParamStore, Tensor
 from loadcast.series import NormalizationParams, TimeSeries, fit_normalizer
@@ -312,6 +312,17 @@ def test_pretrain_is_deterministic():
     curve_b = b.pretrain(tiny_corpus(), epochs=2, seed=5, batch_size=32)
     assert curve_a == curve_b
     assert a.state_hash() == b.state_hash()
+
+
+def test_pretrain_at_the_conftest_shape_is_deterministic():
+    """Default config, batch 256, trend_seasonal left out: the shape of the conftest PRETRAIN_RECIPE."""
+    corpus = build_corpus(2, master_seed=3, series_length=256 + 29, exclude_families=("trend_seasonal",))
+    hashes = []
+    for _ in range(2):
+        model = TransformerForecaster(TransformerConfig(), init_seed=4)
+        model.pretrain(corpus, epochs=1, learning_rate=1e-3, seed=6, batch_size=256)
+        hashes.append(model.state_hash())
+    assert hashes[0] == hashes[1]
 
 
 def test_fine_tune_requires_pretrained_state():
