@@ -154,10 +154,8 @@ def _cmd_select(args) -> int:
     print(f"chosen: {verdict.chosen_model}")
     for model, triple in sorted(verdict.validation_scores.items()):
         marker = "*" if model == verdict.chosen_model else " "
-        print(
-            f"{marker} {model:<5} rmse {triple.rmse:.6f}  mae {triple.mae:.6f}  "
-            f"mape {100.0 * triple.mape:.4f}%"
-        )
+        mape = "ERR" if triple.mape is None else f"{100.0 * triple.mape:.4f}%"
+        print(f"{marker} {model:<5} rmse {triple.rmse:.6f}  mae {triple.mae:.6f}  mape {mape}")
     return 0
 
 

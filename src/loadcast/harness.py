@@ -327,8 +327,8 @@ def compare_models(report: MetricReport, reference: str) -> dict[CellKey, dict[s
     """Percent error reduction of the reference model against every peer, per cell.
 
     Positive entries mean the reference has the smaller error. Cells where
-    either side is missing, errored, or has a zero peer error are None
-    (absent, never zero).
+    either side is missing, errored, lacks the metric (a MAPE over a zero
+    actual) or has a zero peer error are None (absent, never zero).
     """
     if reference not in report.models():
         raise ConfigError(f"reference {reference!r} is not in the report")
@@ -337,13 +337,11 @@ def compare_models(report: MetricReport, reference: str) -> dict[CellKey, dict[s
         ref = report.get(reference, case, horizon)
         row: dict[str, float | None] = {}
         for name in CRITERIA:
-            if ref is None:
+            values = (None, None) if ref is None else (getattr(ref, name), getattr(peer, name))
+            try:
+                row[name] = None if None in values else percent_reduction(*values)
+            except DomainError:
                 row[name] = None
-            else:
-                try:
-                    row[name] = percent_reduction(getattr(ref, name), getattr(peer, name))
-                except DomainError:
-                    row[name] = None
         table[(model, case, horizon)] = row
     for key in sorted(report.errors):
         table.setdefault(key, {name: None for name in CRITERIA})
@@ -384,7 +382,8 @@ def select_model(
     The chronological last validation_fraction of the history is held out;
     every candidate fits on the head (seeded identically) and forecasts each
     tail point one step ahead. The minimum of the chosen criterion wins, with
-    ties broken toward the earlier id in MODEL_ORDER.
+    ties broken toward the earlier id in MODEL_ORDER. A zero actual in the
+    tail leaves every candidate's MAPE None, which ties as well.
     """
     candidates = tuple(candidates)
     if not candidates:

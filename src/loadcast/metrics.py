@@ -60,37 +60,47 @@ def percent_reduction(candidate: float, baseline: float) -> float:
 
 @dataclass(frozen=True)
 class MetricTriple:
-    """RMSE/MAE/MAPE for one (model, case, horizon) cell."""
+    """RMSE/MAE/MAPE for one (model, case, horizon) cell.
+
+    mape is None when an actual value is (numerically) zero; RMSE and MAE
+    still score.
+    """
 
     rmse: float
     mae: float
-    mape: float
+    mape: float | None
 
     def __post_init__(self):
         for name in ("rmse", "mae", "mape"):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
+            if not (name == "mape" and v is None) and (not math.isfinite(v) or v < 0):
                 raise DataError(f"{name} must be finite and non-negative, got {v}")
 
     def scaled(self, factor: float) -> "MetricTriple":
-        return MetricTriple(self.rmse * factor, self.mae * factor, self.mape * factor)
+        mape = None if self.mape is None else self.mape * factor
+        return MetricTriple(self.rmse * factor, self.mae * factor, mape)
 
     def as_dict(self) -> dict:
         return {"rmse": self.rmse, "mae": self.mae, "mape": self.mape}
 
     @classmethod
     def from_arrays(cls, actual, forecast) -> "MetricTriple":
-        return cls(rmse=rmse(actual, forecast), mae=mae(actual, forecast), mape=mape(actual, forecast))
+        try:
+            percentage = mape(actual, forecast)
+        except DomainError:
+            percentage = None
+        return cls(rmse=rmse(actual, forecast), mae=mae(actual, forecast), mape=percentage)
 
 
 def aggregate_runs(per_run: list[MetricTriple]) -> MetricTriple:
-    """Arithmetic mean of each metric over repeated runs."""
+    """Arithmetic mean of each metric over repeated runs; MAPE is None if any run lacks it."""
     if not per_run:
         raise DataError("cannot aggregate an empty run list")
+    mapes = [t.mape for t in per_run]
     return MetricTriple(
         rmse=float(np.mean([t.rmse for t in per_run])),
         mae=float(np.mean([t.mae for t in per_run])),
-        mape=float(np.mean([t.mape for t in per_run])),
+        mape=None if None in mapes else float(np.mean(mapes)),
     )
 
 

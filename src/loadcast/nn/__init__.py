@@ -1,7 +1,7 @@
-"""Numpy-backed neural substrate: autodiff tensors, parameter storage, Adam,
-layer primitives, and finite-difference gradient checking."""
+"""Numpy-backed neural substrate: autodiff tensors, parameter storage, Adam and
+the minibatch training loop, layer primitives, and finite-difference gradient checking."""
 
-from .adam import adam_update
+from .adam import adam_update, train_minibatch
 from .autodiff import Tensor, astensor, no_grad
 from .gradcheck import grad_check
 from .ops import conv_pool_forward, layer_norm, residual_wrap
@@ -19,4 +19,5 @@ __all__ = [
     "layer_norm",
     "no_grad",
     "residual_wrap",
+    "train_minibatch",
 ]

@@ -1,4 +1,5 @@
-"""Adam optimizer operating in place on a ParamStore."""
+"""Adam optimizer operating in place on a ParamStore, and the minibatch loop
+every trained model in the package runs on it."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from .params import ParamStore
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
+EARLY_STOP_PATIENCE = 5
 
 
 def adam_update(params: ParamStore, learning_rate: float, step: int) -> None:
@@ -47,3 +49,47 @@ def adam_update(params: ParamStore, learning_rate: float, step: int) -> None:
         grad /= work
         param.value -= grad
         grad.fill(0.0)
+
+
+def train_minibatch(params: ParamStore, loss_fn, sample_count: int, epochs: int, batch: int,
+                    learning_rate: float, rng: np.random.Generator, validation=None) -> list[float]:
+    """Shuffled minibatch Adam training from fresh optimizer state.
+
+    Each epoch draws one `rng.permutation(sample_count)` and walks it in
+    slices of `batch`; `loss_fn(chosen)` returns the scalar loss Tensor of
+    those sample indices. Returns the per-epoch sample-weighted mean loss.
+    With `validation`, a zero-argument callable giving the held-out loss
+    after each epoch, training stops after EARLY_STOP_PATIENCE epochs
+    without a new best, and the weights of the best epoch are restored.
+    """
+    for param in params:
+        param.m[...] = 0.0
+        param.v[...] = 0.0
+    params.zero_grads()
+    curve: list[float] = []
+    best_val, best_state, stale, step = np.inf, None, 0, 0
+    for _ in range(epochs):
+        order = rng.permutation(sample_count)
+        total = 0.0
+        for lo in range(0, sample_count, batch):
+            chosen = order[lo : lo + batch]
+            loss = loss_fn(chosen)
+            if not np.isfinite(loss.value):
+                raise NumericError("training loss became non-finite")
+            loss.backward()
+            step += 1
+            adam_update(params, learning_rate, step)
+            total += float(loss.value) * len(chosen)
+        curve.append(total / sample_count)
+        if validation is None:
+            continue
+        val_loss = validation()
+        if val_loss < best_val - 1e-12:
+            best_val, best_state, stale = val_loss, params.snapshot(), 0
+        else:
+            stale += 1
+            if stale >= EARLY_STOP_PATIENCE:
+                break
+    if best_state is not None:
+        params.restore(best_state)
+    return curve

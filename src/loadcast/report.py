@@ -36,18 +36,21 @@ def _canonical_models(report: MetricReport) -> list[str]:
     return known + sorted(m for m in present if m not in MODEL_ORDER)
 
 
-def _cell_text(triple, metric: str) -> str:
-    value = getattr(triple, metric)
-    if metric == "mape":
-        value = 100.0 * value
-    return f"{value:.6f}"
+def _cell_texts(report: MetricReport, model: str, case: str, horizon: int, absent: str) -> list[str]:
+    """One cell's RMSE, MAE and MAPE% texts: ERR for an errored cell or a
+    missing MAPE, `absent` three times for a cell the report does not hold."""
+    triple = report.get(model, case, horizon)
+    if triple is None:
+        return ["ERR" if (model, case, horizon) in report.errors else absent] * 3
+    values = (triple.rmse, triple.mae, None if triple.mape is None else 100.0 * triple.mape)
+    return ["ERR" if v is None else f"{v:.6f}" for v in values]
 
 
 def render_case_csv(report: MetricReport, case: str) -> str:
     """One case as CSV: model rows, horizon-grouped metric columns.
 
-    Errored cells render as ERR, absent cells as empty fields, and MAPE as
-    percent (column names carry the _pct marker).
+    Errored cells and a missing MAPE render as ERR, absent cells as empty
+    fields, and MAPE as percent (column names carry the _pct marker).
     """
     horizons = report.horizons()
     header = ["model"]
@@ -57,13 +60,7 @@ def render_case_csv(report: MetricReport, case: str) -> str:
     for model in _canonical_models(report):
         row = [model]
         for h in horizons:
-            triple = report.get(model, case, h)
-            if triple is not None:
-                row.extend(_cell_text(triple, m) for m in METRIC_COLUMNS)
-            elif (model, case, h) in report.errors:
-                row.extend(["ERR", "ERR", "ERR"])
-            else:
-                row.extend(["", "", ""])
+            row.extend(_cell_texts(report, model, case, h, ""))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -96,13 +93,7 @@ def render_text_table(report: MetricReport) -> str:
         for model in models:
             row = model.ljust(name_width)
             for h in horizons:
-                triple = report.get(model, case, h)
-                if triple is not None:
-                    cells = [_cell_text(triple, m) for m in METRIC_COLUMNS]
-                elif (model, case, h) in report.errors:
-                    cells = ["ERR", "ERR", "ERR"]
-                else:
-                    cells = ["-", "-", "-"]
+                cells = _cell_texts(report, model, case, h, "-")
                 row += " | " + " ".join(c.ljust(_CELL_WIDTH) for c in cells)
             lines.append(row.rstrip())
         blocks.append("\n".join(lines))

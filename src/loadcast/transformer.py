@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, ShapeError, StateError
-from .nn import adam_update, conv_pool_forward, glorot_init
+# adam_update is not called here; it stays importable from this module
+# because the benchmark's tracer patches the name on it.
+from .nn import adam_update, conv_pool_forward, glorot_init, train_minibatch  # noqa: F401
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor, no_grad
 from .nn.params import ParamStore
@@ -26,7 +28,6 @@ from .series import NormalizationParams, TimeSeries, fit_normalizer
 
 PE_BASE = 10000.0
 FINE_TUNE_LR_FACTOR = 0.1
-EARLY_STOP_PATIENCE = 5
 VALIDATION_TAIL = 0.2
 
 
@@ -471,54 +472,19 @@ class TransformerForecaster:
 
     # ---- training ---------------------------------------------------------
 
-    def _run_epochs(
-        self,
-        contexts: np.ndarray,
-        targets: np.ndarray,
-        epochs: int,
-        learning_rate: float,
-        rng: np.random.Generator,
-        batch_size: int,
-        val_contexts: np.ndarray | None = None,
-        val_targets: np.ndarray | None = None,
-        patience: int = EARLY_STOP_PATIENCE,
-    ) -> list[float]:
-        n = contexts.shape[0]
-        for param in self.params:
-            param.m[...] = 0.0
-            param.v[...] = 0.0
-        self.params.zero_grads()
-        curve: list[float] = []
-        best_val = np.inf
-        best_state: dict[str, np.ndarray] | None = None
-        stale = 0
-        step = 0
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            total = 0.0
-            for lo in range(0, n, batch_size):
-                batch = order[lo : lo + batch_size]
-                loss = ad.mse(self._forward_teacher(contexts[batch], targets[batch]), targets[batch])
-                loss.backward()
-                step += 1
-                adam_update(self.params, learning_rate, step)
-                total += float(loss.value) * len(batch)
-            curve.append(total / n)
-            if val_contexts is not None:
-                with no_grad():
-                    val_pred = self._forward_teacher(val_contexts, val_targets)
-                    val_loss = float(np.mean((val_pred.value - val_targets) ** 2))
-                if val_loss < best_val - 1e-12:
-                    best_val = val_loss
-                    best_state = self.params.snapshot()
-                    stale = 0
-                else:
-                    stale += 1
-                    if stale >= patience:
-                        break
-        if best_state is not None:
-            self.params.restore(best_state)
-        return curve
+    def _teacher_losses(self, contexts: np.ndarray, targets: np.ndarray):
+        """The closure pair train_minibatch takes over these windows: the
+        taped MSE of the chosen rows, and the MSE of all rows without a tape."""
+
+        def batch_loss(chosen):
+            return ad.mse(self._forward_teacher(contexts[chosen], targets[chosen]), targets[chosen])
+
+        def full_loss() -> float:
+            with no_grad():
+                predicted = self._forward_teacher(contexts, targets).value
+            return float(np.mean((predicted - targets) ** 2))
+
+        return batch_loss, full_loss
 
     def pretrain(
         self,
@@ -550,8 +516,9 @@ class TransformerForecaster:
             all_targets.append(t)
         contexts = np.concatenate(all_contexts, axis=0)
         targets = np.concatenate(all_targets, axis=0)
-        curve = self._run_epochs(
-            contexts, targets, epochs, learning_rate, np.random.default_rng(seed), batch_size
+        curve = train_minibatch(
+            self.params, self._teacher_losses(contexts, targets)[0], len(contexts),
+            epochs, batch_size, learning_rate, np.random.default_rng(seed),
         )
         if epochs > 0:
             self.trained = "pretrained"
@@ -594,15 +561,14 @@ class TransformerForecaster:
         contexts, targets = _sequence_windows(normalized, cfg.context_length, horizon)
         n = contexts.shape[0]
         val_count = int(round(VALIDATION_TAIL * n)) if n >= 5 else 0
+        validation = None
         if val_count > 0:
             split = n - val_count
-            val_c, val_t = contexts[split:], targets[split:]
+            validation = self._teacher_losses(contexts[split:], targets[split:])[1]
             contexts, targets = contexts[:split], targets[:split]
-        else:
-            val_c = val_t = None
-        curve = self._run_epochs(
-            contexts, targets, epochs, learning_rate,
-            np.random.default_rng(seed), batch_size, val_c, val_t,
+        curve = train_minibatch(
+            self.params, self._teacher_losses(contexts, targets)[0], len(contexts),
+            epochs, batch_size, learning_rate, np.random.default_rng(seed), validation,
         )
         if epochs > 0:
             self.trained = "fine_tuned"

@@ -3,8 +3,9 @@
 The fused LSTM layer is checked against `lstm_cell_step` unrolled on the
 tape, the array tree walks against a per-row walk and a per-tree sum, the
 transformer's cached decoding against re-running the decoder over the
-whole generated prefix at every step, and the im2col conv, shifted-max
-pool and one-GEMM matmul against the einsum, argmax and batched kernels.
+whole generated prefix at every step, the im2col conv, shifted-max pool
+and one-GEMM matmul against the einsum, argmax and batched kernels, and
+`nn.train_minibatch` against the two training loops it replaced.
 """
 
 import warnings
@@ -13,12 +14,19 @@ import numpy as np
 import pytest
 
 import loadcast.nn.autodiff as ad
-from loadcast.baselines import GradientBoostedTrees, LSTMModel, RegressionTree, lstm_cell_step
+from loadcast.baselines import GradientBoostedTrees, LSTMModel, MLPModel, RegressionTree, lstm_cell_step
 from loadcast.baselines.neural import LSTM_GATES
-from loadcast.errors import ShapeError
-from loadcast.nn import ParamStore, Tensor, grad_check, no_grad
-from loadcast.series import NormalizationParams, SupervisedWindowSet
-from loadcast.transformer import TransformerConfig, TransformerForecaster
+from loadcast.corpus import GeneratorSpec, generate_series
+from loadcast.errors import NumericError, ShapeError
+from loadcast.nn import ParamStore, Tensor, adam_update, grad_check, no_grad
+from loadcast.series import NormalizationParams, SupervisedWindowSet, fit_normalizer
+from loadcast.transformer import (
+    VALIDATION_TAIL,
+    TransformerConfig,
+    TransformerForecaster,
+    _guarded_normalize,
+    _sequence_windows,
+)
 
 
 def _lstm_store(rng, units, width=1):
@@ -442,3 +450,132 @@ def test_folded_matmul_passes_grad_check():
         return ad.mse(ad.tanh(ad.matmul(ad.reshape(store.tensor("x"), (2, 5, 4)), store.tensor("w"))), target)
 
     assert grad_check(forward, store, probe_count=30, rng=np.random.default_rng(0)) < 1e-4
+
+
+def _reference_minibatch_train(params, forward_loss, sample_count, epochs, batch, learning_rate, rng):
+    """The neural baselines' own loop before nn.train_minibatch."""
+    curve = []
+    step = 0
+    for _ in range(epochs):
+        order = rng.permutation(sample_count)
+        total = 0.0
+        for lo in range(0, sample_count, batch):
+            chosen = order[lo : lo + batch]
+            loss = forward_loss(chosen)
+            if not np.isfinite(loss.value):
+                raise NumericError("training loss became non-finite")
+            loss.backward()
+            step += 1
+            adam_update(params, learning_rate, step)
+            total += float(loss.value) * len(chosen)
+        curve.append(total / sample_count)
+    return curve
+
+
+def _reference_run_epochs(model, contexts, targets, epochs, learning_rate, rng, batch_size,
+                          val_contexts=None, val_targets=None, patience=5):
+    """TransformerForecaster's own loop before nn.train_minibatch."""
+    n = contexts.shape[0]
+    for param in model.params:
+        param.m[...] = 0.0
+        param.v[...] = 0.0
+    model.params.zero_grads()
+    curve = []
+    best_val = np.inf
+    best_state = None
+    stale = 0
+    step = 0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for lo in range(0, n, batch_size):
+            batch = order[lo : lo + batch_size]
+            loss = ad.mse(model._forward_teacher(contexts[batch], targets[batch]), targets[batch])
+            loss.backward()
+            step += 1
+            adam_update(model.params, learning_rate, step)
+            total += float(loss.value) * len(batch)
+        curve.append(total / n)
+        if val_contexts is not None:
+            with no_grad():
+                val_pred = model._forward_teacher(val_contexts, val_targets)
+                val_loss = float(np.mean((val_pred.value - val_targets) ** 2))
+            if val_loss < best_val - 1e-12:
+                best_val = val_loss
+                best_state = model.params.snapshot()
+                stale = 0
+            else:
+                stale += 1
+                if stale >= patience:
+                    break
+    if best_state is not None:
+        model.params.restore(best_state)
+    return curve
+
+
+def _seasonal_windows(length=90, window=12, seed=6):
+    rng = np.random.default_rng(seed)
+    t = np.arange(length)
+    lags = 0.5 + 0.3 * np.sin(2 * np.pi * (t[:, None] + np.arange(window)) / 24)
+    lags += rng.normal(scale=0.03, size=lags.shape)
+    clock = np.column_stack([np.sin(t), np.cos(t)])
+    targets = np.clip(lags[:, -1] + rng.normal(scale=0.05, size=length), 0.05, 0.95)
+    return SupervisedWindowSet(np.hstack([lags, clock]), targets, window_length=window, horizon_step=1)
+
+
+@pytest.mark.parametrize("make", [lambda: MLPModel(epochs=12), lambda: LSTMModel(epochs=3)])
+def test_neural_baselines_train_bitwise_like_the_old_loop(make):
+    windows = _seasonal_windows()
+    x, y = windows.inputs, windows.targets
+    model = make().fit(windows, seed=7)
+    reference = make()
+    reference.window_length = windows.window_length
+    rng = np.random.default_rng(7)
+    if isinstance(reference, MLPModel):
+        reference.params = reference._build(x.shape[1], rng)
+    else:
+        reference.params = reference._build(rng)
+    curve = _reference_minibatch_train(
+        reference.params, lambda chosen: ad.mse(reference._forward(x[chosen]), y[chosen]),
+        len(y), reference.epochs, reference.batch, reference.learning_rate, rng,
+    )
+    np.testing.assert_allclose(model.curve, curve, rtol=0, atol=0)
+    assert len(model.curve) == reference.epochs
+    assert model.params.state_hash() == reference.params.state_hash()
+
+
+def _small_corpus():
+    return [
+        generate_series(GeneratorSpec(family="seasonal", length=64, period=12, noise_std=0.05, seed=70 + i))
+        for i in range(5)
+    ]
+
+
+def test_pretrain_and_early_stopping_fine_tune_match_the_old_loop():
+    corpus = _small_corpus()
+    model = TransformerForecaster(TINY, init_seed=1)
+    curve = model.pretrain(corpus, epochs=3, seed=2, batch_size=32)
+    reference = TransformerForecaster(TINY, init_seed=1)
+    pooled = [_sequence_windows(_guarded_normalize(s.values), 12, 3) for s in corpus]
+    contexts = np.concatenate([c for c, _ in pooled])
+    targets = np.concatenate([t for _, t in pooled])
+    expected = _reference_run_epochs(reference, contexts, targets, 3, 1e-3, np.random.default_rng(2), 32)
+    np.testing.assert_allclose(curve, expected, rtol=0, atol=0)
+    assert len(curve) == 3
+    assert model.state_hash() == reference.state_hash()
+
+    target = generate_series(
+        GeneratorSpec(family="trend_seasonal", length=200, period=24, noise_std=0.3, seed=9)
+    )
+    tuned = model.clone()
+    curve = tuned.fine_tune(target, epochs=40, learning_rate=5e-3, seed=4)
+    values = fit_normalizer(target.values).apply(target.values)
+    contexts, targets = _sequence_windows(values, 12, 3)
+    split = len(contexts) - int(round(VALIDATION_TAIL * len(contexts)))
+    expected = _reference_run_epochs(
+        reference, contexts[:split], targets[:split], 40, 5e-3, np.random.default_rng(4), 32,
+        contexts[split:], targets[split:],
+    )
+    np.testing.assert_allclose(curve, expected, rtol=0, atol=0)
+    assert len(curve) == len(expected) < 40  # early stopping fired and restored the best epoch
+    assert tuned.state_hash() == reference.state_hash()

@@ -228,6 +228,51 @@ def test_short_test_slice_errors_only_the_unreachable_horizon():
     assert "InsufficientDataError" in report.errors[("pm", "case1", 4)]
 
 
+def zero_actual_series(length=100, train_len=72, at=80):
+    """Seasonal series whose held-out value at `at` equals the minimum of the
+    first train_len values, so it normalizes to exactly 0 and its MAPE is
+    undefined."""
+    series = seasonal_series(length=length, seed=3)
+    values = series.values.copy()
+    values[at] = values[:train_len].min()
+    return series.with_values(values)
+
+
+def test_zero_actual_loses_only_the_mape_of_its_cells(tmp_path):
+    series = zero_actual_series()
+    full_norm = fit_normalizer(split_case(series, "case1").train).apply(series.values)
+    report = run_experiment(pm_spec(horizons=(1, 4)), series=series)
+    assert not report.errors
+    for h in (1, 4):
+        triple = report.get("pm", "case1", h)
+        assert triple.mape is None
+        assert triple.rmse == rmse(full_norm[71 + h : 100], full_norm[71 : 100 - h])
+    report.entries[("lr", "case1", 1)] = MetricTriple(rmse=0.05, mae=0.04, mape=0.02)
+    table = compare_models(report, "lr")
+    assert table[("pm", "case1", 1)]["mape"] is None
+    assert table[("pm", "case1", 1)]["rmse"] is not None
+    emit_report(report, str(tmp_path))
+    assert load_report(str(tmp_path)).entries == report.entries
+    assert json.loads((tmp_path / "report.json").read_text())["entries"]["pm|case1|1"]["mape"] is None
+    csv_lines = (tmp_path / "metrics_case1.csv").read_text().splitlines()
+    rows = {line.split(",")[0]: line.split(",") for line in csv_lines}
+    one = report.get("pm", "case1", 1)
+    assert rows["pm"][1:4] == [f"{one.rmse:.6f}", f"{one.mae:.6f}", "ERR"]
+    assert rows["pm"][6] == "ERR"
+    assert rows["lr"][1:] == ["0.050000", "0.040000", "2.000000", "", "", ""]
+    tables = (tmp_path / "tables.txt").read_text()
+    assert tables.count("ERR") == 2
+    assert "errored cells: 0" in tables
+
+
+def test_select_model_survives_a_missing_mape():
+    series = zero_actual_series(length=64, train_len=48, at=60)
+    verdict = select_model(series, ("lr", "pm"), criterion="mape", seed=0)
+    assert verdict.validation_scores["lr"].mape is None
+    assert verdict.validation_scores["lr"].rmse > 0
+    assert verdict.chosen_model == "pm"  # every MAPE is missing: MODEL_ORDER decides
+
+
 def test_fit_failure_marks_every_horizon_of_the_cell(monkeypatch):
     series = seasonal_series(length=100, seed=6)
 
@@ -500,6 +545,15 @@ def test_cli_select_prints_verdict(tmp_path, capsys):
     assert code == 0
     assert out.startswith("chosen: ")
     assert "rmse" in out
+
+
+def test_cli_select_prints_err_for_a_missing_mape(tmp_path, capsys):
+    csv_path = tmp_path / "history.csv"
+    write_csv(zero_actual_series(length=64, train_len=48, at=60), str(csv_path))
+    code = cli_main(["select", "--data", str(csv_path), "--candidates", "pm,lr"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("mape ERR") == 2
 
 
 def test_cli_fatal_errors_exit_one(tmp_path, capsys):

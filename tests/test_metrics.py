@@ -125,6 +125,21 @@ def test_aggregate_runs_is_the_mean():
         aggregate_runs([])
 
 
+def test_missing_mape_is_carried_not_raised():
+    a = np.array([0.0, 0.5, 1.0])
+    f = np.array([0.1, 0.4, 1.0])
+    t = MetricTriple.from_arrays(a, f)
+    assert t.mape is None
+    assert (t.rmse, t.mae) == (rmse(a, f), mae(a, f))
+    assert t.scaled(2.0).mape is None
+    assert t.as_dict()["mape"] is None
+    scored = MetricTriple(rmse=0.1, mae=0.05, mape=0.01)
+    assert aggregate_runs([scored, t]).mape is None
+    assert aggregate_runs([scored, t]).rmse == float(np.mean([0.1, t.rmse]))
+    report = MetricReport(entries={("pm", "case1", 1): t})
+    assert MetricReport.from_dict(report.to_dict()).entries == report.entries
+
+
 def test_metric_report_round_trip_and_views():
     report = MetricReport(run_count=5)
     report.entries[("pm", "case1", 1)] = MetricTriple(0.1, 0.08, 0.02)

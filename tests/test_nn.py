@@ -16,8 +16,10 @@ from loadcast.nn import (
     layer_norm,
     no_grad,
     residual_wrap,
+    train_minibatch,
 )
-from loadcast.nn.adam import BETA1, BETA2, EPSILON
+from loadcast.nn import adam
+from loadcast.nn.adam import BETA1, BETA2, EPSILON, EARLY_STOP_PATIENCE
 
 
 def _numeric_grad(fn, x, h=1e-6):
@@ -380,6 +382,77 @@ def test_adam_guards():
     with pytest.raises(NumericError) as err:
         adam_update(store, learning_rate=0.1, step=1)
     assert "w" in str(err.value)
+
+
+def _line_problem(seed=0, n=10):
+    """A two-parameter store (slope w, intercept b) and its batch-MSE loss_fn."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 1))
+    y = 3.0 * x[:, 0] - 1.0 + rng.normal(scale=0.1, size=n)
+    store = ParamStore()
+    store.add("w", np.array([[0.5]]))
+    store.add("b", np.array([[0.0]]))
+
+    def loss_fn(chosen):
+        pred = ad.add(ad.matmul(Tensor(x[chosen]), store.tensor("w")), store.tensor("b"))
+        return ad.mse(ad.reshape(pred, (len(chosen),)), y[chosen])
+
+    return store, loss_fn, n
+
+
+def test_train_minibatch_stops_early_and_restores_the_best_epoch():
+    store, loss_fn, n = _line_problem()
+    script = iter([3.0, 2.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0])
+    seen = []
+
+    def validation():
+        seen.append(store.snapshot())
+        return next(script)
+
+    curve = train_minibatch(store, loss_fn, n, 20, 4, 0.05, np.random.default_rng(1), validation)
+    assert EARLY_STOP_PATIENCE == 5
+    assert len(curve) == len(seen) == 7  # best at epoch 2, then five stale epochs
+    for name, value in seen[1].items():
+        assert np.array_equal(store.get(name).value, value)
+    assert not np.array_equal(store.get("w").value, seen[-1]["w"])
+
+
+def test_train_minibatch_without_validation_runs_every_epoch(monkeypatch):
+    store, loss_fn, n = _line_problem()
+    monkeypatch.setattr(store, "snapshot", lambda: pytest.fail("snapshot without validation"))
+    monkeypatch.setattr(store, "restore", lambda state: pytest.fail("restore without validation"))
+    steps = []
+    monkeypatch.setattr(adam, "adam_update", lambda params, lr, step: steps.append(step))
+    curve = train_minibatch(store, loss_fn, n, 6, 4, 0.05, np.random.default_rng(1))
+    assert len(curve) == 6
+    assert steps == list(range(1, 6 * 3 + 1))  # ceil(10 / 4) = 3 batches an epoch
+
+
+def test_train_minibatch_rejects_a_non_finite_loss_before_any_step(monkeypatch):
+    store, loss_fn, n = _line_problem()
+    before = store.state_hash()
+    monkeypatch.setattr(adam, "adam_update", lambda *args: pytest.fail("Adam stepped"))
+    with pytest.raises(NumericError):
+        train_minibatch(store, lambda chosen: ad.scale(loss_fn(chosen), np.nan), n, 3, 4, 0.05,
+                        np.random.default_rng(1))
+    assert store.state_hash() == before
+    for param in store:
+        assert not param.grad.any() and not param.m.any() and not param.v.any()
+
+
+def test_train_minibatch_resets_optimizer_state():
+    fresh, fresh_loss, n = _line_problem()
+    used, used_loss, _ = _line_problem()
+    for param in used:
+        param.m[...] = 0.7
+        param.v[...] = 2.5
+        param.grad[...] = -1.0
+    a = train_minibatch(fresh, fresh_loss, n, 5, 4, 0.05, np.random.default_rng(2))
+    b = train_minibatch(used, used_loss, n, 5, 4, 0.05, np.random.default_rng(2))
+    assert a == b
+    for p, q in zip(fresh, used):
+        for buffer in ("value", "m", "v", "grad"):
+            assert np.array_equal(getattr(p, buffer), getattr(q, buffer)), (p.name, buffer)
 
 
 def test_grad_check_accepts_correct_gradients():
