@@ -47,6 +47,24 @@ def lstm_cell_step(x, h, c, params: ParamStore, prefix: str = ""):
     return h_next, c_next
 
 
+def _add_dense(params: ParamStore, rng: np.random.Generator, prefix: str, fan_in: int,
+               layers: tuple[int, ...]) -> ParamStore:
+    """Add Glorot weights {prefix}w1.. and zero biases {prefix}b1.. for a dense stack."""
+    for idx, units in enumerate(layers, start=1):
+        params.add(f"{prefix}w{idx}", glorot_init(rng, fan_in, units, (fan_in, units)))
+        params.add(f"{prefix}b{idx}", np.zeros((1, units)))
+        fan_in = units
+    return params
+
+
+def _dense_forward(params: ParamStore, prefix: str, depth: int, h: Tensor) -> Tensor:
+    """ReLU layers then a sigmoid output unit, one value per row."""
+    for idx in range(1, depth + 1):
+        h = ad.add(ad.matmul(h, params.tensor(f"{prefix}w{idx}")), params.tensor(f"{prefix}b{idx}"))
+        h = ad.sigmoid(h) if idx == depth else ad.relu(h)
+    return ad.reshape(h, (h.value.shape[0],))
+
+
 def _fit(model, windows: SupervisedWindowSet, seed: int, build):
     """Build the model's parameters with `build(rng)` and train them on the
     windows' MSE; the same generator then shuffles every epoch."""
@@ -85,21 +103,10 @@ class MLPModel:
         self.curve: list[float] = []
 
     def _build(self, input_dim: int, rng: np.random.Generator) -> ParamStore:
-        params = ParamStore()
-        fan_in = input_dim
-        for idx, units in enumerate(self.layers, start=1):
-            params.add(f"w{idx}", glorot_init(rng, fan_in, units, (fan_in, units)))
-            params.add(f"b{idx}", np.zeros((1, units)))
-            fan_in = units
-        return params
+        return _add_dense(ParamStore(), rng, "", input_dim, self.layers)
 
     def _forward(self, features: np.ndarray) -> Tensor:
-        h: Tensor = Tensor(features)
-        last = len(self.layers)
-        for idx in range(1, last + 1):
-            h = ad.add(ad.matmul(h, self.params.tensor(f"w{idx}")), self.params.tensor(f"b{idx}"))
-            h = ad.sigmoid(h) if idx == last else ad.relu(h)
-        return ad.reshape(h, (features.shape[0],))
+        return _dense_forward(self.params, "", len(self.layers), Tensor(features))
 
     def fit(self, windows: SupervisedWindowSet, seed: int = 0) -> "MLPModel":
         return _fit(self, windows, seed, lambda rng: self._build(windows.inputs.shape[1], rng))
@@ -142,12 +149,8 @@ class LSTMModel:
                 bias = np.ones((1, units)) if gate == "forget" else np.zeros((1, units))
                 params.add(f"{prefix}.b", bias)
             input_dim = units
-        fan_in = self.lstm_units[-1] + 2  # hidden state + hour sin/cos
-        for idx, units in enumerate(self.dense_units, start=1):
-            params.add(f"dense.w{idx}", glorot_init(rng, fan_in, units, (fan_in, units)))
-            params.add(f"dense.b{idx}", np.zeros((1, units)))
-            fan_in = units
-        return params
+        # The dense stage reads the last hidden state plus the hour sin/cos.
+        return _add_dense(params, rng, "dense.", self.lstm_units[-1] + 2, self.dense_units)
 
     def _gate_matrices(self, layer: int) -> tuple[Tensor, Tensor, Tensor]:
         """The layer's per-gate w, u and b joined column-wise in LSTM_GATES order."""
@@ -158,17 +161,11 @@ class LSTMModel:
 
     def _forward(self, features: np.ndarray) -> Tensor:
         w = self.window_length
-        batch = features.shape[0]
         sequence = Tensor(features[:, :w, None])
-        clock = features[:, w:]
         for layer in range(len(self.lstm_units)):
             sequence = ad.lstm_layer(sequence, *self._gate_matrices(layer))
-        h = ad.concat([ad.index(sequence, (slice(None), -1)), Tensor(clock)], axis=1)
-        last = len(self.dense_units)
-        for idx in range(1, last + 1):
-            h = ad.add(ad.matmul(h, self.params.tensor(f"dense.w{idx}")), self.params.tensor(f"dense.b{idx}"))
-            h = ad.sigmoid(h) if idx == last else ad.relu(h)
-        return ad.reshape(h, (batch,))
+        h = ad.concat([ad.index(sequence, (slice(None), -1)), Tensor(features[:, w:])], axis=1)
+        return _dense_forward(self.params, "dense.", len(self.dense_units), h)
 
     def fit(self, windows: SupervisedWindowSet, seed: int = 0) -> "LSTMModel":
         self.window_length = windows.window_length

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 
 from ..errors import ConfigWarning, InsufficientDataError
-from ..series import SupervisedWindowSet
+from ..series import SupervisedWindowSet, holdout_count
 
 MIN_GAIN = 1e-12
 
@@ -204,7 +204,7 @@ def _stack(trees: list[RegressionTree]) -> tuple[RegressionTree, np.ndarray]:
 class GradientBoostedTrees:
     """Stagewise boosting of shallow exact-split trees on squared error.
 
-    Early stopping watches MSE on the chronological last 20% of windows with
+    Early stopping watches MSE on the `holdout_count` newest windows with
     the configured patience; the kept ensemble is the best-scoring prefix.
     """
 
@@ -223,7 +223,7 @@ class GradientBoostedTrees:
         self.min_child_samples = min_child_samples
         self.early_stopping_rounds = early_stopping_rounds
         self.inner_depth = inner_depth
-        self.initial = 0.0
+        self.initial: float | None = None
         self.trees: list[RegressionTree] = []
         self._stacked: tuple[RegressionTree, np.ndarray] | None = None
 
@@ -232,7 +232,7 @@ class GradientBoostedTrees:
         n = len(targets)
         if n < 2:
             raise InsufficientDataError(f"boosting needs >= 2 windows, got {n}")
-        val_count = max(1, int(round(0.2 * n))) if n >= 5 else 0
+        val_count = holdout_count(n)
         fit_count = n - val_count
         train_x, train_y = features[:fit_count], targets[:fit_count]
         val_x, val_y = features[fit_count:], targets[fit_count:]
@@ -284,6 +284,8 @@ class GradientBoostedTrees:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Walks all kept trees at once; adding leaves in boosting order keeps sums bitwise."""
+        if self.initial is None:
+            raise InsufficientDataError("model is not fitted")
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         out = np.full(len(features), self.initial)
         if self.trees:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime
 
 import numpy as np
@@ -57,15 +57,7 @@ class GeneratorSpec:
             raise ConfigError(f"family {self.family!r} needs a period >= 2")
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "length": self.length,
-            "period": self.period,
-            "trend_slope": self.trend_slope,
-            "noise_std": self.noise_std,
-            "outlier_rate": self.outlier_rate,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def generate_series(spec: GeneratorSpec) -> TimeSeries:

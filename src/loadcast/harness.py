@@ -16,7 +16,7 @@ rolled past the train/test boundary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -110,11 +110,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        known = {
-            "dataset", "cases", "horizons_hours", "models",
-            "runs_per_model", "master_seed", "fine_tune", "pretrained_artifact",
-        }
-        stray = set(d) - known
+        stray = set(d) - {f.name for f in fields(cls)}
         if stray:
             raise ConfigError(f"unknown spec fields: {sorted(stray)}")
         for required in ("cases", "horizons_hours", "models"):
@@ -173,15 +169,14 @@ def fit_case_model(
     *,
     base_transformer: TransformerForecaster | None = None,
     fine_tune: bool = True,
-    window: int = DEFAULT_WINDOW,
     hyperparams: dict | None = None,
 ):
     """Fit one model on a training slice and nothing else.
 
-    Baselines consume supervised lag windows built from the normalized train
-    values. The transformer is cloned from the pretrained base and either
-    fine-tuned on the raw train slice or, for zero-shot use, handed a
-    normalizer fit on that slice.
+    Baselines consume DEFAULT_WINDOW-lag supervised windows built from the
+    normalized train values. The transformer is cloned from the pretrained
+    base and either fine-tuned on the raw train slice or, for zero-shot use,
+    handed a normalizer fit on that slice.
     """
     if model_id == "tsfm":
         if base_transformer is None:
@@ -194,7 +189,7 @@ def fit_case_model(
         return model
     normalizer = fit_normalizer(train)
     normalized = train.with_values(normalizer.apply(train.values))
-    windows = make_windows(normalized, window=window)
+    windows = make_windows(normalized, window=DEFAULT_WINDOW)
     return create_baseline(model_id, hyperparams).fit(windows, seed=seed)
 
 
@@ -225,12 +220,10 @@ def roll_forecasts(model, series: TimeSeries, train_len: int, h_max: int, normal
     starts = train_len - window
     lags = np.lib.stride_tricks.sliding_window_view(full_norm, window)[starts : starts + test_len]
     lags = np.array(lags)
-    start_hour = series.start.hour + series.start.minute / 60.0 + series.start.second / 3600.0
-    target_index = train_len + np.arange(test_len, dtype=np.float64)
+    target_index = train_len + np.arange(test_len)
     preds = np.empty((test_len, h_max))
     for step in range(1, h_max + 1):
-        hours = (start_hour + series.resolution_hours * (target_index + step - 1)) % 24.0
-        sin_h, cos_h = hour_features(hours)
+        sin_h, cos_h = hour_features(series.hour_of_day(target_index + step - 1))
         p = np.asarray(model.predict(np.column_stack([lags, sin_h, cos_h])), dtype=np.float64)
         preds[:, step - 1] = p
         lags = np.column_stack([lags[:, 1:], p])
@@ -247,6 +240,19 @@ def score_horizon(preds: np.ndarray, norm_test: np.ndarray, step: int):
     if step > n:
         raise InsufficientDataError(f"test slice of {n} points cannot score a {step}-step horizon")
     return norm_test[step - 1 :], preds[: n - step + 1, step - 1]
+
+
+def _score(preds: np.ndarray, norm_test: np.ndarray, step: int) -> MetricTriple:
+    return MetricTriple.from_arrays(*score_horizon(preds, norm_test, step))
+
+
+def _load_base(models, artifact: str | None) -> TransformerForecaster | None:
+    """The pretrained transformer when `models` include it, else None."""
+    if "tsfm" not in models:
+        return None
+    if not artifact:
+        raise ConfigError("the transformer needs a pretrained_artifact")
+    return TransformerForecaster.load(artifact)
 
 
 def _describe(exc: BaseException) -> str:
@@ -269,11 +275,7 @@ def run_experiment(
     """
     if series is None:
         series = resolve_dataset(spec)
-    base = None
-    if "tsfm" in spec.models:
-        if not spec.pretrained_artifact:
-            raise ConfigError("spec lists the transformer but names no pretrained_artifact")
-        base = TransformerForecaster.load(spec.pretrained_artifact)
+    base = _load_base(spec.models, spec.pretrained_artifact)
     h_max = max(spec.horizons_hours)
     report = MetricReport(run_count=spec.runs_per_model)
     for case_value in spec.cases:
@@ -288,8 +290,8 @@ def run_experiment(
             continue
         train_len = len(split.train)
         for model_id in spec.models:
-            per_horizon: dict[int, list[MetricTriple]] = {h: [] for h in spec.horizons_hours}
-            cell_errors: dict[int, str] = {}
+            # Per horizon: the triples of the runs so far, or the first error's text.
+            cells: dict[int, list[MetricTriple] | str] = {h: [] for h in spec.horizons_hours}
             for run in range(spec.runs_per_model):
                 seed = derive_run_seed(spec.master_seed, model_id, case_value, run)
                 try:
@@ -299,27 +301,28 @@ def run_experiment(
                     )
                     preds = roll_forecasts(model, series, train_len, h_max, normalizer)
                 except Exception as exc:
-                    for h in spec.horizons_hours:
-                        cell_errors.setdefault(h, _describe(exc))
+                    for h, cell in cells.items():
+                        if not isinstance(cell, str):
+                            cells[h] = _describe(exc)
                     break
                 if run == 0 and trajectory_sink is not None:
                     trajectory_sink[(model_id, case_value)] = normalizer.invert(preds[0])
-                for h in spec.horizons_hours:
-                    if h in cell_errors:
+                for h, cell in cells.items():
+                    if isinstance(cell, str):
                         continue
                     try:
-                        actual, forecast = score_horizon(preds, norm_test, h)
-                        per_horizon[h].append(MetricTriple.from_arrays(actual, forecast))
+                        cell.append(_score(preds, norm_test, h))
                     except Exception as exc:
-                        cell_errors[h] = _describe(exc)
+                        cells[h] = _describe(exc)
                 if progress is not None:
                     progress(model_id, case_value, run)
-            for h in spec.horizons_hours:
+            # Run 0 always ends with a triple or an error, so no list is empty.
+            for h, cell in cells.items():
                 key: CellKey = (model_id, case_value, h)
-                if h in cell_errors:
-                    report.errors[key] = cell_errors[h]
-                elif per_horizon[h]:
-                    report.entries[key] = aggregate_runs(per_horizon[h])
+                if isinstance(cell, str):
+                    report.errors[key] = cell
+                else:
+                    report.entries[key] = aggregate_runs(cell)
     return report
 
 
@@ -375,7 +378,6 @@ def select_model(
     *,
     pretrained_artifact: str | None = None,
     fine_tune: bool = True,
-    window: int = DEFAULT_WINDOW,
 ) -> SelectionVerdict:
     """Pick the candidate with the smallest one-step error on a validation tail.
 
@@ -400,27 +402,19 @@ def select_model(
     if val_count < 1:
         raise InsufficientDataError("history too short for a non-empty validation tail")
     train_len = n - val_count
-    if train_len < window + 1:
+    if train_len < DEFAULT_WINDOW + 1:
         raise InsufficientDataError(
-            f"history head of {train_len} points cannot fill a {window}-lag window"
+            f"history head of {train_len} points cannot fill a {DEFAULT_WINDOW}-lag window"
         )
-    base = None
-    if "tsfm" in candidates:
-        if not pretrained_artifact:
-            raise ConfigError("selecting the transformer needs a pretrained_artifact")
-        base = TransformerForecaster.load(pretrained_artifact)
+    base = _load_base(candidates, pretrained_artifact)
     head = history.slice(0, train_len)
     normalizer = fit_normalizer(head)
     norm_tail = normalizer.apply(history.values[train_len:])
     scores: dict[str, MetricTriple] = {}
     for model_id in candidates:
-        model = fit_case_model(
-            model_id, head, seed,
-            base_transformer=base, fine_tune=fine_tune, window=window,
-        )
-        preds = roll_forecasts(model, history, train_len, 1, normalizer, window=window)
-        actual, forecast = score_horizon(preds, norm_tail, 1)
-        scores[model_id] = MetricTriple.from_arrays(actual, forecast)
+        model = fit_case_model(model_id, head, seed, base_transformer=base, fine_tune=fine_tune)
+        preds = roll_forecasts(model, history, train_len, 1, normalizer)
+        scores[model_id] = _score(preds, norm_tail, 1)
     chosen = min(
         scores, key=lambda m: (getattr(scores[m], criterion), MODEL_ORDER.index(m))
     )

@@ -22,6 +22,8 @@ from ..errors import ConfigError, ShapeError
 
 _GRAD_ENABLED = True
 
+LAYER_NORM_EPSILON = 1e-5
+
 
 @contextlib.contextmanager
 def no_grad():
@@ -62,8 +64,8 @@ class Tensor:
         """
         if self.value.size != 1:
             raise ShapeError("backward() requires a scalar output")
-        # Iterative topological sort; LSTM tapes are deep enough to overflow
-        # Python's recursion limit otherwise.
+        # Iterative topological sort: a long chain of ops (thousands of
+        # nodes) would overflow Python's recursion limit otherwise.
         order: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -85,22 +87,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # Operator sugar for the handful of infix uses in model code.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def astensor(x) -> Tensor:
@@ -361,18 +347,16 @@ def softmax(a, mask: np.ndarray | None = None) -> Tensor:
     return _make(value, (a,), backward)
 
 
-def layer_norm(x, gamma, beta, epsilon: float = 1e-5) -> Tensor:
-    """Normalize over the last axis with population variance, then scale/shift."""
-    if epsilon <= 0:
-        raise ConfigError("layer_norm epsilon must be positive")
+def layer_norm(x, gamma, beta) -> Tensor:
+    """Normalize over the last axis with population variance and
+    LAYER_NORM_EPSILON, then scale and shift."""
     x, gamma, beta = astensor(x), astensor(gamma), astensor(beta)
     if gamma.value.shape[-1] != x.value.shape[-1] or beta.value.shape[-1] != x.value.shape[-1]:
         raise ShapeError("gamma/beta must match the normalized axis length")
     n = x.value.shape[-1]
-    mu = x.value.mean(axis=-1, keepdims=True)
-    var = ((x.value - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + epsilon)
-    xhat = (x.value - mu) * inv
+    centered = x.value - x.value.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + LAYER_NORM_EPSILON)
+    xhat = centered * inv
     value = gamma.value * xhat + beta.value
 
     def backward(g):

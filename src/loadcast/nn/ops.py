@@ -20,9 +20,9 @@ def _materialize(out: Tensor, *inputs) -> Tensor | np.ndarray:
     return out.value
 
 
-def layer_norm(x, gamma, beta, epsilon: float = 1e-5):
+def layer_norm(x, gamma, beta):
     """Normalize x over its last axis (population variance), then scale and shift."""
-    out = autodiff.layer_norm(astensor(x), astensor(gamma), astensor(beta), epsilon)
+    out = autodiff.layer_norm(astensor(x), astensor(gamma), astensor(beta))
     return _materialize(out, x, gamma, beta)
 
 
@@ -39,25 +39,17 @@ def conv_pool_forward(x, weights, bias, pool_range: int, activation: str = "relu
     """Length-preserving feed-forward block: same-padded 1-D convolution,
     pointwise activation, then a stride-1 sliding max over pool_range.
 
-    x: (T,) or (..., T, Cin); weights: (K,) or (K, Cin, Cout), odd K;
-    bias: broadcastable to (Cout,). causal=True pads on the left only, so
-    position t never reads positions after t (decoder use).
+    x: (..., T, Cin); weights: (K, Cin, Cout), odd K; bias: broadcastable
+    to (Cout,). causal=True pads on the left only, so position t never reads
+    positions after t (decoder use).
     """
-    xt = astensor(x)
     wt = astensor(weights)
-    squeeze = xt.value.ndim == 1
-    if squeeze:
-        xt = autodiff.reshape(xt, (xt.value.shape[0], 1))
-    if wt.value.ndim == 1:
-        wt = autodiff.reshape(wt, (wt.value.shape[0], 1, 1))
     if wt.value.ndim != 3:
         raise ShapeError(f"kernel must be (K, Cin, Cout), got shape {wt.value.shape}")
-    out = autodiff.conv1d_same(xt, wt, astensor(bias), causal=causal)
+    out = autodiff.conv1d_same(astensor(x), wt, astensor(bias), causal=causal)
     if activation == "relu":
         out = autodiff.relu(out)
     elif activation != "linear":
         raise ConfigError(f"unknown activation {activation!r}")
     out = autodiff.maxpool1d_same(out, pool_range, causal=causal)
-    if squeeze:
-        out = autodiff.reshape(out, (out.value.shape[0],))
     return _materialize(out, x, weights, bias)

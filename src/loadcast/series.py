@@ -22,6 +22,9 @@ MAX_FILL_GAP = 3
 
 HOURS_PER_DAY = 24
 
+#: Share of the newest samples a model holds out to watch early stopping.
+VALIDATION_TAIL = 0.2
+
 
 class CaseId(str, Enum):
     """The five train/test partitions with growing training history."""
@@ -85,14 +88,17 @@ class TimeSeries:
     def end(self) -> datetime:
         return self.timestamp(len(self) - 1)
 
-    def hour_of_day(self, index: int) -> float:
-        """Fractional hour-of-day of the point at `index`."""
+    def hour_of_day(self, index):
+        """Fractional hour-of-day at `index`, an int or an integer array.
+
+        Indices past the last point continue the same clock, which is how
+        forecasts name the hours they target.
+        """
         start_hour = self.start.hour + self.start.minute / 60.0 + self.start.second / 3600.0
         return (start_hour + self.resolution_hours * index) % 24.0
 
     def hours_of_day(self) -> np.ndarray:
-        start_hour = self.start.hour + self.start.minute / 60.0 + self.start.second / 3600.0
-        return (start_hour + self.resolution_hours * np.arange(len(self))) % 24.0
+        return self.hour_of_day(np.arange(len(self)))
 
     def slice(self, start_index: int, stop_index: int, name: str | None = None) -> "TimeSeries":
         """Sub-series covering [start_index, stop_index), with shifted start."""
@@ -278,6 +284,12 @@ def fit_normalizer(series: TimeSeries | np.ndarray) -> NormalizationParams:
     return NormalizationParams(min_value=lo, max_value=hi)
 
 
+def holdout_count(n: int) -> int:
+    """How many of n chronological samples to hold out, newest first, for
+    early stopping: the VALIDATION_TAIL share, and none when n < 5."""
+    return int(round(VALIDATION_TAIL * n)) if n >= 5 else 0
+
+
 def make_windows(series: TimeSeries, window: int, horizon_step: int = 1) -> SupervisedWindowSet:
     """Slide (window, horizon_step) supervised pairs over an already-normalized series.
 
@@ -297,8 +309,7 @@ def make_windows(series: TimeSeries, window: int, horizon_step: int = 1) -> Supe
     lags = np.lib.stride_tricks.sliding_window_view(values, window)[:n]
     target_idx = np.arange(n) + window + horizon_step - 1
     targets = values[target_idx]
-    hours = series.hours_of_day()[target_idx]
-    sin_h, cos_h = hour_features(hours)
+    sin_h, cos_h = hour_features(series.hour_of_day(target_idx))
     inputs = np.column_stack([lags, sin_h, cos_h])
     return SupervisedWindowSet(
         inputs=inputs, targets=targets, window_length=window, horizon_step=horizon_step

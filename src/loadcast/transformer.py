@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,12 +23,14 @@ from .errors import ConfigError, InsufficientDataError, ShapeError, StateError
 from .nn import adam_update, conv_pool_forward, glorot_init, train_minibatch  # noqa: F401
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor, no_grad
+from .nn.ops import _materialize
 from .nn.params import ParamStore
-from .series import NormalizationParams, TimeSeries, fit_normalizer
+from .series import NormalizationParams, TimeSeries, fit_normalizer, holdout_count
+from .series import VALIDATION_TAIL  # noqa: F401  (re-exported: callers import it from here)
 
 PE_BASE = 10000.0
 FINE_TUNE_LR_FACTOR = 0.1
-VALIDATION_TAIL = 0.2
+FINE_TUNE_BATCH = 32
 
 
 @functools.lru_cache(maxsize=64)
@@ -61,16 +63,21 @@ def _causal_mask(tq: int, tk: int) -> np.ndarray:
     return np.tril(np.ones((tq, tk), dtype=bool), k=tk - tq)
 
 
-def attention_weights(q, k, causal: bool = False) -> np.ndarray:
-    """The row-stochastic softmax(QK^T/sqrt(d)) matrix, without applying V."""
-    q, k = ad.astensor(q), ad.astensor(k)
+def _attention_probabilities(q: Tensor, k: Tensor, causal: bool) -> Tensor:
+    """softmax(QK^T/sqrt(d)), each query row masked to its causal keys if asked."""
     if q.value.shape[-1] != k.value.shape[-1]:
         raise ShapeError(f"Q/K feature dims differ: {q.value.shape[-1]} vs {k.value.shape[-1]}")
-    d = q.value.shape[-1]
-    scores = ad.scale(ad.matmul(q, ad.astensor(np.swapaxes(k.value, -1, -2))), 1.0 / np.sqrt(d))
+    axes = list(range(k.value.ndim))
+    axes[-1], axes[-2] = axes[-2], axes[-1]
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, axes)), 1.0 / np.sqrt(q.value.shape[-1]))
     mask = _causal_mask(*scores.value.shape[-2:]) if causal else None
+    return ad.softmax(scores, mask=mask)
+
+
+def attention_weights(q, k, causal: bool = False) -> np.ndarray:
+    """The row-stochastic softmax(QK^T/sqrt(d)) matrix, without applying V."""
     with no_grad():
-        return ad.softmax(Tensor(scores.value), mask=mask).value
+        return _attention_probabilities(ad.astensor(q), ad.astensor(k), causal).value
 
 
 def scaled_dot_attention(q, k, v, causal: bool = False):
@@ -80,19 +87,9 @@ def scaled_dot_attention(q, k, v, causal: bool = False):
     Tensor when any input is one, else an ndarray.
     """
     qt, kt, vt = ad.astensor(q), ad.astensor(k), ad.astensor(v)
-    if qt.value.shape[-1] != kt.value.shape[-1]:
-        raise ShapeError(f"Q/K feature dims differ: {qt.value.shape[-1]} vs {kt.value.shape[-1]}")
     if kt.value.shape[-2] != vt.value.shape[-2]:
         raise ShapeError(f"K/V row counts differ: {kt.value.shape[-2]} vs {vt.value.shape[-2]}")
-    d = qt.value.shape[-1]
-    axes = list(range(kt.value.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    scores = ad.scale(ad.matmul(qt, ad.transpose(kt, axes)), 1.0 / np.sqrt(d))
-    mask = _causal_mask(*scores.value.shape[-2:]) if causal else None
-    out = ad.matmul(ad.softmax(scores, mask=mask), vt)
-    if any(isinstance(x, Tensor) for x in (q, k, v)):
-        return out
-    return out.value
+    return _materialize(ad.matmul(_attention_probabilities(qt, kt, causal), vt), q, k, v)
 
 
 ATTENTION_WEIGHT_NAMES = ("wq", "wk", "wv", "wo")
@@ -103,8 +100,8 @@ def multi_head_attention(x, params: ParamStore, head_count: int, causal: bool = 
     """Project to per-head Q/K/V, attend in parallel, concatenate, project back.
 
     Expects square projection matrices named {prefix}wq/wk/wv/wo in `params`.
-    `kv` switches the key/value source for cross-attention. Accepts (T, d)
-    or (B, T, d) input; returns a Tensor when given one, else an ndarray.
+    `kv` switches the key/value source for cross-attention. Takes (B, T, d)
+    input; returns a Tensor when given one, else an ndarray.
 
     `cache` is a dict that keeps the per-head keys and values between calls
     for incremental decoding. In self-attention the rows of `x` are the
@@ -113,16 +110,13 @@ def multi_head_attention(x, params: ParamStore, head_count: int, causal: bool = 
     the first call only and reused after.
     """
     xt = ad.astensor(x)
+    if xt.value.ndim != 3:
+        raise ShapeError(f"attention input must be (B, T, d), got shape {xt.value.shape}")
     d = xt.value.shape[-1]
     if d % head_count != 0:
         raise ConfigError(f"d_model {d} not divisible by head_count {head_count}")
     dh = d // head_count
-    flat = xt.value.ndim == 2
-    if flat:
-        xt = ad.reshape(xt, (1,) + xt.value.shape)
     source = ad.astensor(kv) if kv is not None else xt
-    if kv is not None and source.value.ndim == 2:
-        source = ad.reshape(source, (1,) + source.value.shape)
 
     def split_heads(m: Tensor) -> Tensor:
         b, t, _ = m.value.shape
@@ -142,12 +136,7 @@ def multi_head_attention(x, params: ParamStore, head_count: int, causal: bool = 
     heads = scaled_dot_attention(qh, kh, vh, causal=causal)
     b, _, tq, _ = heads.value.shape
     merged = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (b, tq, d))
-    out = ad.matmul(merged, params.tensor(prefix + "wo"))
-    if flat:
-        out = ad.reshape(out, out.value.shape[1:])
-    if isinstance(x, Tensor) or isinstance(kv, Tensor):
-        return out
-    return out.value
+    return _materialize(ad.matmul(merged, params.tensor(prefix + "wo")), x, kv)
 
 
 @dataclass(frozen=True)
@@ -180,16 +169,7 @@ class TransformerConfig:
             raise ConfigError("pool_range must be odd and positive")
 
     def to_dict(self) -> dict:
-        return {
-            "d_model": self.d_model,
-            "head_count": self.head_count,
-            "encoder_layers": self.encoder_layers,
-            "decoder_layers": self.decoder_layers,
-            "conv_kernel_width": self.conv_kernel_width,
-            "pool_range": self.pool_range,
-            "context_length": self.context_length,
-            "horizon_length": self.horizon_length,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TransformerConfig":
@@ -454,6 +434,8 @@ class TransformerForecaster:
         if self.normalizer is None:
             raise StateError("no normalizer set; fine-tune or set_normalizer first")
         histories = np.asarray(histories, dtype=np.float64)
+        if histories.ndim != 2:
+            raise ShapeError(f"histories must be 2-D (batch, time), got shape {histories.shape}")
         ctx = self.config.context_length
         if histories.shape[1] < ctx:
             raise InsufficientDataError(
@@ -537,13 +519,13 @@ class TransformerForecaster:
         epochs: int = 20,
         learning_rate: float | None = None,
         seed: int = 0,
-        batch_size: int = 32,
     ) -> list[float]:
         """Continue training on the scarce target series at a reduced rate.
 
         Fits the model's normalizer on the target train slice, then runs MSE
-        training with early stopping monitored on the chronological last 20%
-        of windows. Requires a pretrained model.
+        training in batches of FINE_TUNE_BATCH windows with early stopping
+        monitored on the `holdout_count` newest windows. Requires a
+        pretrained model.
         """
         if self.trained != "pretrained":
             raise StateError(f"fine_tune requires a pretrained model, state is {self.trained!r}")
@@ -560,7 +542,7 @@ class TransformerForecaster:
         horizon = min(cfg.horizon_length, len(values) - cfg.context_length)
         contexts, targets = _sequence_windows(normalized, cfg.context_length, horizon)
         n = contexts.shape[0]
-        val_count = int(round(VALIDATION_TAIL * n)) if n >= 5 else 0
+        val_count = holdout_count(n)
         validation = None
         if val_count > 0:
             split = n - val_count
@@ -568,7 +550,7 @@ class TransformerForecaster:
             contexts, targets = contexts[:split], targets[:split]
         curve = train_minibatch(
             self.params, self._teacher_losses(contexts, targets)[0], len(contexts),
-            epochs, batch_size, learning_rate, np.random.default_rng(seed), validation,
+            epochs, FINE_TUNE_BATCH, learning_rate, np.random.default_rng(seed), validation,
         )
         if epochs > 0:
             self.trained = "fine_tuned"

@@ -290,6 +290,16 @@ def test_gbt_too_few_windows_guard():
         GradientBoostedTrees().fit(windows, seed=0)
 
 
+def test_gbt_unfitted_guard_and_empty_ensemble():
+    windows = window_fixture(seed=14)
+    probe = windows.inputs[:3]
+    with pytest.raises(InsufficientDataError, match="not fitted"):
+        GradientBoostedTrees().predict(probe)
+    empty = GradientBoostedTrees(estimators=0, min_child_samples=5).fit(windows, seed=0)
+    assert empty.trees == []
+    np.testing.assert_array_equal(empty.predict(probe), np.full(3, empty.initial))
+
+
 def test_mlp_training_reduces_loss():
     windows = window_fixture(seed=15)
     model = MLPModel(epochs=30).fit(windows, seed=0)

@@ -286,6 +286,26 @@ def test_fit_failure_marks_every_horizon_of_the_cell(monkeypatch):
     assert "RuntimeError" in report.errors[("pm", "case1", 1)]
 
 
+def test_fit_failure_in_a_later_run_keeps_an_earlier_scoring_error(monkeypatch):
+    series = seasonal_series(length=75, seed=6)  # 3 test points: the 4 h cell cannot score
+    real, calls = harness.fit_case_model, []
+
+    def fail_run_one(model_id, train, seed, **kwargs):
+        calls.append(seed)
+        if len(calls) == 2:
+            raise RuntimeError("run 1 fit failed")
+        return real(model_id, train, seed, **kwargs)
+
+    monkeypatch.setattr(harness, "fit_case_model", fail_run_one)
+    sink: dict = {}
+    report = harness.run_experiment(pm_spec(horizons=(1, 4), runs=3), series=series, trajectory_sink=sink)
+    assert len(calls) == 2  # the fit failure ends the cell's runs
+    assert not report.entries
+    assert report.errors[("pm", "case1", 4)].startswith("InsufficientDataError: test slice of 3 points")
+    assert report.errors[("pm", "case1", 1)] == "RuntimeError: run 1 fit failed"
+    np.testing.assert_allclose(sink[("pm", "case1")], np.full(4, series.values[71]), rtol=1e-12)
+
+
 def test_case_split_failure_errors_all_models_of_the_case():
     series = seasonal_series(length=100, seed=7)
     spec = ExperimentSpec(

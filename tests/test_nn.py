@@ -234,15 +234,6 @@ def test_backward_survives_very_deep_chains():
     np.testing.assert_allclose(x.grad, [[1.0]])
 
 
-def test_operator_sugar():
-    a = Tensor(np.array([[2.0]]), requires_grad=True)
-    b = Tensor(np.array([[3.0]]), requires_grad=True)
-    out = a * b + (-a)
-    ad.tsum(out).backward()
-    np.testing.assert_allclose(a.grad, [[2.0]])
-    np.testing.assert_allclose(b.grad, [[2.0]])
-
-
 def test_polymorphic_ops_return_plain_arrays_for_plain_inputs():
     x = np.random.default_rng(9).normal(size=(3, 4))
     gamma, beta = np.ones((1, 4)), np.zeros((1, 4))

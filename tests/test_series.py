@@ -12,7 +12,9 @@ from loadcast.series import (
     CaseId,
     NormalizationParams,
     TimeSeries,
+    VALIDATION_TAIL,
     fit_normalizer,
+    holdout_count,
     hour_features,
     load_csv,
     make_windows,
@@ -56,6 +58,23 @@ def test_timestamps_and_hours():
     assert hours[2] == 0.0
     np.testing.assert_allclose(hours, [(22 + i) % 24 for i in range(30)])
     assert s.hour_of_day(5) == hours[5]
+
+
+def test_hour_of_day_on_arrays_past_the_end_matches_the_inline_formula():
+    for start, resolution in ((datetime(2021, 6, 1, 22, 30, 15), 1.0), (START, 0.5), (START, 0.25)):
+        s = _series([0.0] * 10, start=start, resolution=resolution)
+        index = 7 + np.arange(40)  # runs 37 points past the last index, 9
+        start_hour = start.hour + start.minute / 60.0 + start.second / 3600.0
+        expected = (start_hour + resolution * index.astype(np.float64)) % 24.0
+        assert s.hour_of_day(index).tobytes() == expected.tobytes()
+        assert all(s.hour_of_day(int(i)) == h for i, h in zip(index, expected))
+
+
+def test_holdout_count_takes_the_newest_fifth_from_five_samples_on():
+    assert [holdout_count(n) for n in (4, 5, 7, 10)] == [0, 1, 1, 2]
+    for n in range(2, 61):  # GBT's max(1, ...) form, which never binds from n = 5
+        assert holdout_count(n) == (max(1, int(round(0.2 * n))) if n >= 5 else 0)
+    assert VALIDATION_TAIL == 0.2
 
 
 def test_slice_shifts_start_and_checks_bounds():

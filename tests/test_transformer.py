@@ -188,6 +188,8 @@ def test_multi_head_attention_head_count_guard():
     store = _attention_store(rng, 8)
     with pytest.raises(ConfigError):
         multi_head_attention(rng.normal(size=(1, 4, 8)), store, head_count=3)
+    with pytest.raises(ShapeError):
+        multi_head_attention(rng.normal(size=(4, 8)), store, head_count=2)
 
 
 def test_config_validation():
@@ -261,6 +263,9 @@ def test_forecast_guards():
         model.forecast(history, 0)
     with pytest.raises(InsufficientDataError):
         model.forecast(history[:5], 3)
+    for rows in (history, history[None, None, :]):  # forecast_batch takes (B, T) only
+        with pytest.raises(ShapeError):
+            model.forecast_batch(rows, 3)
 
 
 def test_forecast_recursion_consistent_across_chunking():
