@@ -59,9 +59,9 @@ def _add_dense(params: ParamStore, rng: np.random.Generator, prefix: str, fan_in
 
 def _dense_forward(params: ParamStore, prefix: str, depth: int, h: Tensor) -> Tensor:
     """ReLU layers then a sigmoid output unit, one value per row."""
-    for idx in range(1, depth + 1):
-        h = ad.add(ad.matmul(h, params.tensor(f"{prefix}w{idx}")), params.tensor(f"{prefix}b{idx}"))
-        h = ad.sigmoid(h) if idx == depth else ad.relu(h)
+    layers = range(1, depth + 1)
+    h = ad.dense_stack(h, [params.tensor(f"{prefix}w{idx}") for idx in layers],
+                       [params.tensor(f"{prefix}b{idx}") for idx in layers])
     return ad.reshape(h, (h.value.shape[0],))
 
 

@@ -22,41 +22,40 @@ def best_split(
     Returns (feature index, midpoint threshold, SSE reduction) for the best
     split, or None when no split improves. Thresholds sit between distinct
     sorted values, so the result is invariant to sample order; ties prefer
-    the lowest feature index, then the lowest threshold.
+    the lowest feature index, then the lowest threshold. All columns are
+    scanned at once: one argsort, one cumulative sum each of y and y * y,
+    and one gain per (cut, feature) pair, with cuts that fall inside a run
+    of equal values set to -inf.
     """
-    n = len(targets)
-    if n < 2 * min_child:
+    n, k = len(targets), max(min_child, 1)
+    if n < 2 * k:
         return None
     total = float(targets.sum())
     total_sq = float((targets * targets).sum())
     parent = total_sq - total * total / n
+    # A cut after sorted row i leaves i + 1 rows on the left and n - i - 1 on
+    # the right, so the cuts with k rows on each side are rows lo .. hi - 1.
+    lo, hi = k - 1, n - k
+    order = np.argsort(features, axis=0)
+    xs = np.take_along_axis(features, order, axis=0)
+    ys = targets[order]
+    cum = np.cumsum(ys, axis=0)[lo:hi]
+    cum_sq = np.cumsum(ys * ys, axis=0)[lo:hi]
+    left_count = np.arange(lo + 1, hi + 1)[:, None]
+    right_count = n - left_count
+    left_sse = cum_sq - cum**2 / left_count
+    right_sse = (total_sq - cum_sq) - (total - cum) ** 2 / right_count
+    gains = parent - left_sse - right_sse
+    gains[~(xs[lo:hi] < xs[lo + 1 : hi + 1])] = -np.inf
+    picks = np.argmax(gains, axis=0)
     best: tuple[int, float, float] | None = None
-    for f in range(features.shape[1]):
-        column = features[:, f]
-        order = np.argsort(column)
-        xs = column[order]
-        ys = targets[order]
-        cut = np.nonzero(xs[:-1] < xs[1:])[0]
-        if min_child > 1:
-            left_ok = cut + 1 >= min_child
-            right_ok = n - cut - 1 >= min_child
-            cut = cut[left_ok & right_ok]
-        if cut.size == 0:
-            continue
-        cum = np.cumsum(ys)
-        cum_sq = np.cumsum(ys * ys)
-        left_count = cut + 1
-        right_count = n - left_count
-        left_sse = cum_sq[cut] - cum[cut] ** 2 / left_count
-        right_sse = (total_sq - cum_sq[cut]) - (total - cum[cut]) ** 2 / right_count
-        gains = parent - left_sse - right_sse
-        pick = int(np.argmax(gains))
-        gain = float(gains[pick])
+    for f, pick in enumerate(picks):
+        gain = float(gains[pick, f])
         if gain <= MIN_GAIN:
             continue
         if best is None or gain > best[2]:
-            threshold = float((xs[cut[pick]] + xs[cut[pick] + 1]) / 2.0)
-            best = (f, threshold, gain)
+            row = lo + pick
+            best = (f, float((xs[row, f] + xs[row + 1, f]) / 2.0), gain)
     return best
 
 

@@ -18,37 +18,38 @@ def adam_update(params: ParamStore, learning_rate: float, step: int) -> None:
     """One bias-corrected Adam step over every parameter; zeroes gradients after.
 
     `step` is the 1-based update count used for bias correction. Moment
-    buffers live on the parameters themselves, so a store carries its own
-    optimizer state across calls.
+    buffers live in the store, so it carries its own optimizer state across
+    calls. The update runs on the store's flat arrays, all parameters at
+    once, and writes nothing unless every gradient is finite.
     """
     if step < 1:
         raise ConfigError(f"Adam step must be >= 1, got {step}")
     if learning_rate <= 0:
         raise ConfigError(f"learning rate must be positive, got {learning_rate}")
+    grad, m, v = params.grad, params.m, params.v
+    if not np.isfinite(grad).all():
+        bad = next(p.name for p in params if not np.isfinite(p.grad).all())
+        raise NumericError(f"non-finite gradient in parameter {bad!r}")
     correction1 = 1.0 - BETA1**step
     correction2 = 1.0 - BETA2**step
-    for param in params:
-        grad, m, v = param.grad, param.m, param.v
-        if not np.isfinite(grad).all():
-            raise NumericError(f"non-finite gradient in parameter {param.name!r}")
-        # In place, in the order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g
-        # and value -= lr (m / c1) / (sqrt(v / c2) + eps), so every rounding
-        # matches that formula; grad is spent once the moments hold it.
-        work = np.multiply(grad, 1.0 - BETA2)
-        work *= grad
-        v *= BETA2
-        v += work
-        m *= BETA1
-        grad *= 1.0 - BETA1
-        m += grad
-        np.divide(v, correction2, out=work)
-        np.sqrt(work, out=work)
-        work += EPSILON
-        np.divide(m, correction1, out=grad)
-        grad *= learning_rate
-        grad /= work
-        param.value -= grad
-        grad.fill(0.0)
+    # In place, in the order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g
+    # and value -= lr (m / c1) / (sqrt(v / c2) + eps), so every rounding
+    # matches that formula; grad is spent once the moments hold it.
+    work = np.multiply(grad, 1.0 - BETA2, out=params.scratch())
+    work *= grad
+    v *= BETA2
+    v += work
+    m *= BETA1
+    grad *= 1.0 - BETA1
+    m += grad
+    np.divide(v, correction2, out=work)
+    np.sqrt(work, out=work)
+    work += EPSILON
+    np.divide(m, correction1, out=grad)
+    grad *= learning_rate
+    grad /= work
+    params.value -= grad
+    grad.fill(0.0)
 
 
 def train_minibatch(params: ParamStore, loss_fn, sample_count: int, epochs: int, batch: int,
@@ -62,9 +63,8 @@ def train_minibatch(params: ParamStore, loss_fn, sample_count: int, epochs: int,
     after each epoch, training stops after EARLY_STOP_PATIENCE epochs
     without a new best, and the weights of the best epoch are restored.
     """
-    for param in params:
-        param.m[...] = 0.0
-        param.v[...] = 0.0
+    params.m.fill(0.0)
+    params.v.fill(0.0)
     params.zero_grads()
     curve: list[float] = []
     best_val, best_state, stale, step = np.inf, None, 0, 0

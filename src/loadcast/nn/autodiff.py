@@ -8,7 +8,9 @@ Gradient ownership: a tensor adopts the first gradient array it is handed
 and adds later ones into it in place, so a handed-over array must not be
 written again. An op gives its incoming gradient, or a view of it, to one
 parent only; when `add`'s first parent adopts it, the second adopts a copy.
-ParamStore leaves keep their external `grad_buffer` and always add into it.
+ParamStore leaves keep their external `grad_buffer` and always add into it:
+that buffer is a view into the store's flat gradient array, which
+`adam_update` reads and zeroes as a whole.
 """
 
 from __future__ import annotations
@@ -328,17 +330,19 @@ def softmax(a, mask: np.ndarray | None = None) -> Tensor:
     """Row-wise softmax over the last axis; masked-out entries get zero weight.
 
     `mask` is a boolean array broadcastable to a.shape with True = attend.
+    The shift, exp and division run in place on one full-size array: the
+    masked copy of the logits, or `a - max` without a mask.
     """
     a = astensor(a)
-    logits = a.value
-    if mask is not None:
-        logits = np.where(mask, logits, -np.inf)
+    masked = mask is not None
+    logits = np.where(mask, a.value, -np.inf) if masked else a.value
     m = np.max(logits, axis=-1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)  # fully masked rows stay all-zero
-    e = np.exp(logits - m)
-    denom = e.sum(axis=-1, keepdims=True)
+    value = np.subtract(logits, m, out=logits if masked else None)
+    np.exp(value, out=value)
+    denom = value.sum(axis=-1, keepdims=True)
     denom = np.where(denom == 0.0, 1.0, denom)
-    value = e / denom
+    value /= denom
 
     def backward(g):
         inner = (g * value).sum(axis=-1, keepdims=True)
@@ -349,14 +353,15 @@ def softmax(a, mask: np.ndarray | None = None) -> Tensor:
 
 def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize over the last axis with population variance and
-    LAYER_NORM_EPSILON, then scale and shift."""
+    LAYER_NORM_EPSILON, then scale and shift. `x - mu` is computed once
+    and scaled in place into xhat."""
     x, gamma, beta = astensor(x), astensor(gamma), astensor(beta)
     if gamma.value.shape[-1] != x.value.shape[-1] or beta.value.shape[-1] != x.value.shape[-1]:
         raise ShapeError("gamma/beta must match the normalized axis length")
     n = x.value.shape[-1]
-    centered = x.value - x.value.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + LAYER_NORM_EPSILON)
-    xhat = centered * inv
+    xhat = x.value - x.value.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + LAYER_NORM_EPSILON)
+    xhat *= inv
     value = gamma.value * xhat + beta.value
 
     def backward(g):
@@ -522,11 +527,60 @@ def lstm_layer(x, w, u, b) -> Tensor:
     return _make(hidden[1:].transpose(1, 0, 2), (x, w, u, b), backward)
 
 
+def dense_stack(x, weights, biases) -> Tensor:
+    """A dense stack as a single tape node: h = relu(h @ w + b) for every
+    layer but the last, which is sigmoid(h @ w + b).
+
+    x: (B, in); weights[k]: (in_k, out_k); biases[k]: (1, out_k). Forward and
+    backward repeat the matmul/add/relu/sigmoid tape's arithmetic in its
+    order (sigmoid g * s * (1 - s), ReLU g * (z > 0), bias g summed over
+    rows, weight h.T @ g, input g @ w.T), so values and gradients are
+    bitwise those of the per-layer ops.
+    """
+    x = astensor(x)
+    weights, biases = [astensor(w) for w in weights], [astensor(b) for b in biases]
+    if not weights or len(weights) != len(biases):
+        raise ShapeError(f"dense_stack needs one bias per weight, got {len(weights)} and {len(biases)}")
+    outputs = [x.value]  # each layer's input, then the stack's output
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        z = outputs[-1] @ w.value
+        z += b.value
+        outputs.append(_sigmoid(z, out=z) if k == len(weights) - 1 else np.maximum(z, 0.0, out=z))
+
+    def backward(g):
+        s = outputs[-1]
+        g = g * s * (1.0 - s)
+        for k in range(len(weights) - 1, -1, -1):
+            w, h = weights[k], outputs[k]
+            _accumulate(biases[k], g)
+            if w.requires_grad:
+                _accumulate(w, h.T @ g)
+            if k > 0:  # h is a ReLU output, positive exactly where its input was
+                g = (g @ w.value.T) * (h > 0.0)
+            elif x.requires_grad:
+                _accumulate(x, g @ w.value.T)
+
+    return _make(outputs[-1], (x, *weights, *biases), backward)
+
+
 def mse(prediction, target) -> Tensor:
-    """Mean squared error against a constant target."""
+    """Mean squared error against a constant target, as a single tape node.
+
+    Value and gradient repeat the sub/mul/tsum/scale tape's arithmetic: the
+    forward pass is (d * d).sum() * (1 / n) and the backward pass adds the
+    product d * g / n twice, once for each factor of d * d.
+    """
     prediction = astensor(prediction)
     target = np.asarray(target, dtype=np.float64)
     if prediction.value.shape != target.shape:
         raise ShapeError(f"prediction {prediction.value.shape} vs target {target.shape}")
-    diff = sub(prediction, Tensor(target))
-    return mean(mul(diff, diff))
+    diff = prediction.value - target
+    factor = 1.0 / diff.size
+    value = (diff * diff).sum() * factor
+
+    def backward(g):
+        grad = np.broadcast_to(g * factor, diff.shape) * diff
+        grad += grad
+        _accumulate(prediction, grad)
+
+    return _make(value, (prediction,), backward)

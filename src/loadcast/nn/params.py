@@ -21,19 +21,24 @@ FORMAT_VERSION = 1
 
 
 class Param:
-    """One named weight matrix plus its gradient and Adam moment buffers."""
+    """One named weight matrix plus its gradient and Adam moment buffers.
+
+    The four buffers are the planes of one (4, rows, cols) array: its own,
+    or, when a ParamStore passes `planes`, a view into the store's flat
+    arrays. Either way `value` is copied in and the rest start at zero.
+    """
 
     __slots__ = ("name", "value", "grad", "m", "v")
 
-    def __init__(self, name: str, value: np.ndarray):
+    def __init__(self, name: str, value: np.ndarray, planes: np.ndarray | None = None):
         value = np.asarray(value, dtype=np.float64)
         if value.ndim != 2:
             raise ShapeError(f"parameter {name!r} must be 2-D, got shape {value.shape}")
         self.name = name
-        self.value = value
-        self.grad = np.zeros_like(value)
-        self.m = np.zeros_like(value)
-        self.v = np.zeros_like(value)
+        planes = np.empty((4,) + value.shape) if planes is None else planes
+        planes[0] = value
+        planes[1:] = 0.0
+        self.value, self.grad, self.m, self.v = planes
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -43,15 +48,24 @@ class Param:
         """A leaf Tensor sharing this parameter's value and gradient buffers."""
         return Tensor(self.value, requires_grad=True, grad_buffer=self.grad)
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
 
 class ParamStore:
-    """Ordered collection of Params addressed by unique string names."""
+    """Ordered collection of Params addressed by unique string names.
+
+    `value`, `grad`, `m` and `v` are flat float64 arrays holding every
+    parameter's buffer of that kind end to end in insertion order; each
+    Param's buffers are 2-D views into them. `add` may reallocate the flat
+    arrays and rebind every view, so take Tensors and array references
+    only once the store is fully built.
+    """
 
     def __init__(self):
         self._params: dict[str, Param] = {}
+        # Rows value, grad, m, v; columns past the last parameter are spare,
+        # so most adds append in place.
+        self._buffer = np.empty((4, 0))
+        self.value, self.grad, self.m, self.v = self._buffer
+        self._scratch: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._params)
@@ -68,9 +82,38 @@ class ParamStore:
     def add(self, name: str, value: np.ndarray) -> Param:
         if name in self._params:
             raise StateError(f"duplicate parameter name {name!r}")
-        param = Param(name, np.array(value, dtype=np.float64))
+        value = np.asarray(value, dtype=np.float64)
+        used = self.value.size
+        end = used + value.size
+        if end > self._buffer.shape[1]:  # doubling keeps building a store of n parameters linear
+            grown = np.empty((4, max(2 * self._buffer.shape[1], end)))
+            grown[:, :used] = self._buffer[:, :used]
+            self._buffer = grown
+            for p, planes in self._views(grown[:, :used]):
+                p.value, p.grad, p.m, p.v = planes.reshape(4, *p.shape)
+        param = Param(name, value, self._buffer[:, used:end].reshape(4, *value.shape))
         self._params[name] = param
+        self.value, self.grad, self.m, self.v = self._buffer[:, :end]
         return param
+
+    def _views(self, flat: np.ndarray) -> Iterator[tuple[Param, np.ndarray]]:
+        """Each Param with its slice of `flat`'s last axis, laid out like `value`."""
+        offset = 0
+        for param in self:
+            yield param, flat[..., offset : offset + param.value.size]
+            offset += param.value.size
+
+    def scratch(self) -> np.ndarray:
+        """A work array the size of `value` for the optimizer, allocated on
+        first use and then kept, so an update allocates nothing model-sized.
+
+        First used while a step's tape is alive, it also stops glibc from
+        trimming the heap below it between steps, so the next tape reuses
+        mapped pages instead of faulting in fresh ones.
+        """
+        if self._scratch is None or self._scratch.size != self.value.size:
+            self._scratch = np.empty_like(self.value)
+        return self._scratch
 
     def get(self, name: str) -> Param:
         try:
@@ -82,11 +125,10 @@ class ParamStore:
         return self.get(name).tensor()
 
     def zero_grads(self) -> None:
-        for param in self:
-            param.zero_grad()
+        self.grad.fill(0.0)
 
     def parameter_count(self) -> int:
-        return sum(p.value.size for p in self)
+        return self.value.size
 
     def state_hash(self) -> str:
         """SHA-256 over names, shapes and raw little-endian values.
@@ -155,11 +197,12 @@ class ParamStore:
                 raise ShapeError(
                     f"shape mismatch for {param.name!r}: {param.shape} vs {source.shape}"
                 )
-            param.value[...] = source.value
+        self.value[...] = other.value
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        """Copies of all current values, for checkpoint/rollback."""
-        return {p.name: p.value.copy() for p in self}
+        """Copies of all current values, for checkpoint/rollback: one copy of
+        the flat value array, handed out as one view per name."""
+        return {param.name: view.reshape(param.shape) for param, view in self._views(self.value.copy())}
 
     def restore(self, snapshot: dict[str, np.ndarray]) -> None:
         for param in self:

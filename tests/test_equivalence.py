@@ -4,8 +4,11 @@ The fused LSTM layer is checked against `lstm_cell_step` unrolled on the
 tape, the array tree walks against a per-row walk and a per-tree sum, the
 transformer's cached decoding against re-running the decoder over the
 whole generated prefix at every step, the im2col conv, shifted-max pool
-and one-GEMM matmul against the einsum, argmax and batched kernels, and
-`nn.train_minibatch` against the two training loops it replaced.
+and one-GEMM matmul against the einsum, argmax and batched kernels,
+`nn.train_minibatch` against the two training loops it replaced,
+`dense_stack` and the one-node `mse` against the per-layer tape, the
+in-place softmax and layer_norm against their allocating forms, and the
+all-columns `best_split` against the per-feature scan.
 """
 
 import warnings
@@ -14,7 +17,7 @@ import numpy as np
 import pytest
 
 import loadcast.nn.autodiff as ad
-from loadcast.baselines import GradientBoostedTrees, LSTMModel, MLPModel, RegressionTree, lstm_cell_step
+from loadcast.baselines import GradientBoostedTrees, LSTMModel, MLPModel, RegressionTree, lstm_cell_step, trees
 from loadcast.baselines.neural import LSTM_GATES
 from loadcast.corpus import GeneratorSpec, generate_series
 from loadcast.errors import NumericError, ShapeError
@@ -579,3 +582,226 @@ def test_pretrain_and_early_stopping_fine_tune_match_the_old_loop():
     np.testing.assert_allclose(curve, expected, rtol=0, atol=0)
     assert len(curve) == len(expected) < 40  # early stopping fired and restored the best epoch
     assert tuned.state_hash() == reference.state_hash()
+
+
+def _tape_dense(h, weights, biases):
+    """The per-layer tape dense_stack replaced: matmul, add, then ReLU or the sigmoid head."""
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        h = ad.add(ad.matmul(h, w), b)
+        h = ad.sigmoid(h) if k == len(weights) - 1 else ad.relu(h)
+    return h
+
+
+def _tape_mse(prediction, target):
+    """The sub/mul/mean chain the one-node mse replaced."""
+    diff = ad.sub(prediction, Tensor(np.asarray(target, dtype=np.float64)))
+    return ad.mean(ad.mul(diff, diff))
+
+
+def _assert_bitwise(actual, expected):
+    """Equal bit patterns, so signed zeros count too."""
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+def _dense_store(rng, widths):
+    params = ParamStore()
+    for k, (fan_in, units) in enumerate(zip(widths[:-1], widths[1:]), start=1):
+        params.add(f"w{k}", rng.normal(scale=0.8, size=(fan_in, units)))
+        params.add(f"b{k}", rng.normal(scale=0.3, size=(1, units)))
+    return params
+
+
+def _dense_value_and_grads(stack, params, x_value, upstream, x_grad):
+    """Output and gradients with plain leaves, which adopt their first gradient, so signed zeros show."""
+    depth = len(params) // 2
+    leaves = {p.name: Tensor(p.value.copy(), requires_grad=True) for p in params}
+    x = Tensor(x_value.copy(), requires_grad=x_grad)
+    out = stack(x, [leaves[f"w{k}"] for k in range(1, depth + 1)], [leaves[f"b{k}"] for k in range(1, depth + 1)])
+    ad.tsum(ad.mul(out, Tensor(upstream))).backward()
+    return [out.value] + [leaf.grad for leaf in leaves.values()] + ([x.grad] if x_grad else [])
+
+
+@pytest.mark.parametrize("x_grad", [False, True], ids=["constant_x", "taped_x"])
+@pytest.mark.parametrize("batch", [1, 9])
+@pytest.mark.parametrize("widths", [(5, 1), (5, 16, 1), (26, 16, 16, 1)], ids=["depth1", "depth2", "depth3"])
+def test_dense_stack_is_bitwise_the_per_layer_tape(widths, batch, x_grad):
+    rng = np.random.default_rng(len(widths) * 10 + batch)
+    params = _dense_store(rng, widths)
+    x = rng.normal(size=(batch, widths[0]))
+    upstream = rng.normal(size=(batch, 1))
+    fused = _dense_value_and_grads(ad.dense_stack, params, x, upstream, x_grad)
+    tape = _dense_value_and_grads(_tape_dense, params, x, upstream, x_grad)
+    assert len(fused) == len(tape)
+    for a, b in zip(fused, tape):
+        _assert_bitwise(a, b)
+
+
+@pytest.mark.parametrize("widths", [(5, 1), (5, 6, 1), (4, 6, 5, 1)], ids=["depth1", "depth2", "depth3"])
+def test_dense_stack_passes_grad_check(widths):
+    rng = np.random.default_rng(40 + len(widths))
+    params = _dense_store(rng, widths)
+    params.add("x", rng.normal(size=(7, widths[0])))
+    depth = len(widths) - 1
+    target = rng.uniform(0.1, 0.9, size=(7, 1))
+
+    def forward():
+        out = ad.dense_stack(params.tensor("x"), [params.tensor(f"w{k}") for k in range(1, depth + 1)],
+                             [params.tensor(f"b{k}") for k in range(1, depth + 1)])
+        return ad.mse(out, target)
+
+    assert grad_check(forward, params, probe_count=40, rng=np.random.default_rng(0)) < 1e-4
+
+
+def test_dense_stack_guards_and_keeps_no_tape_under_no_grad():
+    with pytest.raises(ShapeError):
+        ad.dense_stack(np.zeros((2, 3)), [np.zeros((3, 1))], [])
+    rng = np.random.default_rng(44)
+    params = _dense_store(rng, (3, 4, 1))
+    with no_grad():
+        out = ad.dense_stack(np.ones((2, 3)), [params.tensor("w1"), params.tensor("w2")],
+                             [params.tensor("b1"), params.tensor("b2")])
+    assert out._backward is None and out._parents == ()
+
+
+@pytest.mark.parametrize("shape", [(1,), (8,), (4, 6)])
+def test_one_node_mse_is_bitwise_the_tape_chain(shape):
+    rng = np.random.default_rng(sum(shape))
+    start, target = rng.normal(size=shape), rng.normal(size=shape)
+    results = []
+    for loss_fn in (ad.mse, _tape_mse):
+        prediction = Tensor(start.copy(), requires_grad=True)
+        loss = loss_fn(ad.scale(prediction, 1.5), target)
+        ad.add(ad.scale(loss, 0.7), loss).backward()  # an upstream gradient that is not 1
+        results.append((np.asarray(loss.value), prediction.grad))
+    for a, b in zip(*results):
+        _assert_bitwise(a, b)
+
+
+def _old_softmax(logits, mask=None):
+    """softmax before the in-place rewrite: np.where copies and allocating exp and divide."""
+    if mask is not None:
+        logits = np.where(mask, logits, -np.inf)
+    m = np.max(logits, axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(logits - m)
+    denom = e.sum(axis=-1, keepdims=True)
+    denom = np.where(denom == 0.0, 1.0, denom)
+    return e / denom
+
+
+def _old_layer_norm(x, gamma, beta):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + ad.LAYER_NORM_EPSILON)
+    return gamma * (centered * inv) + beta
+
+
+def _masks(tq, tk):
+    causal = np.tril(np.ones((tq, tk), dtype=bool), k=tk - tq)  # suffix queries when tq < tk
+    blocked = causal.copy()
+    blocked[0] = False  # a fully masked row
+    return {"none": None, "causal": causal, "blocked_row": blocked}
+
+
+@pytest.mark.parametrize("mask_name", ["none", "causal", "blocked_row"])
+@pytest.mark.parametrize("shape", [(6, 6), (3, 7), (2, 3, 5, 5), (2, 3, 2, 6)], ids=["2d", "2d_suffix", "4d", "4d_suffix"])
+def test_in_place_softmax_is_bitwise_the_allocating_kernel(shape, mask_name):
+    rng = np.random.default_rng(shape[-1] * 7 + len(shape))
+    logits = rng.normal(scale=3.0, size=shape)
+    mask = _masks(*shape[-2:])[mask_name]
+    out = ad.softmax(Tensor(logits), mask=mask).value
+    _assert_bitwise(out, _old_softmax(logits, mask))
+    if mask_name == "blocked_row":
+        assert not out[..., 0, :].any()
+    upstream = rng.normal(size=shape)
+    x = Tensor(logits.copy(), requires_grad=True)
+    ad.tsum(ad.mul(ad.softmax(x, mask=mask), upstream)).backward()
+    value = _old_softmax(logits, mask)
+    _assert_bitwise(x.grad, value * (upstream - (upstream * value).sum(axis=-1, keepdims=True)))
+
+
+@pytest.mark.parametrize("shape", [(5, 8), (3, 4, 8)], ids=["2d", "3d"])
+def test_in_place_layer_norm_is_bitwise_the_allocating_kernel(shape):
+    rng = np.random.default_rng(len(shape))
+    x = rng.normal(loc=2.0, scale=3.0, size=shape)
+    gamma, beta = rng.normal(size=(1, 8)), rng.normal(size=(1, 8))
+    _assert_bitwise(ad.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).value, _old_layer_norm(x, gamma, beta))
+
+
+def _per_feature_split(features, targets, min_child=1):
+    """best_split before the all-columns scan: one argsort and two cumsums per feature."""
+    n = len(targets)
+    if n < 2 * min_child:
+        return None
+    total = float(targets.sum())
+    total_sq = float((targets * targets).sum())
+    parent = total_sq - total * total / n
+    best = None
+    for f in range(features.shape[1]):
+        column = features[:, f]
+        order = np.argsort(column)
+        xs = column[order]
+        ys = targets[order]
+        cut = np.nonzero(xs[:-1] < xs[1:])[0]
+        if min_child > 1:
+            cut = cut[(cut + 1 >= min_child) & (n - cut - 1 >= min_child)]
+        if cut.size == 0:
+            continue
+        cum = np.cumsum(ys)
+        cum_sq = np.cumsum(ys * ys)
+        left_count = cut + 1
+        right_count = n - left_count
+        left_sse = cum_sq[cut] - cum[cut] ** 2 / left_count
+        right_sse = (total_sq - cum_sq[cut]) - (total - cum[cut]) ** 2 / right_count
+        gains = parent - left_sse - right_sse
+        pick = int(np.argmax(gains))
+        gain = float(gains[pick])
+        if gain <= trees.MIN_GAIN:
+            continue
+        if best is None or gain > best[2]:
+            best = (f, float((xs[cut[pick]] + xs[cut[pick] + 1]) / 2.0), gain)
+    return best
+
+
+def test_all_columns_split_matches_the_per_feature_scan():
+    rng = np.random.default_rng(50)
+    found = 0
+    for _ in range(400):
+        n, d = int(rng.integers(1, 160)), int(rng.integers(1, 28))
+        features = rng.integers(0, int(rng.integers(1, 10)), size=(n, d)).astype(float)  # heavy ties
+        if rng.random() < 0.3:
+            features += rng.normal(size=features.shape)
+        targets = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3)
+        if rng.random() < 0.3:
+            targets = np.round(targets, 1)  # equal gains across features and cuts
+        min_child = int(rng.integers(0, 30))
+        expected = _per_feature_split(features, targets, min_child)
+        assert trees.best_split(features, targets, min_child) == expected
+        found += expected is not None
+    assert 100 < found < 400
+
+
+def test_trees_grow_identically_with_the_per_feature_scan(monkeypatch):
+    windows = _seasonal_windows(length=300, window=24, seed=9)
+    fitted = []
+    for split in (trees.best_split, _per_feature_split):
+        monkeypatch.setattr(trees, "best_split", split)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            gbt = GradientBoostedTrees(estimators=40, min_child_samples=20).fit(windows, seed=3)
+        rt = RegressionTree(max_depth=6, max_leaves=30).fit(windows)
+        fitted.append((gbt.to_dict(), rt.to_dict()))
+    assert fitted[0] == fitted[1]
+    assert any(len(tree["nodes"]) > 1 for tree in fitted[0][0]["trees"])
+
+
+@pytest.mark.parametrize("make", [lambda: MLPModel(epochs=12), lambda: LSTMModel(epochs=3)], ids=["mlp", "lstm"])
+def test_neural_baselines_train_bitwise_like_the_per_layer_tape(monkeypatch, make):
+    windows = _seasonal_windows()
+    fused = make().fit(windows, seed=8)
+    monkeypatch.setattr(ad, "dense_stack", _tape_dense)
+    monkeypatch.setattr(ad, "mse", _tape_mse)
+    tape = make().fit(windows, seed=8)
+    np.testing.assert_allclose(fused.curve, tape.curve, rtol=0, atol=0)
+    assert fused.params.state_hash() == tape.params.state_hash()
+    _assert_bitwise(fused.predict(windows.inputs), tape.predict(windows.inputs))

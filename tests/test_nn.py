@@ -1,5 +1,7 @@
 """Tests for the autodiff substrate: tensors, layers, Adam, and gradient checks."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from loadcast.nn import (
 )
 from loadcast.nn import adam
 from loadcast.nn.adam import BETA1, BETA2, EPSILON, EARLY_STOP_PATIENCE
+from loadcast.transformer import TransformerConfig, TransformerForecaster
 
 
 def _numeric_grad(fn, x, h=1e-6):
@@ -373,6 +376,129 @@ def test_adam_guards():
     with pytest.raises(NumericError) as err:
         adam_update(store, learning_rate=0.1, step=1)
     assert "w" in str(err.value)
+
+
+def test_adam_update_checks_every_gradient_before_writing():
+    store = ParamStore()
+    store.add("a", np.ones((1, 2)))
+    store.add("b", np.ones((2, 2)))
+    store.add("c", np.ones((1, 1)))
+    store.get("a").grad[...] = 1.0
+    store.get("b").grad[0, 1] = np.nan
+    store.get("c").grad[...] = np.inf
+    before = store.state_hash()
+    buffers = {(p.name, kind): getattr(p, kind).copy() for p in store for kind in ("grad", "m", "v")}
+    with pytest.raises(NumericError) as err:
+        adam_update(store, learning_rate=0.1, step=1)
+    assert "'b'" in str(err.value)
+    assert store.state_hash() == before
+    for (name, kind), copy in buffers.items():
+        assert np.array_equal(getattr(store.get(name), kind), copy, equal_nan=True), (name, kind)
+
+
+def _flat_views_hold(store):
+    """Every Param buffer is a view into the store's flat array of its kind, laid out in order."""
+    offset = 0
+    for param in store:
+        for kind in ("value", "grad", "m", "v"):
+            flat, view = getattr(store, kind), getattr(param, kind)
+            assert view.flags.c_contiguous and view.shape == param.shape, (param.name, kind)
+            assert np.shares_memory(view, flat[offset : offset + view.size]), (param.name, kind)
+            assert not np.shares_memory(view, flat[:offset]), (param.name, kind)
+            assert not np.shares_memory(view, flat[offset + view.size :]), (param.name, kind)
+        offset += param.value.size
+    assert all(getattr(store, kind).size == offset for kind in ("value", "grad", "m", "v"))
+    return True
+
+
+def test_param_store_buffers_are_views_into_flat_arrays(tmp_path):
+    rng = np.random.default_rng(21)
+    store = ParamStore()
+    first = store.add("a", rng.normal(size=(3, 2)))
+    first.grad[...] = 2.0
+    first.m[...] = 0.5
+    values = {"a": first.value.copy()}
+    for name, shape in (("b", (1, 4)), ("d", (1, 1)), ("c", (5, 5))):  # "d" fits in spare room
+        values[name] = rng.normal(size=shape)
+        store.add(name, values[name])
+        assert _flat_views_hold(store)
+    # A growing add moves every buffer into the new flat arrays, contents intact.
+    assert store.get("a") is first
+    assert np.all(first.grad == 2.0) and np.all(first.m == 0.5) and not store.get("c").m.any()
+    for name, value in values.items():
+        np.testing.assert_array_equal(store.get(name).value, value)
+
+    path = str(tmp_path / "store.bin")
+    store.save(path)
+    loaded = ParamStore.load(path)
+    assert _flat_views_hold(loaded) and loaded.state_hash() == store.state_hash()
+
+    snapshot = store.snapshot()
+    store.value += 1.0
+    store.restore(snapshot)
+    assert _flat_views_hold(store) and loaded.state_hash() == store.state_hash()
+    assert all(not np.shares_memory(array, store.value) for array in snapshot.values())
+
+
+def test_transformer_clone_store_is_flat():
+    model = TransformerForecaster(TransformerConfig(d_model=8, head_count=2, encoder_layers=1,
+                                                    decoder_layers=1), init_seed=3)
+    twin = model.clone()
+    assert _flat_views_hold(twin.params) and twin.state_hash() == model.state_hash()
+    assert not np.shares_memory(twin.params.value, model.params.value)
+
+
+def test_tensor_from_store_sees_the_next_adam_step():
+    store = ParamStore()
+    store.add("w", np.array([[1.0, -2.0]]))
+    store.add("b", np.array([[0.5]]))
+    w = store.tensor("w")
+    ad.tsum(ad.mul(w, np.array([[3.0, -1.0]]))).backward()
+    assert w.grad is store.get("w").grad
+    np.testing.assert_array_equal(store.grad, [3.0, -1.0, 0.0])
+    adam_update(store, learning_rate=0.1, step=1)
+    np.testing.assert_allclose(w.value, [[0.9, -1.9]], rtol=1e-8)  # lr * g / (|g| + eps)
+    assert np.shares_memory(w.value, store.value)
+
+
+def test_adam_scratch_is_kept_until_the_store_grows():
+    store = ParamStore()
+    store.add("w", np.ones((2, 3)))
+    store.get("w").grad[...] = 0.5
+    adam_update(store, learning_rate=0.1, step=1)
+    work = store.scratch()
+    assert work.shape == store.value.shape and not np.shares_memory(work, store.value)
+    store.get("w").grad[...] = 0.25
+    adam_update(store, learning_rate=0.1, step=2)
+    assert store.scratch() is work
+    store.add("b", np.zeros((1, 3)))
+    assert store.scratch().shape == store.value.shape
+
+
+def _save_per_param(store, path):
+    """The writer before the flat store: one record per Param's own value array."""
+    with open(path, "wb") as fh:
+        fh.write(b"SLNN")
+        fh.write(struct.pack("<I", 1))
+        for param in store:
+            encoded = param.name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<II", *param.value.shape))
+            fh.write(np.ascontiguousarray(param.value, dtype="<f8").tobytes())
+
+
+def test_param_store_save_bytes_match_the_per_param_writer(tmp_path):
+    rng = np.random.default_rng(22)
+    store = ParamStore()
+    for name, shape in (("enc.w", (4, 3)), ("enc.b", (1, 3)), ("head", (3, 1)), ("one", (1, 1))):
+        store.add(name, rng.normal(size=shape))
+    store.get("enc.w").grad[...] = rng.normal(size=(4, 3))
+    adam_update(store, learning_rate=0.01, step=1)
+    flat, reference = tmp_path / "flat.bin", tmp_path / "reference.bin"
+    store.save(str(flat))
+    _save_per_param(store, str(reference))
+    assert flat.read_bytes() == reference.read_bytes()
 
 
 def _line_problem(seed=0, n=10):
