@@ -142,28 +142,23 @@ class LSTMModel:
         params = ParamStore()
         input_dim = 1
         for layer, units in enumerate(self.lstm_units):
+            # Drawn gate by gate, stored joined in LSTM_GATES order as lstm_layer reads them.
+            joined = {"w": [], "u": [], "b": []}
             for gate in LSTM_GATES:
-                prefix = f"lstm{layer}.{gate}"
-                params.add(f"{prefix}.w", glorot_init(rng, input_dim, units, (input_dim, units)))
-                params.add(f"{prefix}.u", glorot_init(rng, units, units, (units, units)))
-                bias = np.ones((1, units)) if gate == "forget" else np.zeros((1, units))
-                params.add(f"{prefix}.b", bias)
+                joined["w"].append(glorot_init(rng, input_dim, units, (input_dim, units)))
+                joined["u"].append(glorot_init(rng, units, units, (units, units)))
+                joined["b"].append(np.ones((1, units)) if gate == "forget" else np.zeros((1, units)))
+            for kind, blocks in joined.items():
+                params.add(f"lstm{layer}.{kind}", np.concatenate(blocks, axis=1))
             input_dim = units
         # The dense stage reads the last hidden state plus the hour sin/cos.
         return _add_dense(params, rng, "dense.", self.lstm_units[-1] + 2, self.dense_units)
-
-    def _gate_matrices(self, layer: int) -> tuple[Tensor, Tensor, Tensor]:
-        """The layer's per-gate w, u and b joined column-wise in LSTM_GATES order."""
-        return tuple(
-            ad.concat([self.params.tensor(f"lstm{layer}.{gate}.{kind}") for gate in LSTM_GATES], axis=1)
-            for kind in ("w", "u", "b")
-        )
 
     def _forward(self, features: np.ndarray) -> Tensor:
         w = self.window_length
         sequence = Tensor(features[:, :w, None])
         for layer in range(len(self.lstm_units)):
-            sequence = ad.lstm_layer(sequence, *self._gate_matrices(layer))
+            sequence = ad.lstm_layer(sequence, *(self.params.tensor(f"lstm{layer}.{k}") for k in "wub"))
         h = ad.concat([ad.index(sequence, (slice(None), -1)), Tensor(features[:, w:])], axis=1)
         return _dense_forward(self.params, "dense.", len(self.dense_units), h)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InsufficientDataError, NumericError
+from ..errors import InsufficientDataError
 from ..series import SupervisedWindowSet, TimeSeries
 
 RIDGE_LAMBDA = 1e-8
@@ -44,12 +44,11 @@ class LinearModel:
     """Ordinary least squares with an intercept and a tiny ridge fallback.
 
     Scarce-history design matrices can be rank-deficient (constant columns,
-    more lags than rows); when that happens and the fallback is enabled the
-    coefficients come from (X'X + lambda I) beta = X'y with lambda = 1e-8.
+    more lags than rows); when that happens the coefficients come from
+    (X'X + lambda I) beta = X'y with lambda = RIDGE_LAMBDA = 1e-8.
     """
 
-    def __init__(self, ridge_fallback: bool = True):
-        self.ridge_fallback = ridge_fallback
+    def __init__(self):
         self.weights: np.ndarray | None = None
         self.intercept = 0.0
 
@@ -58,10 +57,6 @@ class LinearModel:
         design = np.column_stack([x, np.ones(len(x))])
         solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
         if rank < design.shape[1]:
-            if not self.ridge_fallback:
-                raise NumericError(
-                    f"design matrix is rank deficient ({rank}/{design.shape[1]})"
-                )
             gram = design.T @ design + RIDGE_LAMBDA * np.eye(design.shape[1])
             solution = np.linalg.solve(gram, design.T @ y)
         self.weights = solution[:-1]

@@ -16,7 +16,8 @@ rolled past the train/test boundary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -91,22 +92,19 @@ class ExperimentSpec:
             raise ConfigError(f"unknown model ids {unknown}; known: {list(MODEL_ORDER)}")
         if len(set(self.models)) != len(self.models):
             raise ConfigError("duplicate model ids in spec")
+        if not isinstance(self.fine_tune, bool):
+            raise ConfigError(f"fine_tune must be true or false, got {self.fine_tune!r}")
+        for name in ("runs_per_model", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.runs_per_model < 1:
             raise ConfigError(f"runs_per_model must be >= 1, got {self.runs_per_model}")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "cases": list(self.cases),
-            "horizons_hours": list(self.horizons_hours),
-            "models": list(self.models),
-            "runs_per_model": self.runs_per_model,
-            "master_seed": self.master_seed,
-            "fine_tune": self.fine_tune,
-            "pretrained_artifact": self.pretrained_artifact,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
@@ -116,16 +114,7 @@ class ExperimentSpec:
         for required in ("cases", "horizons_hours", "models"):
             if required not in d:
                 raise ConfigError(f"spec is missing the {required!r} field")
-        return cls(
-            cases=tuple(d["cases"]),
-            horizons_hours=tuple(d["horizons_hours"]),
-            models=tuple(d["models"]),
-            dataset=d.get("dataset"),
-            runs_per_model=int(d.get("runs_per_model", DEFAULT_RUNS)),
-            master_seed=int(d.get("master_seed", 0)),
-            fine_tune=bool(d.get("fine_tune", True)),
-            pretrained_artifact=d.get("pretrained_artifact"),
-        )
+        return cls(**d)
 
 
 def load_spec(path) -> ExperimentSpec:

@@ -3,6 +3,8 @@
 A Tensor wraps a float64 ndarray plus an optional node in the backward tape.
 Ops build the tape only while gradients are enabled; inference runs the same
 code under `no_grad()` with zero tape overhead. All math is 64-bit.
+Single-parent ops with an elementwise or reshaping gradient (scale, relu,
+sigmoid, tanh, exp, log, reshape, transpose) build their node with `_unary`.
 
 Gradient ownership: a tensor adopts the first gradient array it is handed
 and adds later ones into it in place, so a handed-over array must not be
@@ -128,6 +130,11 @@ def _accumulate(tensor: Tensor, grad: np.ndarray, shared: bool = False) -> None:
             tensor.grad += reduced
 
 
+def _unary(a: Tensor, value: np.ndarray, grad) -> Tensor:
+    """A node with the one parent `a`, whose gradient is `grad(g)`."""
+    return _make(value, (a,), lambda g: _accumulate(a, grad(g)))
+
+
 def add(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
     value = a.value + b.value
@@ -163,12 +170,7 @@ def mul(a, b) -> Tensor:
 
 def scale(a, factor: float) -> Tensor:
     a = astensor(a)
-    value = a.value * factor
-
-    def backward(g):
-        _accumulate(a, g * factor)
-
-    return _make(value, (a,), backward)
+    return _unary(a, a.value * factor, lambda g: g * factor)
 
 
 def matmul(a, b) -> Tensor:
@@ -192,12 +194,7 @@ def matmul(a, b) -> Tensor:
 
 def relu(a) -> Tensor:
     a = astensor(a)
-    value = np.maximum(a.value, 0.0)
-
-    def backward(g):
-        _accumulate(a, g * (a.value > 0.0))
-
-    return _make(value, (a,), backward)
+    return _unary(a, np.maximum(a.value, 0.0), lambda g: g * (a.value > 0.0))
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
@@ -219,41 +216,24 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | No
 def sigmoid(a) -> Tensor:
     a = astensor(a)
     value = _sigmoid(a.value)
-
-    def backward(g):
-        _accumulate(a, g * value * (1.0 - value))
-
-    return _make(value, (a,), backward)
+    return _unary(a, value, lambda g: g * value * (1.0 - value))
 
 
 def tanh(a) -> Tensor:
     a = astensor(a)
     value = np.tanh(a.value)
-
-    def backward(g):
-        _accumulate(a, g * (1.0 - value * value))
-
-    return _make(value, (a,), backward)
+    return _unary(a, value, lambda g: g * (1.0 - value * value))
 
 
 def exp(a) -> Tensor:
     a = astensor(a)
     value = np.exp(a.value)
-
-    def backward(g):
-        _accumulate(a, g * value)
-
-    return _make(value, (a,), backward)
+    return _unary(a, value, lambda g: g * value)
 
 
 def log(a) -> Tensor:
     a = astensor(a)
-    value = np.log(a.value)
-
-    def backward(g):
-        _accumulate(a, g / a.value)
-
-    return _make(value, (a,), backward)
+    return _unary(a, np.log(a.value), lambda g: g / a.value)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -278,24 +258,14 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = astensor(a)
-    value = a.value.reshape(shape)
-
-    def backward(g):
-        _accumulate(a, g.reshape(a.value.shape))
-
-    return _make(value, (a,), backward)
+    return _unary(a, a.value.reshape(shape), lambda g: g.reshape(a.value.shape))
 
 
 def transpose(a, axes) -> Tensor:
     a = astensor(a)
     axes = tuple(axes)
-    value = a.value.transpose(axes)
     inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        _accumulate(a, g.transpose(inverse))
-
-    return _make(value, (a,), backward)
+    return _unary(a, a.value.transpose(axes), lambda g: g.transpose(inverse))
 
 
 def concat(tensors, axis: int = -1) -> Tensor:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ShapeError
 from . import autodiff
 from .autodiff import Tensor, astensor
 
@@ -34,10 +34,9 @@ def residual_wrap(sublayer_output, sublayer_input):
     return _materialize(autodiff.add(a, b), sublayer_output, sublayer_input)
 
 
-def conv_pool_forward(x, weights, bias, pool_range: int, activation: str = "relu",
-                      causal: bool = False):
+def conv_pool_forward(x, weights, bias, pool_range: int, causal: bool = False):
     """Length-preserving feed-forward block: same-padded 1-D convolution,
-    pointwise activation, then a stride-1 sliding max over pool_range.
+    ReLU, then a stride-1 sliding max over pool_range.
 
     x: (..., T, Cin); weights: (K, Cin, Cout), odd K; bias: broadcastable
     to (Cout,). causal=True pads on the left only, so position t never reads
@@ -47,9 +46,6 @@ def conv_pool_forward(x, weights, bias, pool_range: int, activation: str = "relu
     if wt.value.ndim != 3:
         raise ShapeError(f"kernel must be (K, Cin, Cout), got shape {wt.value.shape}")
     out = autodiff.conv1d_same(astensor(x), wt, astensor(bias), causal=causal)
-    if activation == "relu":
-        out = autodiff.relu(out)
-    elif activation != "linear":
-        raise ConfigError(f"unknown activation {activation!r}")
+    out = autodiff.relu(out)
     out = autodiff.maxpool1d_same(out, pool_range, causal=causal)
     return _materialize(out, x, weights, bias)

@@ -7,6 +7,7 @@ fractions and converted to percent at this rendering layer only.
 
 from __future__ import annotations
 
+import html
 import json
 import os
 
@@ -230,7 +231,8 @@ def emit_plot(actual, forecasts: dict, out_path, title: str | None = None) -> st
     ]
     if title:
         parts.append(
-            f'<text x="{left:.1f}" y="18" font-family="monospace" font-size="13">{title}</text>'
+            f'<text x="{left:.1f}" y="18" font-family="monospace" font-size="13">'
+            f'{html.escape(title, quote=False)}</text>'
         )
     parts.append(
         f'<line x1="{left:.1f}" y1="{bottom:.1f}" x2="{right:.1f}" y2="{bottom:.1f}" '
@@ -271,7 +273,7 @@ def emit_plot(actual, forecasts: dict, out_path, title: str | None = None) -> st
         )
         parts.append(
             f'<text x="{right + 44:.1f}" y="{legend_y + 4:.1f}" font-family="monospace" '
-            f'font-size="12">{name}</text>'
+            f'font-size="12">{html.escape(name, quote=False)}</text>'
         )
         legend_y += 18.0
     parts.append("</svg>")

@@ -274,13 +274,7 @@ class TransformerForecaster:
 
     def clone(self) -> "TransformerForecaster":
         """Independent copy with the same weights; optimizer state starts fresh."""
-        twin = TransformerForecaster(self.config, init_seed=0)
-        twin.params.load_values_from(self.params)
-        twin.normalizer = self.normalizer
-        twin.trained = self.trained
-        twin.pretrain_learning_rate = self.pretrain_learning_rate
-        twin.provenance = dict(self.provenance)
-        return twin
+        return self._from_state(self._state(), self.params)
 
     def set_normalizer(self, normalizer: NormalizationParams) -> None:
         self.normalizer = normalizer
@@ -559,18 +553,37 @@ class TransformerForecaster:
 
     # ---- persistence ------------------------------------------------------
 
-    def save(self, path: str) -> None:
-        """Write the weight binary at `path` and a JSON sidecar at path + '.json'."""
-        self.params.save(path)
-        sidecar = {
+    def _state(self) -> dict:
+        """Everything but the weights: the sidecar `save` writes, and what
+        `load` and `clone` rebuild a model from with `_from_state`."""
+        return {
             "config": self.config.to_dict(),
             "normalizer": self.normalizer.to_dict() if self.normalizer else None,
             "trained": self.trained,
             "pretrain_learning_rate": self.pretrain_learning_rate,
             "provenance": self.provenance,
         }
+
+    @classmethod
+    def _from_state(cls, state: dict, params: ParamStore) -> "TransformerForecaster":
+        """A model rebuilt from a `_state()` record and a store of its weights."""
+        if state["trained"] not in cls.TRAINED_STATES:
+            raise StateError(f"unknown trained state {state['trained']!r}")
+        model = cls(TransformerConfig.from_dict(state["config"]), init_seed=0)
+        model.params.load_values_from(params)
+        model.normalizer = (
+            NormalizationParams.from_dict(state["normalizer"]) if state["normalizer"] else None
+        )
+        model.trained = state["trained"]
+        model.pretrain_learning_rate = float(state["pretrain_learning_rate"])
+        model.provenance = dict(state.get("provenance", {}))
+        return model
+
+    def save(self, path: str) -> None:
+        """Write the weight binary at `path` and a JSON sidecar at path + '.json'."""
+        self.params.save(path)
         with open(path + ".json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
+            json.dump(self._state(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod
@@ -579,16 +592,5 @@ class TransformerForecaster:
         if not os.path.exists(sidecar_path):
             raise StateError(f"missing model sidecar {sidecar_path}")
         with open(sidecar_path, "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-        model = cls(TransformerConfig.from_dict(sidecar["config"]), init_seed=0)
-        loaded = ParamStore.load(path)
-        model.params.load_values_from(loaded)
-        model.normalizer = (
-            NormalizationParams.from_dict(sidecar["normalizer"]) if sidecar["normalizer"] else None
-        )
-        if sidecar["trained"] not in cls.TRAINED_STATES:
-            raise StateError(f"unknown trained state {sidecar['trained']!r}")
-        model.trained = sidecar["trained"]
-        model.pretrain_learning_rate = float(sidecar["pretrain_learning_rate"])
-        model.provenance = dict(sidecar.get("provenance", {}))
-        return model
+            state = json.load(fh)
+        return cls._from_state(state, ParamStore.load(path))

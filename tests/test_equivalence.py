@@ -18,10 +18,10 @@ import pytest
 
 import loadcast.nn.autodiff as ad
 from loadcast.baselines import GradientBoostedTrees, LSTMModel, MLPModel, RegressionTree, lstm_cell_step, trees
-from loadcast.baselines.neural import LSTM_GATES
+from loadcast.baselines.neural import LSTM_GATES, _add_dense
 from loadcast.corpus import GeneratorSpec, generate_series
 from loadcast.errors import NumericError, ShapeError
-from loadcast.nn import ParamStore, Tensor, adam_update, grad_check, no_grad
+from loadcast.nn import ParamStore, Tensor, adam_update, glorot_init, grad_check, no_grad
 from loadcast.series import NormalizationParams, SupervisedWindowSet, fit_normalizer
 from loadcast.transformer import (
     VALIDATION_TAIL,
@@ -132,7 +132,21 @@ def test_lstm_layer_rejects_mismatched_shapes():
 
 
 class _TapeLSTM(LSTMModel):
-    """LSTMModel with the per-step, per-gate tape forward the fused layer replaced."""
+    """LSTMModel with the per-gate parameters and the per-step, per-gate tape
+    forward that the joined parameters and the fused layer replaced."""
+
+    def _build(self, rng):
+        params = ParamStore()
+        input_dim = 1
+        for layer, units in enumerate(self.lstm_units):
+            for gate in LSTM_GATES:
+                prefix = f"lstm{layer}.{gate}"
+                params.add(f"{prefix}.w", glorot_init(rng, input_dim, units, (input_dim, units)))
+                params.add(f"{prefix}.u", glorot_init(rng, units, units, (units, units)))
+                bias = np.ones((1, units)) if gate == "forget" else np.zeros((1, units))
+                params.add(f"{prefix}.b", bias)
+            input_dim = units
+        return _add_dense(params, rng, "dense.", self.lstm_units[-1] + 2, self.dense_units)
 
     def _forward(self, features):
         sequence = Tensor(features[:, : self.window_length, None])
@@ -157,7 +171,20 @@ def test_lstm_model_loss_curve_matches_tape_reference():
     tape = _TapeLSTM(epochs=10).fit(windows, seed=5)
     np.testing.assert_allclose(fused.curve, tape.curve, rtol=0, atol=1e-12)
     np.testing.assert_allclose(fused.predict(windows.inputs), tape.predict(windows.inputs), rtol=1e-12)
-    assert fused.params.names() == tape.params.names()
+
+
+@pytest.mark.parametrize("units", [(16, 8), (4, 2, 3)])
+def test_lstm_model_stores_the_per_gate_draws_joined(units):
+    joined = LSTMModel(lstm_units=units)._build(np.random.default_rng(6))
+    per_gate = _TapeLSTM(lstm_units=units)._build(np.random.default_rng(6))
+    for layer in range(len(units)):
+        for kind in ("w", "u", "b"):
+            gates = [per_gate.tensor(f"lstm{layer}.{gate}.{kind}").value for gate in LSTM_GATES]
+            _assert_bitwise(joined.tensor(f"lstm{layer}.{kind}").value, np.concatenate(gates, axis=1))
+    dense = [name for name in per_gate.names() if name.startswith("dense.")]
+    assert joined.names() == [f"lstm{k}.{kind}" for k in range(len(units)) for kind in "wub"] + dense
+    for name in dense:
+        _assert_bitwise(joined.tensor(name).value, per_gate.tensor(name).value)
 
 
 def _per_row_walk(tree, features):

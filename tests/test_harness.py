@@ -1,6 +1,7 @@
 """Tests for the rolling-origin evaluation harness, reporting, and CLI."""
 
 import json
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -114,6 +115,24 @@ def test_spec_from_dict_guards():
         ExperimentSpec.from_dict({**base, "surprise": 1})
     with pytest.raises(ConfigError):
         ExperimentSpec.from_dict({"horizons_hours": [1], "models": ["pm"]})
+
+
+@pytest.mark.parametrize("name,value", [
+    ("fine_tune", "false"), ("fine_tune", 0), ("runs_per_model", 2.9), ("runs_per_model", True),
+    ("runs_per_model", "3"), ("master_seed", 1.0), ("master_seed", False),
+])
+def test_spec_scalars_are_validated_not_coerced(name, value):
+    base = {"cases": ["case1"], "horizons_hours": [1], "models": ["pm"]}
+    with pytest.raises(ConfigError, match=name):
+        ExperimentSpec.from_dict({**base, name: value})
+    with pytest.raises(ConfigError, match=name):
+        ExperimentSpec(cases=("case1",), horizons_hours=(1,), models=("pm",), **{name: value})
+
+
+def test_spec_accepts_numpy_integers():
+    spec = ExperimentSpec(cases=("case1",), horizons_hours=(1,), models=("pm",),
+                          runs_per_model=np.int64(2), master_seed=np.uint8(7))
+    assert (spec.runs_per_model, spec.master_seed) == (2, 7)
 
 
 def test_load_spec_reads_json(tmp_path):
@@ -497,6 +516,15 @@ def test_emit_plot_produces_standalone_svg(tmp_path):
     assert text.rstrip().endswith("</svg>")
     assert text.count("<polyline") == 3
     assert "demo" in text
+
+
+def test_emit_plot_escapes_title_and_model_names(tmp_path):
+    path = tmp_path / "plot.svg"
+    emit_plot([1.0, 2.0, 1.5], {"lr & rt": [1.1, 1.9, 1.4]}, str(path), title="tsfm <case1>")
+    root = ET.parse(path).getroot()
+    texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[0] == "tsfm <case1>"
+    assert texts[-2:] == ["actual", "lr & rt"]
 
 
 def test_emit_plot_guards(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the encoder-decoder forecaster and its attention pieces."""
 
+import json
 from datetime import datetime
 
 import numpy as np
@@ -395,6 +396,37 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_allclose(
         loaded.forecast_batch(history, 4), model.forecast_batch(history, 4), rtol=0, atol=0
     )
+
+
+def _reference_sidecar(model) -> bytes:
+    """Reference sidecar writer, its field list written out in full."""
+    sidecar = {
+        "config": model.config.to_dict(),
+        "normalizer": model.normalizer.to_dict() if model.normalizer else None,
+        "trained": model.trained,
+        "pretrain_learning_rate": model.pretrain_learning_rate,
+        "provenance": model.provenance,
+    }
+    return (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def test_clone_and_save_load_rebuild_the_same_model(tmp_path):
+    untrained = TransformerForecaster(TINY, init_seed=9)
+    tuned = pretrained_tiny(seed=9)
+    tuned.fine_tune(generate_series(GeneratorSpec(family="seasonal", length=64, period=12, seed=6)),
+                    epochs=1, seed=3)
+    for name, model in (("untrained", untrained), ("tuned", tuned)):
+        path = str(tmp_path / f"{name}.bin")
+        model.save(path)
+        with open(path + ".json", "rb") as fh:
+            assert fh.read() == _reference_sidecar(model)
+        for copy in (TransformerForecaster.load(path), model.clone()):
+            assert copy.state_hash() == model.state_hash()
+            assert copy.normalizer == model.normalizer
+            assert copy.trained == model.trained
+            assert copy.pretrain_learning_rate == model.pretrain_learning_rate
+            assert copy.provenance == model.provenance
+            assert copy.config == model.config
 
 
 def test_load_missing_sidecar_raises(tmp_path):
