@@ -10,11 +10,8 @@ from .neural import LSTMModel, MLPModel, lstm_cell_step
 from .simple import LinearModel, PersistenceModel, pm_forecast
 from .trees import GradientBoostedTrees, RegressionTree, best_split
 
-# Canonical ordering: fixed tie-break sequence for model selection and the
-# column order of reports.
-MODEL_ORDER = ("tsfm", "pm", "lr", "rt", "gbt", "mlp", "lstm")
-BASELINE_IDS = ("pm", "lr", "rt", "gbt", "mlp", "lstm")
-
+# Canonical ordering, tsfm then the baselines in table order: the fixed
+# tie-break sequence for model selection and the column order of reports.
 _FACTORIES = {
     "pm": PersistenceModel,
     "lr": LinearModel,
@@ -23,6 +20,8 @@ _FACTORIES = {
     "mlp": MLPModel,
     "lstm": LSTMModel,
 }
+BASELINE_IDS = tuple(_FACTORIES)
+MODEL_ORDER = ("tsfm",) + BASELINE_IDS
 
 
 def create_baseline(model_id: str, hyperparams: dict | None = None):

@@ -24,6 +24,7 @@ from .harness import (
     run_experiment,
     select_model,
 )
+from .metrics import METRICS
 from .report import (
     emit_plot,
     emit_report,
@@ -73,7 +74,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="series CSV with the full history")
     p.add_argument("--candidates", required=True,
                    help=f"comma-separated model ids from {','.join(MODEL_ORDER)}")
-    p.add_argument("--criterion", default="rmse", choices=["rmse", "mae", "mape"])
+    p.add_argument("--criterion", default="rmse", choices=METRICS)
     p.add_argument("--validation-fraction", type=float, default=DEFAULT_VALIDATION_FRACTION)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--artifact", default=None, help="pretrained transformer, if tsfm is a candidate")

@@ -19,6 +19,9 @@ from .errors import ConfigError
 from .series import TimeSeries, write_csv
 
 FAMILIES = ("trend", "seasonal", "trend_seasonal", "noisy", "outlier_spiked", "random_walk")
+#: Families whose series add a linear trend, and those that add a sinusoid.
+TREND_FAMILIES = ("trend", "trend_seasonal")
+SEASONAL_FAMILIES = ("seasonal", "trend_seasonal", "outlier_spiked")
 PERIODS = (12, 24, 168)
 MIN_LENGTH = 64
 MAX_OUTLIER_RATE = 0.05
@@ -51,9 +54,7 @@ class GeneratorSpec:
             )
         if self.noise_std < 0:
             raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
-        if self.family in ("seasonal", "trend_seasonal", "outlier_spiked") and (
-            self.period is None or self.period < 2
-        ):
+        if self.family in SEASONAL_FAMILIES and (self.period is None or self.period < 2):
             raise ConfigError(f"family {self.family!r} needs a period >= 2")
 
     def to_dict(self) -> dict:
@@ -73,27 +74,16 @@ def generate_series(spec: GeneratorSpec) -> TimeSeries:
     phase = rng.uniform(0.0, 2.0 * np.pi)
     amplitude = rng.uniform(0.3, 1.0)
 
-    if spec.family == "trend":
-        values = base_level + spec.trend_slope * t
-    elif spec.family == "seasonal":
-        values = base_level + amplitude * np.sin(2.0 * np.pi * t / spec.period + phase)
-    elif spec.family == "trend_seasonal":
-        values = (
-            base_level
-            + spec.trend_slope * t
-            + amplitude * np.sin(2.0 * np.pi * t / spec.period + phase)
-        )
-    elif spec.family == "noisy":
-        values = np.full(spec.length, base_level)
-    elif spec.family == "outlier_spiked":
-        values = base_level + amplitude * np.sin(2.0 * np.pi * t / spec.period + phase)
-    elif spec.family == "random_walk":
+    # Each family is the base level plus its parts, added in this order.
+    values = np.full(spec.length, base_level)
+    if spec.family in TREND_FAMILIES:
+        values = values + spec.trend_slope * t
+    if spec.family in SEASONAL_FAMILIES:
+        values = values + amplitude * np.sin(2.0 * np.pi * t / spec.period + phase)
+    if spec.family == "random_walk":
         steps = rng.normal(0.0, max(spec.noise_std, 0.02), size=spec.length)
-        values = base_level + np.cumsum(steps)
-    else:  # unreachable, __post_init__ validates
-        raise ConfigError(f"unknown family {spec.family!r}")
-
-    if spec.family != "random_walk" and spec.noise_std > 0:
+        values = values + np.cumsum(steps)
+    elif spec.noise_std > 0:
         values = values + rng.normal(0.0, spec.noise_std, size=spec.length)
 
     # Drawn unconditionally so the rate-0 twin consumes the same stream.
@@ -102,7 +92,7 @@ def generate_series(spec: GeneratorSpec) -> TimeSeries:
     if spec.family == "outlier_spiked":
         values = np.where(spike_positions, values * spike_factors, values)
 
-    return TimeSeries(CORPUS_EPOCH, 1.0, values, name=f"{spec.family}_{spec.seed}")
+    return TimeSeries(CORPUS_EPOCH, values, name=f"{spec.family}_{spec.seed}")
 
 
 def draw_specs(

@@ -24,7 +24,7 @@ import numpy as np
 from .baselines import MODEL_ORDER, create_baseline
 from .corpus import GeneratorSpec, generate_series
 from .errors import ConfigError, DomainError, InsufficientDataError
-from .metrics import CellKey, MetricReport, MetricTriple, aggregate_runs, percent_reduction
+from .metrics import METRICS, CellKey, MetricReport, MetricTriple, aggregate_runs, percent_reduction
 from .series import (
     CaseId,
     TimeSeries,
@@ -44,8 +44,6 @@ DEFAULT_WINDOW = 24
 
 DEFAULT_RUNS = 30
 DEFAULT_VALIDATION_FRACTION = 0.25
-
-CRITERIA = ("rmse", "mae", "mape")
 
 _CASE_ORDER = tuple(CaseId)
 
@@ -69,6 +67,11 @@ class ExperimentSpec:
     pretrained_artifact: str | None = None
 
     def __post_init__(self):
+        for name in ("cases", "horizons_hours", "models"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
+        if any(isinstance(h, bool) or not isinstance(h, numbers.Integral) for h in self.horizons_hours):
+            raise ConfigError(f"horizons_hours must be integers, got {list(self.horizons_hours)!r}")
         object.__setattr__(
             self, "cases", tuple(CaseId.parse(str(c)).value for c in self.cases)
         )
@@ -182,8 +185,7 @@ def fit_case_model(
     return create_baseline(model_id, hyperparams).fit(windows, seed=seed)
 
 
-def roll_forecasts(model, series: TimeSeries, train_len: int, h_max: int, normalizer,
-                   window: int = DEFAULT_WINDOW) -> np.ndarray:
+def roll_forecasts(model, series: TimeSeries, train_len: int, h_max: int, normalizer) -> np.ndarray:
     """Normalized forecast matrix over every rolling origin in the test slice.
 
     Row o holds the h_max-step trajectory launched from the origin whose
@@ -192,23 +194,20 @@ def roll_forecasts(model, series: TimeSeries, train_len: int, h_max: int, normal
     with the target hour's cyclic features refreshed per step. Returns shape
     (test_len, h_max).
     """
-    values = series.values
     test_len = len(series) - train_len
     if test_len < 1:
         raise InsufficientDataError("no test points after the training slice")
-    if isinstance(model, TransformerForecaster):
-        ctx = model.config.context_length
-        if train_len < ctx:
-            raise InsufficientDataError(f"training slice shorter than the {ctx}-point context")
-        starts = train_len - ctx
-        contexts = np.lib.stride_tricks.sliding_window_view(values, ctx)[starts : starts + test_len]
+    tsfm = isinstance(model, TransformerForecaster)
+    width, unit = (model.config.context_length, "point context") if tsfm else (DEFAULT_WINDOW, "lag window")
+    if train_len < width:
+        raise InsufficientDataError(f"training slice shorter than the {width}-{unit}")
+    # The transformer normalizes its raw contexts itself; baselines take normalized lags.
+    values = series.values if tsfm else normalizer.apply(series.values)
+    starts = train_len - width
+    contexts = np.lib.stride_tricks.sliding_window_view(values, width)[starts : starts + test_len]
+    if tsfm:
         return normalizer.apply(model.forecast_batch(contexts, h_max))
-    if train_len < window:
-        raise InsufficientDataError(f"training slice shorter than the {window}-lag window")
-    full_norm = normalizer.apply(values)
-    starts = train_len - window
-    lags = np.lib.stride_tricks.sliding_window_view(full_norm, window)[starts : starts + test_len]
-    lags = np.array(lags)
+    lags = np.array(contexts)
     target_index = train_len + np.arange(test_len)
     preds = np.empty((test_len, h_max))
     for step in range(1, h_max + 1):
@@ -328,7 +327,7 @@ def compare_models(report: MetricReport, reference: str) -> dict[CellKey, dict[s
     for (model, case, horizon), peer in sorted(report.entries.items()):
         ref = report.get(reference, case, horizon)
         row: dict[str, float | None] = {}
-        for name in CRITERIA:
+        for name in METRICS:
             values = (None, None) if ref is None else (getattr(ref, name), getattr(peer, name))
             try:
                 row[name] = None if None in values else percent_reduction(*values)
@@ -336,7 +335,7 @@ def compare_models(report: MetricReport, reference: str) -> dict[CellKey, dict[s
                 row[name] = None
         table[(model, case, horizon)] = row
     for key in sorted(report.errors):
-        table.setdefault(key, {name: None for name in CRITERIA})
+        table.setdefault(key, {name: None for name in METRICS})
     return table
 
 
@@ -382,8 +381,8 @@ def select_model(
     unknown = [m for m in candidates if m not in MODEL_ORDER]
     if unknown:
         raise ConfigError(f"unknown candidate ids {unknown}; known: {list(MODEL_ORDER)}")
-    if criterion not in CRITERIA:
-        raise ConfigError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+    if criterion not in METRICS:
+        raise ConfigError(f"criterion must be one of {METRICS}, got {criterion!r}")
     if not 0.0 < validation_fraction < 0.5:
         raise ConfigError("validation_fraction must lie in (0, 0.5)")
     n = len(history)

@@ -6,7 +6,7 @@ MAPE is stored as a fraction; multiply by 100 at rendering time only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -71,7 +71,7 @@ class MetricTriple:
     mape: float | None
 
     def __post_init__(self):
-        for name in ("rmse", "mae", "mape"):
+        for name in METRICS:
             v = getattr(self, name)
             if not (name == "mape" and v is None) and (not math.isfinite(v) or v < 0):
                 raise DataError(f"{name} must be finite and non-negative, got {v}")
@@ -81,7 +81,7 @@ class MetricTriple:
         return MetricTriple(self.rmse * factor, self.mae * factor, mape)
 
     def as_dict(self) -> dict:
-        return {"rmse": self.rmse, "mae": self.mae, "mape": self.mape}
+        return asdict(self)
 
     @classmethod
     def from_arrays(cls, actual, forecast) -> "MetricTriple":
@@ -90,6 +90,10 @@ class MetricTriple:
         except DomainError:
             percentage = None
         return cls(rmse=rmse(actual, forecast), mae=mae(actual, forecast), mape=percentage)
+
+
+#: The metric names, in the order reports, comparisons and selection use them.
+METRICS = tuple(f.name for f in fields(MetricTriple))
 
 
 def aggregate_runs(per_run: list[MetricTriple]) -> MetricTriple:

@@ -15,11 +15,8 @@ import numpy as np
 
 from .baselines import MODEL_ORDER
 from .errors import DataError, ShapeError
-from .metrics import MetricReport
+from .metrics import METRICS, MetricReport
 from .series import TimeSeries, split_case
-
-#: Sub-columns rendered for every horizon group, in order.
-METRIC_COLUMNS = ("rmse", "mae", "mape")
 
 #: Stroke colors assigned to forecast lines, cycled in sorted-model order.
 PLOT_PALETTE = (
@@ -30,11 +27,9 @@ PLOT_PALETTE = (
 _CELL_WIDTH = 11
 
 
-def _canonical_models(report: MetricReport) -> list[str]:
-    """Report models sorted by the fixed model-id order, unknown ids last."""
-    present = report.models()
-    known = [m for m in MODEL_ORDER if m in present]
-    return known + sorted(m for m in present if m not in MODEL_ORDER)
+def _model_rank(model: str) -> tuple[int, str]:
+    """Sort key: the fixed model-id order first, then unknown ids by name."""
+    return (MODEL_ORDER.index(model) if model in MODEL_ORDER else len(MODEL_ORDER), model)
 
 
 def _cell_texts(report: MetricReport, model: str, case: str, horizon: int, absent: str) -> list[str]:
@@ -58,7 +53,7 @@ def render_case_csv(report: MetricReport, case: str) -> str:
     for h in horizons:
         header.extend([f"rmse_{h}h", f"mae_{h}h", f"mape_pct_{h}h"])
     lines = [",".join(header)]
-    for model in _canonical_models(report):
+    for model in sorted(report.models(), key=_model_rank):
         row = [model]
         for h in horizons:
             row.extend(_cell_texts(report, model, case, h, ""))
@@ -75,7 +70,7 @@ def render_text_table(report: MetricReport) -> str:
     if not report.entries and not report.errors:
         raise DataError("cannot render an empty report")
     horizons = report.horizons()
-    models = _canonical_models(report)
+    models = sorted(report.models(), key=_model_rank)
     name_width = max([len("model")] + [len(m) for m in models])
     group_width = 3 * _CELL_WIDTH + 2
     blocks: list[str] = []
@@ -108,17 +103,13 @@ def render_comparison(table: dict, reference: str) -> str:
         f"error reduction of {reference} vs. each model (positive = {reference} better)",
         "",
         "model".ljust(8) + "case".ljust(8) + "horizon".ljust(9)
-        + "".join(f"{m}_red%".ljust(12) for m in METRIC_COLUMNS),
+        + "".join(f"{m}_red%".ljust(12) for m in METRICS),
     ]
-    def order(key):
-        model, case, horizon = key
-        rank = MODEL_ORDER.index(model) if model in MODEL_ORDER else len(MODEL_ORDER)
-        return (case, horizon, rank, model)
-
-    for model, case, horizon in sorted(table, key=order):
+    # Keys are (model, case, horizon): group by case and horizon, then rank models.
+    for model, case, horizon in sorted(table, key=lambda k: (k[1], k[2], _model_rank(k[0]))):
         row = table[(model, case, horizon)]
         cells = "".join(
-            ("-" if row[m] is None else f"{row[m]:+.2f}").ljust(12) for m in METRIC_COLUMNS
+            ("-" if row[m] is None else f"{row[m]:+.2f}").ljust(12) for m in METRICS
         )
         lines.append(model.ljust(8) + case.ljust(8) + f"{horizon}h".ljust(9) + cells)
     return "\n".join(line.rstrip() for line in lines) + "\n"

@@ -1,8 +1,8 @@
 """Time series ingestion, normalization, windowing, and train/test case splits.
 
-Everything in this module is pure and timezone-naive. A series is an equally
-spaced univariate load record; all downstream models consume either a raw
-series (the transformer) or supervised windows built from it (the baselines).
+Everything in this module is pure and timezone-naive. A series is an hourly
+univariate load record; all downstream models consume either a raw series
+(the transformer) or supervised windows built from it (the baselines).
 """
 
 from __future__ import annotations
@@ -62,10 +62,9 @@ def _as_readonly_f64(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Equally spaced univariate load values with resolution metadata."""
+    """Hourly univariate load values: index i is the hour start + i h."""
 
     start: datetime
-    resolution_hours: float
     values: np.ndarray
     name: str = "series"
 
@@ -75,14 +74,12 @@ class TimeSeries:
             raise DataError(f"series {self.name!r}: values must be a non-empty 1-D array")
         if not np.all(np.isfinite(self.values)):
             raise DataError(f"series {self.name!r}: values contain non-finite entries")
-        if not self.resolution_hours > 0:
-            raise DataError(f"series {self.name!r}: resolution must be positive")
 
     def __len__(self) -> int:
         return int(self.values.size)
 
     def timestamp(self, index: int) -> datetime:
-        return self.start + timedelta(hours=self.resolution_hours * index)
+        return self.start + timedelta(hours=int(index))
 
     @property
     def end(self) -> datetime:
@@ -95,7 +92,7 @@ class TimeSeries:
         forecasts name the hours they target.
         """
         start_hour = self.start.hour + self.start.minute / 60.0 + self.start.second / 3600.0
-        return (start_hour + self.resolution_hours * index) % 24.0
+        return (start_hour + index) % 24.0
 
     def hours_of_day(self) -> np.ndarray:
         return self.hour_of_day(np.arange(len(self)))
@@ -108,7 +105,6 @@ class TimeSeries:
             )
         return TimeSeries(
             start=self.timestamp(start_index),
-            resolution_hours=self.resolution_hours,
             values=self.values[start_index:stop_index],
             name=name or self.name,
         )
@@ -118,7 +114,7 @@ class TimeSeries:
         arr = np.asarray(values, dtype=np.float64)
         if arr.shape != self.values.shape:
             raise DataError("with_values must preserve the series length")
-        return TimeSeries(self.start, self.resolution_hours, arr, name or self.name)
+        return TimeSeries(self.start, arr, name or self.name)
 
 
 @dataclass(frozen=True)
@@ -259,7 +255,7 @@ def load_csv(path) -> TimeSeries:
     name = str(path).rsplit("/", 1)[-1]
     if name.lower().endswith(".csv"):
         name = name[:-4]
-    return TimeSeries(start=start, resolution_hours=1.0, values=values, name=name)
+    return TimeSeries(start=start, values=values, name=name)
 
 
 def write_csv(series: TimeSeries, path) -> None:
@@ -321,8 +317,7 @@ def split_case(series: TimeSeries, case_id: CaseId) -> CaseSplit:
     if not isinstance(case_id, CaseId):
         case_id = CaseId.parse(str(case_id))
     days = CASE_TRAIN_DAYS[case_id]
-    points_per_day = int(round(HOURS_PER_DAY / series.resolution_hours))
-    train_points = days * points_per_day
+    train_points = days * HOURS_PER_DAY
     if len(series) < train_points + 1:
         raise InsufficientDataError(
             f"{case_id.value} needs more than {train_points} points, series has {len(series)}"

@@ -284,8 +284,16 @@ class TransformerForecaster:
 
     # ---- forward passes ---------------------------------------------------
 
-    def _ln(self, prefix: str, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.params.tensor(prefix + "g"), self.params.tensor(prefix + "b"))
+    def _add_norm(self, prefix: str, h: Tensor, sublayer: Tensor) -> Tensor:
+        """Residual sublayer output: layer_norm(h + sublayer) with the {prefix}g/b weights."""
+        return ad.layer_norm(ad.add(h, sublayer), self.params.tensor(prefix + "g"),
+                             self.params.tensor(prefix + "b"))
+
+    def _embed(self, prefix: str, values: np.ndarray) -> Tensor:
+        """Each scalar of the (B, T) `values` projected to d_model by {prefix}w/b."""
+        b, t = values.shape
+        return ad.add(ad.matmul(Tensor(values.reshape(b, t, 1)), self.params.tensor(prefix + "w")),
+                      self.params.tensor(prefix + "b"))
 
     def _conv_block(self, prefix: str, x: Tensor, causal: bool = False, cache: _LayerCache | None = None) -> Tensor:
         """Conv, ReLU and max-pool over every position of `x`; with a cache,
@@ -307,16 +315,12 @@ class TransformerForecaster:
 
     def _encode(self, contexts: np.ndarray) -> Tensor:
         cfg = self.config
-        b, t = contexts.shape
-        h = ad.add(
-            ad.matmul(Tensor(contexts.reshape(b, t, 1)), self.params.tensor("embed.enc.w")),
-            self.params.tensor("embed.enc.b"),
-        )
-        h = ad.add(h, Tensor(positional_encoding(t, cfg.d_model)))
+        h = self._embed("embed.enc.", contexts)
+        h = ad.add(h, Tensor(positional_encoding(contexts.shape[1], cfg.d_model)))
         for i in range(cfg.encoder_layers):
             p = f"enc{i}."
-            h = self._ln(p + "ln1.", ad.add(h, multi_head_attention(h, self.params, cfg.head_count, prefix=p + "attn.")))
-            h = self._ln(p + "ln2.", ad.add(h, self._conv_block(p + "conv.", h)))
+            h = self._add_norm(p + "ln1.", h, multi_head_attention(h, self.params, cfg.head_count, prefix=p + "attn."))
+            h = self._add_norm(p + "ln2.", h, self._conv_block(p + "conv.", h))
         return h
 
     def _decode(self, previous: np.ndarray, encoded: Tensor, cache: list[_LayerCache] | None = None) -> Tensor:
@@ -338,19 +342,16 @@ class TransformerForecaster:
             tokens.append(ad.add(Tensor(np.zeros((b, 1, d))), ad.reshape(self.params.tensor("start"), (1, 1, d))))
         embedded = previous[:, max(first - 1, 0):]  # position j >= 1 embeds output j - 1
         if embedded.shape[1] > 0:
-            tokens.append(ad.add(
-                ad.matmul(Tensor(embedded.reshape(b, -1, 1)), self.params.tensor("embed.dec.w")),
-                self.params.tensor("embed.dec.b"),
-            ))
+            tokens.append(self._embed("embed.dec.", embedded))
         h = ad.concat(tokens, axis=1) if len(tokens) > 1 else tokens[0]
         h = ad.add(h, Tensor(positional_encoding(m + 1, d)[first:]))
         for i in range(cfg.decoder_layers):
             p = f"dec{i}."
             layer = None if cache is None else cache[i]
             self_kv, cross_kv = (None, None) if layer is None else (layer.self_attn, layer.cross_attn)
-            h = self._ln(p + "ln1.", ad.add(h, multi_head_attention(h, self.params, cfg.head_count, causal=True, prefix=p + "self.", cache=self_kv)))
-            h = self._ln(p + "ln2.", ad.add(h, multi_head_attention(h, self.params, cfg.head_count, kv=encoded, prefix=p + "cross.", cache=cross_kv)))
-            h = self._ln(p + "ln3.", ad.add(h, self._conv_block(p + "conv.", h, causal=True, cache=layer)))
+            h = self._add_norm(p + "ln1.", h, multi_head_attention(h, self.params, cfg.head_count, causal=True, prefix=p + "self.", cache=self_kv))
+            h = self._add_norm(p + "ln2.", h, multi_head_attention(h, self.params, cfg.head_count, kv=encoded, prefix=p + "cross.", cache=cross_kv))
+            h = self._add_norm(p + "ln3.", h, self._conv_block(p + "conv.", h, causal=True, cache=layer))
         return h
 
     def _head(self, hidden: Tensor) -> Tensor:

@@ -36,7 +36,7 @@ def window_fixture(seed=0, length=80, window=12):
     rng = np.random.default_rng(seed)
     t = np.arange(length)
     values = 0.5 + 0.3 * np.sin(2 * np.pi * t / 24) + rng.normal(scale=0.03, size=length)
-    series = TimeSeries(datetime(2024, 1, 1), 1.0, values, name="fixture")
+    series = TimeSeries(datetime(2024, 1, 1), values, name="fixture")
     normalizer = fit_normalizer(series)
     return make_windows(series.with_values(normalizer.apply(series.values)), window)
 
@@ -96,7 +96,7 @@ def test_create_baseline_forwards_hyperparams():
 def test_pm_forecast_copies_last_value():
     history = np.array([0.3, 0.8, 0.1, 0.55])
     np.testing.assert_allclose(pm_forecast(history, 5), np.full(5, 0.55), rtol=0)
-    series = TimeSeries(datetime(2024, 1, 1), 1.0, history, name="h")
+    series = TimeSeries(datetime(2024, 1, 1), history, name="h")
     np.testing.assert_allclose(pm_forecast(series, 3), np.full(3, 0.55), rtol=0)
     with pytest.raises(InsufficientDataError):
         pm_forecast(np.array([]), 2)

@@ -65,6 +65,49 @@ def test_outlier_twin_shares_the_base_series():
         assert np.all(ratio >= 2.0) and np.all(ratio <= 4.0)
 
 
+def _family_chain(spec):
+    """generate_series as one branch per family: the reference its composition must match."""
+    rng = np.random.default_rng(spec.seed)
+    t = np.arange(spec.length, dtype=np.float64)
+    base_level = rng.uniform(1.5, 3.0)
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    amplitude = rng.uniform(0.3, 1.0)
+    if spec.family == "trend":
+        values = base_level + spec.trend_slope * t
+    elif spec.family == "seasonal":
+        values = base_level + amplitude * np.sin(2.0 * np.pi * t / spec.period + phase)
+    elif spec.family == "trend_seasonal":
+        values = (
+            base_level
+            + spec.trend_slope * t
+            + amplitude * np.sin(2.0 * np.pi * t / spec.period + phase)
+        )
+    elif spec.family == "noisy":
+        values = np.full(spec.length, base_level)
+    elif spec.family == "outlier_spiked":
+        values = base_level + amplitude * np.sin(2.0 * np.pi * t / spec.period + phase)
+    else:
+        steps = rng.normal(0.0, max(spec.noise_std, 0.02), size=spec.length)
+        values = base_level + np.cumsum(steps)
+    if spec.family != "random_walk" and spec.noise_std > 0:
+        values = values + rng.normal(0.0, spec.noise_std, size=spec.length)
+    spike_positions = rng.uniform(size=spec.length) < spec.outlier_rate
+    spike_factors = rng.uniform(2.0, 4.0, size=spec.length)
+    if spec.family == "outlier_spiked":
+        values = np.where(spike_positions, values * spike_factors, values)
+    return values
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generate_series_matches_the_family_chain_bitwise(family):
+    for seed in (0, 3, 11, 2024):
+        for noise in (0.0, 0.05):
+            for rate in (0.0, 0.04):
+                spec = GeneratorSpec(family=family, length=160, period=PERIODS[seed % 3],
+                                     trend_slope=0.003, noise_std=noise, outlier_rate=rate, seed=seed)
+                assert generate_series(spec).values.tobytes() == _family_chain(spec).tobytes()
+
+
 def test_generator_spec_validation():
     with pytest.raises(ConfigError):
         GeneratorSpec(family="cubist", length=100)

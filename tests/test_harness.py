@@ -28,7 +28,9 @@ from loadcast.report import (
     emit_report,
     load_forecasts,
     load_report,
+    render_case_csv,
     render_comparison,
+    render_text_table,
     write_forecasts,
 )
 from loadcast.series import fit_normalizer, split_case, write_csv
@@ -130,9 +132,21 @@ def test_spec_scalars_are_validated_not_coerced(name, value):
 
 
 def test_spec_accepts_numpy_integers():
-    spec = ExperimentSpec(cases=("case1",), horizons_hours=(1,), models=("pm",),
+    spec = ExperimentSpec(cases=("case1",), horizons_hours=[np.int64(1), np.int32(24)], models=("pm",),
                           runs_per_model=np.int64(2), master_seed=np.uint8(7))
     assert (spec.runs_per_model, spec.master_seed) == (2, 7)
+    assert spec.horizons_hours == (1, 24) and all(type(h) is int for h in spec.horizons_hours)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("horizons_hours", [4.7]), ("horizons_hours", ["6"]), ("horizons_hours", [True]),
+    ("horizons_hours", "16"), ("horizons_hours", 24), ("cases", 1), ("cases", "case1"),
+    ("models", "pm"),
+])
+def test_spec_lists_are_validated_not_coerced(name, value):
+    base = {"cases": ["case1"], "horizons_hours": [1], "models": ["pm"]}
+    with pytest.raises(ConfigError, match=name):
+        ExperimentSpec.from_dict({**base, name: value})
 
 
 def test_load_spec_reads_json(tmp_path):
@@ -202,7 +216,7 @@ def test_roll_forecasts_recursion_feeds_predictions_back():
     normalizer = fit_normalizer(split.train)
     full_norm = normalizer.apply(series.values)
     window = 24
-    preds = roll_forecasts(DoublingStub(window), series, 72, 3, normalizer, window=window)
+    preds = roll_forecasts(DoublingStub(window), series, 72, 3, normalizer)
     assert preds.shape == (28, 3)
     for origin in range(28):
         newest = full_norm[71 + origin]
@@ -493,6 +507,22 @@ def test_render_comparison_contains_fixture_percentages():
     assert "pm" in text
 
 
+def test_unknown_model_ids_follow_the_fixed_order_by_name():
+    triple = MetricTriple(rmse=0.1, mae=0.1, mape=0.1)
+    report = MetricReport(entries={
+        (m, c, 1): triple for c in ("case2", "case1") for m in ("zeta", "pm", "alpha", "tsfm")
+    })
+    expected = ["tsfm", "pm", "alpha", "zeta"]
+    csv_rows = render_case_csv(report, "case1").splitlines()[1:]
+    assert [row.split(",")[0] for row in csv_rows] == expected
+    table_rows = [row for row in render_text_table(report).splitlines() if " | 0.1" in row]
+    assert [row.split()[0] for row in table_rows] == expected * 2
+    lines = render_comparison(compare_models(report, "tsfm"), "tsfm").splitlines()[3:]
+    assert [(line.split()[1], line.split()[0]) for line in lines] == (
+        [("case1", m) for m in expected] + [("case2", m) for m in expected]
+    )
+
+
 def test_forecast_payload_round_trip(tmp_path):
     series = seasonal_series(length=100, seed=16)
     sink: dict = {}
@@ -607,6 +637,10 @@ def test_cli_select_prints_err_for_a_missing_mape(tmp_path, capsys):
 def test_cli_fatal_errors_exit_one(tmp_path, capsys):
     assert cli_main(["run", "--spec", str(tmp_path / "missing.json")]) == 1
     assert "error" in capsys.readouterr().err
+    scalar_spec = tmp_path / "scalar.json"  # a spec error, not a traceback
+    scalar_spec.write_text(json.dumps({"cases": ["case1"], "horizons_hours": 24, "models": ["pm"]}))
+    assert cli_main(["run", "--spec", str(scalar_spec)]) == 1
+    assert "loadcast: error: horizons_hours must be a list" in capsys.readouterr().err
 
     spec_path, out_dir = write_run_artifacts(tmp_path)
     cli_main(["run", "--spec", str(spec_path), "--out", str(out_dir)])

@@ -25,8 +25,8 @@ from loadcast.series import (
 START = datetime(2021, 6, 1)
 
 
-def _series(values, start=START, resolution=1.0, name="s"):
-    return TimeSeries(start=start, resolution_hours=resolution, values=values, name=name)
+def _series(values, start=START, name="s"):
+    return TimeSeries(start=start, values=values, name=name)
 
 
 def test_series_validation_rejects_bad_values():
@@ -38,8 +38,6 @@ def test_series_validation_rejects_bad_values():
         _series([1.0, np.nan])
     with pytest.raises(DataError):
         _series([1.0, np.inf])
-    with pytest.raises(DataError):
-        TimeSeries(START, 0.0, [1.0, 2.0])
 
 
 def test_series_values_are_read_only():
@@ -61,13 +59,23 @@ def test_timestamps_and_hours():
 
 
 def test_hour_of_day_on_arrays_past_the_end_matches_the_inline_formula():
-    for start, resolution in ((datetime(2021, 6, 1, 22, 30, 15), 1.0), (START, 0.5), (START, 0.25)):
-        s = _series([0.0] * 10, start=start, resolution=resolution)
+    for start in (datetime(2021, 6, 1, 22, 30, 15), START):
+        s = _series([0.0] * 10, start=start)
         index = 7 + np.arange(40)  # runs 37 points past the last index, 9
         start_hour = start.hour + start.minute / 60.0 + start.second / 3600.0
-        expected = (start_hour + resolution * index.astype(np.float64)) % 24.0
+        expected = (start_hour + index.astype(np.float64)) % 24.0
         assert s.hour_of_day(index).tobytes() == expected.tobytes()
         assert all(s.hour_of_day(int(i)) == h for i, h in zip(index, expected))
+
+
+def test_timestamp_and_slice_accept_numpy_integers():
+    s = _series(np.arange(30.0), start=datetime(2021, 6, 1, 22))
+    assert s.timestamp(np.int64(3)) == s.timestamp(3) == datetime(2021, 6, 2, 1)
+    assert s.timestamp(np.int32(0)) == s.start
+    sub = s.slice(np.int64(3), np.int64(7))
+    assert sub.start == datetime(2021, 6, 2, 1)
+    np.testing.assert_array_equal(sub.values, [3.0, 4.0, 5.0, 6.0])
+    assert s.hour_of_day(np.int64(5)) == s.hour_of_day(5) == 3.0
 
 
 def test_holdout_count_takes_the_newest_fifth_from_five_samples_on():
@@ -120,7 +128,6 @@ def test_csv_round_trip_is_exact(tmp_path):
         back = load_csv(path)
         np.testing.assert_array_equal(back.values, s.values)
         assert back.start == s.start
-        assert back.resolution_hours == 1.0
 
 
 def test_load_csv_forward_fills_short_gaps(tmp_path):

@@ -306,7 +306,7 @@ def test_pretrain_guards():
     model = TransformerForecaster(TINY, init_seed=0)
     with pytest.raises(InsufficientDataError):
         model.pretrain([], epochs=1)
-    stub = TimeSeries(datetime(2024, 1, 1), 1.0, np.linspace(0.0, 1.0, 10), name="short")
+    stub = TimeSeries(datetime(2024, 1, 1), np.linspace(0.0, 1.0, 10), name="short")
     with pytest.raises(InsufficientDataError):
         model.pretrain([stub], epochs=1)
 
