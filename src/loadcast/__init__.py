@@ -6,7 +6,7 @@ harness that scores everything over rolling origins at multiple horizons.
 """
 
 from .baselines import BASELINE_IDS, MODEL_ORDER, create_baseline
-from .corpus import GeneratorSpec, build_corpus, export_corpus, generate_series
+from .corpus import GeneratorSpec, build_corpus, generate_series
 from .errors import (
     ConfigError,
     DataError,
@@ -76,7 +76,6 @@ __all__ = [
     "default_space",
     "emit_plot",
     "emit_report",
-    "export_corpus",
     "fit_normalizer",
     "generate_series",
     "load_csv",

@@ -111,12 +111,9 @@ class RegressionTree:
             nodes[node][:4] = [f, threshold, add_leaf(left_index), add_leaf(right_index)]
             consider(nodes[node][2], left_index, depth + 1)
             consider(nodes[node][3], right_index, depth + 1)
-        self._set_nodes(nodes)
-        return self
-
-    def _set_nodes(self, nodes: list) -> None:
         for (name, dtype), column in zip(_COLUMNS.items(), zip(*nodes)):
             setattr(self, name, np.array(column, dtype=dtype))
+        return self
 
     @property
     def root(self) -> "RegressionTree | None":
@@ -160,32 +157,6 @@ class RegressionTree:
 
     def leaf_count(self) -> int:
         return 0 if self.feature is None else int((self.feature < 0).sum())
-
-    def to_dict(self) -> dict:
-        """Flat node-list encoding: children referenced by list index."""
-        columns = [] if self.feature is None else [getattr(self, name) for name in _COLUMNS]
-        nodes = [
-            {"leaf": float(v)} if f < 0
-            else {"feature": int(f), "threshold": float(t), "left": int(lo), "right": int(hi)}
-            for f, t, lo, hi, v in zip(*columns)
-        ]
-        return {
-            "max_depth": self.max_depth,
-            "max_leaves": self.max_leaves,
-            "min_child_samples": self.min_child_samples,
-            "nodes": nodes,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RegressionTree":
-        tree = cls(payload["max_depth"], payload["max_leaves"], payload["min_child_samples"])
-        if payload["nodes"]:
-            tree._set_nodes([
-                [raw.get("feature", -1), raw.get("threshold", 0.0), raw.get("left", k), raw.get("right", k),
-                 raw.get("leaf", np.nan)]
-                for k, raw in enumerate(payload["nodes"])
-            ])
-        return tree
 
 
 def _stack(trees: list[RegressionTree]) -> tuple[RegressionTree, np.ndarray]:
@@ -302,10 +273,3 @@ class GradientBoostedTrees:
             pred += self.learning_rate * tree.predict(features)
             curve.append(float(np.mean((targets - pred) ** 2)))
         return curve
-
-    def to_dict(self) -> dict:
-        return {
-            "initial": self.initial,
-            "learning_rate": self.learning_rate,
-            "trees": [tree.to_dict() for tree in self.trees],
-        }

@@ -8,15 +8,14 @@ outliers, and random walks. Everything is a pure function of its seeds.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
 
 from .errors import ConfigError
-from .series import TimeSeries, write_csv
+from .series import TimeSeries
 
 FAMILIES = ("trend", "seasonal", "trend_seasonal", "noisy", "outlier_spiked", "random_walk")
 #: Families whose series add a linear trend, and those that add a sinusoid.
@@ -46,6 +45,14 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        for name in ("length", "period", "seed"):
+            value = getattr(self, name)
+            if value is None and name == "period":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.length < MIN_LENGTH:
             raise ConfigError(f"length must be >= {MIN_LENGTH}, got {self.length}")
         if not 0.0 <= self.outlier_rate <= MAX_OUTLIER_RATE:
@@ -56,9 +63,6 @@ class GeneratorSpec:
             raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.family in SEASONAL_FAMILIES and (self.period is None or self.period < 2):
             raise ConfigError(f"family {self.family!r} needs a period >= 2")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def generate_series(spec: GeneratorSpec) -> TimeSeries:
@@ -144,33 +148,3 @@ def build_corpus(
         generate_series(spec)
         for spec in draw_specs(spec_count, master_seed, series_length, exclude_families)
     ]
-
-
-def export_corpus(
-    out_dir: str,
-    spec_count: int = DEFAULT_SERIES_COUNT,
-    master_seed: int = 0,
-    series_length: int = DEFAULT_SERIES_LENGTH,
-    exclude_families: tuple[str, ...] = (),
-) -> str:
-    """Write one CSV per series plus a manifest of specs; returns the manifest path."""
-    os.makedirs(out_dir, exist_ok=True)
-    specs = draw_specs(spec_count, master_seed, series_length, exclude_families)
-    entries = []
-    for i, spec in enumerate(specs):
-        series = generate_series(spec)
-        filename = f"series_{i:04d}.csv"
-        write_csv(series, os.path.join(out_dir, filename))
-        entries.append({"file": filename, "spec": spec.to_dict()})
-    manifest = {
-        "spec_count": spec_count,
-        "master_seed": master_seed,
-        "series_length": series_length,
-        "exclude_families": list(exclude_families),
-        "series": entries,
-    }
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest_path

@@ -95,6 +95,8 @@ class ExperimentSpec:
             raise ConfigError(f"unknown model ids {unknown}; known: {list(MODEL_ORDER)}")
         if len(set(self.models)) != len(self.models):
             raise ConfigError("duplicate model ids in spec")
+        if self.pretrained_artifact is not None and not isinstance(self.pretrained_artifact, str):
+            raise ConfigError(f"pretrained_artifact must be a path string, got {self.pretrained_artifact!r}")
         if not isinstance(self.fine_tune, bool):
             raise ConfigError(f"fine_tune must be true or false, got {self.fine_tune!r}")
         for name in ("runs_per_model", "master_seed"):
@@ -346,15 +348,6 @@ class SelectionVerdict:
     chosen_model: str
     validation_scores: dict[str, MetricTriple] = field(compare=False)
     criterion: str = "rmse"
-
-    def to_dict(self) -> dict:
-        return {
-            "chosen_model": self.chosen_model,
-            "criterion": self.criterion,
-            "validation_scores": {
-                m: t.as_dict() for m, t in sorted(self.validation_scores.items())
-            },
-        }
 
 
 def select_model(

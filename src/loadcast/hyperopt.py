@@ -7,7 +7,6 @@ minimizes, matching validation-error objectives.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -248,17 +247,6 @@ def bo_optimize(objective, space: SearchSpace, budget: int, seed: int = 0) -> BO
         trial.rank = rank
     best = min(trials, key=lambda t: (t.objective, t.rank))
     return BOResult(best=best, trials=trials, failures=failures)
-
-
-def export_history(result: BOResult, path: str) -> None:
-    """CSV of the successful trial sequence with the running incumbent."""
-    incumbent = math.inf
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("trial,point,objective,incumbent\n")
-        for i, trial in enumerate(result.trials, start=1):
-            incumbent = min(incumbent, trial.objective)
-            point_json = json.dumps(trial.point, sort_keys=True).replace('"', "'")
-            fh.write(f'{i},"{point_json}",{trial.objective!r},{incumbent!r}\n')
 
 
 def default_space(model_id: str) -> SearchSpace:

@@ -76,10 +76,6 @@ class MetricTriple:
             if not (name == "mape" and v is None) and (not math.isfinite(v) or v < 0):
                 raise DataError(f"{name} must be finite and non-negative, got {v}")
 
-    def scaled(self, factor: float) -> "MetricTriple":
-        mape = None if self.mape is None else self.mape * factor
-        return MetricTriple(self.rmse * factor, self.mae * factor, mape)
-
     def as_dict(self) -> dict:
         return asdict(self)
 

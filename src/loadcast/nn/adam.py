@@ -63,6 +63,8 @@ def train_minibatch(params: ParamStore, loss_fn, sample_count: int, epochs: int,
     after each epoch, training stops after EARLY_STOP_PATIENCE epochs
     without a new best, and the weights of the best epoch are restored.
     """
+    if batch < 1 or epochs < 0:
+        raise ConfigError(f"training needs batch >= 1 and epochs >= 0, got batch {batch}, epochs {epochs}")
     params.m.fill(0.0)
     params.v.fill(0.0)
     params.zero_grads()

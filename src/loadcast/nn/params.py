@@ -127,9 +127,6 @@ class ParamStore:
     def zero_grads(self) -> None:
         self.grad.fill(0.0)
 
-    def parameter_count(self) -> int:
-        return self.value.size
-
     def state_hash(self) -> str:
         """SHA-256 over names, shapes and raw little-endian values.
 

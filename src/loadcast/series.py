@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
 
@@ -81,10 +81,6 @@ class TimeSeries:
     def timestamp(self, index: int) -> datetime:
         return self.start + timedelta(hours=int(index))
 
-    @property
-    def end(self) -> datetime:
-        return self.timestamp(len(self) - 1)
-
     def hour_of_day(self, index):
         """Fractional hour-of-day at `index`, an int or an integer array.
 
@@ -93,9 +89,6 @@ class TimeSeries:
         """
         start_hour = self.start.hour + self.start.minute / 60.0 + self.start.second / 3600.0
         return (start_hour + index) % 24.0
-
-    def hours_of_day(self) -> np.ndarray:
-        return self.hour_of_day(np.arange(len(self)))
 
     def slice(self, start_index: int, stop_index: int, name: str | None = None) -> "TimeSeries":
         """Sub-series covering [start_index, stop_index), with shifted start."""
@@ -170,10 +163,6 @@ class SupervisedWindowSet:
     def __len__(self) -> int:
         return int(self.targets.size)
 
-    @property
-    def feature_count(self) -> int:
-        return int(self.inputs.shape[1])
-
 
 @dataclass(frozen=True)
 class CaseSplit:
@@ -182,7 +171,6 @@ class CaseSplit:
     case_id: CaseId
     train: TimeSeries
     test: TimeSeries
-    train_days: int = field(default=0)
 
 
 def hour_features(hour_of_day) -> tuple[np.ndarray, np.ndarray]:
@@ -324,4 +312,4 @@ def split_case(series: TimeSeries, case_id: CaseId) -> CaseSplit:
         )
     train = series.slice(0, train_points, name=f"{series.name}:{case_id.value}:train")
     test = series.slice(train_points, len(series), name=f"{series.name}:{case_id.value}:test")
-    return CaseSplit(case_id=case_id, train=train, test=test, train_days=days)
+    return CaseSplit(case_id=case_id, train=train, test=test)

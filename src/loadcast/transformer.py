@@ -26,7 +26,6 @@ from .nn.autodiff import Tensor, no_grad
 from .nn.ops import _materialize
 from .nn.params import ParamStore
 from .series import NormalizationParams, TimeSeries, fit_normalizer, holdout_count
-from .series import VALIDATION_TAIL  # noqa: F401  (re-exported: callers import it from here)
 
 PE_BASE = 10000.0
 FINE_TUNE_LR_FACTOR = 0.1
@@ -363,36 +362,6 @@ class TransformerForecaster:
         """Teacher-forced predictions (B, horizon) for training loss."""
         encoded = self._encode(contexts)
         return self._head(self._decode(targets[:, :-1], encoded))
-
-    def forward(self, context: np.ndarray, decoder_seed: np.ndarray | None = None) -> np.ndarray:
-        """One forward pass over a normalized context window.
-
-        With decoder_seed (the horizon_length - 1 values preceding each
-        prediction step, teacher forcing), the decoder runs in a single shot;
-        without it the decoder feeds back its own outputs. Returns normalized
-        predictions shaped like the input batch.
-        """
-        context = np.asarray(context, dtype=np.float64)
-        flat = context.ndim == 1
-        if flat:
-            context = context[None, :]
-        if context.shape[1] != self.config.context_length:
-            raise ShapeError(
-                f"context length {context.shape[1]} != configured {self.config.context_length}"
-            )
-        with no_grad():
-            if decoder_seed is not None:
-                seed = np.asarray(decoder_seed, dtype=np.float64)
-                if flat and seed.ndim == 1:
-                    seed = seed[None, :]
-                if seed.shape != (context.shape[0], self.config.horizon_length - 1):
-                    raise ShapeError(
-                        f"decoder seed must be (batch, {self.config.horizon_length - 1})"
-                    )
-                out = self._head(self._decode(seed, self._encode(context))).value
-            else:
-                out = self._generate(context, self.config.horizon_length)
-        return out[0] if flat else out
 
     def _generate(self, contexts: np.ndarray, steps: int) -> np.ndarray:
         """Autoregressive decode of `steps` <= horizon_length normalized values.

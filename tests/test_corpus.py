@@ -1,7 +1,5 @@
 """Tests for the synthetic pretraining corpus generators."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -11,11 +9,9 @@ from loadcast.corpus import (
     GeneratorSpec,
     build_corpus,
     draw_specs,
-    export_corpus,
     generate_series,
 )
 from loadcast.errors import ConfigError
-from loadcast.series import load_csv
 
 
 def test_generate_series_is_deterministic():
@@ -154,14 +150,3 @@ def test_build_corpus_is_reproducible():
     c = build_corpus(8, master_seed=4, series_length=64)
     assert any(not np.array_equal(x.values, z.values) for x, z in zip(a, c))
 
-
-def test_export_corpus_round_trips(tmp_path):
-    out = tmp_path / "corpus"
-    manifest_path = export_corpus(str(out), spec_count=4, master_seed=1, series_length=64)
-    manifest = json.loads(open(manifest_path).read())
-    assert manifest["spec_count"] == 4
-    assert len(manifest["series"]) == 4
-    for entry in manifest["series"]:
-        series = load_csv(out / entry["file"])
-        regenerated = generate_series(GeneratorSpec(**entry["spec"]))
-        np.testing.assert_array_equal(series.values, regenerated.values)

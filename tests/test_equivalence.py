@@ -22,9 +22,8 @@ from loadcast.baselines.neural import LSTM_GATES, _add_dense
 from loadcast.corpus import GeneratorSpec, generate_series
 from loadcast.errors import NumericError, ShapeError
 from loadcast.nn import ParamStore, Tensor, adam_update, glorot_init, grad_check, no_grad
-from loadcast.series import NormalizationParams, SupervisedWindowSet, fit_normalizer
+from loadcast.series import VALIDATION_TAIL, NormalizationParams, SupervisedWindowSet, fit_normalizer
 from loadcast.transformer import (
-    VALIDATION_TAIL,
     TransformerConfig,
     TransformerForecaster,
     _guarded_normalize,
@@ -242,20 +241,6 @@ def test_gbt_predict_matches_sequential_per_tree_sum():
         np.testing.assert_array_equal(model.predict(probe), expected)
 
 
-def test_tree_dict_round_trip_predicts_identically():
-    rng = np.random.default_rng(8)
-    for min_child in (1, 500):  # a split tree and a leaf-only one
-        features, targets, probe = _random_tree_data(rng)
-        tree = RegressionTree(max_depth=5, min_child_samples=min_child).fit_arrays(features, targets)
-        payload = tree.to_dict()
-        clone = RegressionTree.from_dict(payload)
-        assert clone.to_dict() == payload
-        assert (clone.depth(), clone.leaf_count()) == (tree.depth(), tree.leaf_count())
-        np.testing.assert_array_equal(clone.predict(probe), tree.predict(probe))
-    empty = RegressionTree().to_dict()
-    assert empty["nodes"] == [] and RegressionTree.from_dict(empty).root is None
-
-
 def _prefix_recompute(model, contexts, steps):
     """The uncached decode: the whole generated prefix through the decoder at every step."""
     with no_grad():
@@ -295,8 +280,9 @@ def test_cached_generation_matches_prefix_recompute(config):
             np.testing.assert_allclose(
                 model._generate(contexts, steps), _prefix_recompute(model, contexts, steps), rtol=0, atol=1e-12
             )
-        generated = model.forward(contexts)
-        replayed = model.forward(contexts, decoder_seed=generated[:, :-1])
+        generated = model._generate(contexts, config.horizon_length)
+        with no_grad():
+            replayed = model._forward_teacher(contexts, generated).value
         np.testing.assert_allclose(replayed, generated, rtol=0, atol=1e-12)
 
 
@@ -817,9 +803,13 @@ def test_trees_grow_identically_with_the_per_feature_scan(monkeypatch):
             warnings.simplefilter("ignore")
             gbt = GradientBoostedTrees(estimators=40, min_child_samples=20).fit(windows, seed=3)
         rt = RegressionTree(max_depth=6, max_leaves=30).fit(windows)
-        fitted.append((gbt.to_dict(), rt.to_dict()))
-    assert fitted[0] == fitted[1]
-    assert any(len(tree["nodes"]) > 1 for tree in fitted[0][0]["trees"])
+        fitted.append((gbt, rt))
+    (gbt, rt), (gbt_scan, rt_scan) = fitted
+    assert gbt.initial == gbt_scan.initial and len(gbt.trees) == len(gbt_scan.trees)
+    for tree, twin in zip(gbt.trees + [rt], gbt_scan.trees + [rt_scan]):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            np.testing.assert_array_equal(getattr(tree, name), getattr(twin, name))
+    assert any(len(tree.feature) > 1 for tree in gbt.trees)
 
 
 @pytest.mark.parametrize("make", [lambda: MLPModel(epochs=12), lambda: LSTMModel(epochs=3)], ids=["mlp", "lstm"])

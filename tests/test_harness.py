@@ -429,9 +429,7 @@ def test_select_model_prefers_lower_validation_error():
     verdict = select_model(series, ("pm", "lr"), criterion="rmse", seed=0)
     assert verdict.chosen_model == "lr"
     assert verdict.validation_scores["lr"].rmse < verdict.validation_scores["pm"].rmse
-    payload = verdict.to_dict()
-    assert payload["chosen_model"] == "lr"
-    assert set(payload["validation_scores"]) == {"pm", "lr"}
+    assert set(verdict.validation_scores) == {"pm", "lr"}
 
 
 def test_select_model_breaks_ties_by_model_order(monkeypatch):
@@ -675,3 +673,49 @@ def test_cli_pretrain_writes_artifact(tmp_path, capsys):
     assert out.exists()
     assert (tmp_path / "model.bin.json").exists()
     assert "state hash" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("batch, epochs", [("0", "1"), ("-5", "1"), ("64", "-1")])
+def test_cli_pretrain_rejects_bad_batch_and_epochs(tmp_path, capsys, batch, epochs):
+    """A batch below 1 once crashed or trained nothing; negative epochs wrote an untrained artifact."""
+    out = tmp_path / "model.bin"
+    code = cli_main(
+        ["pretrain", "--out", str(out), "--series-count", "3", "--series-length", "64",
+         "--epochs", epochs, "--batch-size", batch]
+    )
+    assert code == 1
+    assert "loadcast: error: training needs batch >= 1 and epochs >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_rejects_a_non_string_pretrained_artifact(tmp_path, capsys):
+    spec_path, out_dir = write_run_artifacts(tmp_path)
+    payload = json.loads(spec_path.read_text())
+    spec_path.write_text(json.dumps({**payload, "models": ["tsfm"], "pretrained_artifact": 5}))
+    assert cli_main(["run", "--spec", str(spec_path), "--out", str(out_dir)]) == 1
+    assert "loadcast: error: pretrained_artifact must be a path string, got 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("seed", -1, "seed must be >= 0"), ("seed", 1.5, "seed must be an integer"),
+     ("length", 100.5, "length must be an integer"), ("period", 24.0, "period must be an integer"),
+     ("length", True, "length must be an integer")],
+)
+def test_cli_run_rejects_non_integer_recipe_fields(tmp_path, capsys, field, value, message):
+    spec_path, out_dir = write_run_artifacts(tmp_path)
+    payload = json.loads(spec_path.read_text())
+    payload["dataset"][field] = value
+    spec_path.write_text(json.dumps(payload))
+    assert cli_main(["run", "--spec", str(spec_path), "--out", str(out_dir)]) == 1
+    assert f"loadcast: error: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_every_exported_name_resolves():
+    import loadcast
+    import loadcast.nn
+
+    for module in (loadcast, loadcast.nn):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], f"{module.__name__}.__all__ names what it does not define: {missing}"

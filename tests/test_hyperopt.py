@@ -14,7 +14,6 @@ from loadcast.hyperopt import (
     Trial,
     bo_optimize,
     default_space,
-    export_history,
     to_hyperparams,
 )
 from loadcast.series import SupervisedWindowSet
@@ -163,19 +162,6 @@ def test_bo_optimize_ranks_trials():
     assert objectives == sorted(objectives)
     assert ranked[0].rank == 1
     assert result.best.objective == objectives[0]
-
-
-def test_export_history_format(tmp_path):
-    result = BOResult(
-        best=Trial({"x": 0.3}, 0.0, rank=1),
-        trials=[Trial({"x": 0.9}, 0.36, rank=2), Trial({"x": 0.3}, 0.0, rank=1)],
-    )
-    path = tmp_path / "history.csv"
-    export_history(result, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "trial,point,objective,incumbent"
-    assert lines[1].startswith('1,"{\'x\': 0.9}",0.36,0.36')
-    assert lines[2].startswith('2,"{\'x\': 0.3}",0.0,0.0')
 
 
 def test_default_space_brackets_benchmark_defaults():

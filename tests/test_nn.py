@@ -606,7 +606,7 @@ def test_param_requires_two_dimensional_values():
     store.add("a", np.zeros((2, 2)))
     with pytest.raises(StateError):
         store.add("a", np.zeros((2, 2)))
-    assert store.parameter_count() == 4
+    assert store.value.size == 4
 
 
 def _zero_then_add(tensor, grad, shared=False):

@@ -50,8 +50,8 @@ def test_timestamps_and_hours():
     s = _series([0.0] * 30, start=datetime(2021, 6, 1, 22))
     assert s.timestamp(0) == datetime(2021, 6, 1, 22)
     assert s.timestamp(3) == datetime(2021, 6, 2, 1)
-    assert s.end == s.timestamp(29)
-    hours = s.hours_of_day()
+    assert s.timestamp(len(s) - 1) == datetime(2021, 6, 3, 3)
+    hours = s.hour_of_day(np.arange(len(s)))
     assert hours[0] == 22.0
     assert hours[2] == 0.0
     np.testing.assert_allclose(hours, [(22 + i) % 24 for i in range(30)])
@@ -201,8 +201,8 @@ def test_make_windows_matches_loop_oracle():
     ws = make_windows(s, window=window, horizon_step=step)
     n = 40 - window - step + 1
     assert len(ws) == n
-    assert ws.feature_count == window + 2
-    hours = s.hours_of_day()
+    assert ws.inputs.shape[1] == window + 2
+    hours = s.hour_of_day(np.arange(len(s)))
     for i in range(n):
         np.testing.assert_array_equal(ws.inputs[i, :window], values[i : i + window])
         target_idx = i + window + step - 1
@@ -228,7 +228,7 @@ def test_case_split_sizes_follow_day_counts():
         split = split_case(s, case_id)
         assert len(split.train) == expected[case_id.value] == days * 24
         assert len(split.train) + len(split.test) == len(s)
-        assert split.test.start == split.train.end + timedelta(hours=1)
+        assert split.test.start == split.train.timestamp(len(split.train) - 1) + timedelta(hours=1)
         np.testing.assert_array_equal(
             np.concatenate([split.train.values, split.test.values]), s.values
         )
@@ -238,7 +238,7 @@ def test_case_split_accepts_string_ids_and_guards_length():
     s = _series(np.arange(80.0))
     split = split_case(s, "case1")
     assert split.case_id is CaseId.CASE1
-    assert split.train_days == 3
+    assert CASE_TRAIN_DAYS[split.case_id] == 3
     with pytest.raises(InsufficientDataError):
         split_case(s, "case2")
     with pytest.raises(ConfigError):

@@ -8,7 +8,7 @@ import pytest
 
 from loadcast.corpus import GeneratorSpec, build_corpus, generate_series
 from loadcast.errors import ConfigError, InsufficientDataError, ShapeError, StateError
-from loadcast.nn import ParamStore, Tensor
+from loadcast.nn import ParamStore, Tensor, no_grad
 from loadcast.series import NormalizationParams, TimeSeries, fit_normalizer
 from loadcast.transformer import (
     TransformerConfig,
@@ -211,17 +211,23 @@ def test_config_round_trip():
     assert TransformerConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def teacher_forced(model, context, seed):
+    """One-shot decode of the horizon_length values that follow `seed` (teacher forcing)."""
+    with no_grad():
+        return model._head(model._decode(seed, model._encode(context))).value
+
+
 def test_decoder_is_strictly_causal():
     """Changing teacher-forced input j leaves predictions up to step j untouched."""
     model = TransformerForecaster(TINY, init_seed=3)
     rng = np.random.default_rng(20)
     context = rng.normal(size=(2, 12))
     seed = rng.normal(size=(2, 2))
-    base = model.forward(context, decoder_seed=seed)
+    base = teacher_forced(model, context, seed)
     for j in range(2):
         bumped = seed.copy()
         bumped[:, j] += 1.0
-        out = model.forward(context, decoder_seed=bumped)
+        out = teacher_forced(model, context, bumped)
         assert np.array_equal(out[:, : j + 1], base[:, : j + 1])
         assert not np.array_equal(out[:, j + 1 :], base[:, j + 1 :])
 
@@ -230,28 +236,9 @@ def test_autoregressive_decode_matches_teacher_forcing_on_own_outputs():
     model = TransformerForecaster(TINY, init_seed=4)
     rng = np.random.default_rng(21)
     context = rng.normal(size=(3, 12))
-    generated = model.forward(context)
-    replayed = model.forward(context, decoder_seed=generated[:, :-1])
+    generated = model._generate(context, TINY.horizon_length)
+    replayed = teacher_forced(model, context, generated[:, :-1])
     np.testing.assert_allclose(replayed, generated, rtol=1e-10)
-
-
-def test_forward_shape_guards():
-    model = TransformerForecaster(TINY, init_seed=5)
-    rng = np.random.default_rng(22)
-    with pytest.raises(ShapeError):
-        model.forward(rng.normal(size=(2, 11)))
-    with pytest.raises(ShapeError):
-        model.forward(rng.normal(size=(2, 12)), decoder_seed=rng.normal(size=(2, 3)))
-
-
-def test_forward_accepts_single_window():
-    model = TransformerForecaster(TINY, init_seed=6)
-    rng = np.random.default_rng(23)
-    context = rng.normal(size=12)
-    single = model.forward(context)
-    batched = model.forward(context[None, :])
-    assert single.shape == (3,)
-    np.testing.assert_allclose(single, batched[0], rtol=0, atol=0)
 
 
 def test_forecast_guards():
@@ -366,7 +353,7 @@ def test_zero_shot_forecast_never_mutates_weights():
     before = model.state_hash()
     rng = np.random.default_rng(26)
     model.forecast_batch(rng.uniform(size=(4, 20)), 6)
-    model.forward(rng.uniform(size=(1, 12)))
+    model.forecast(rng.uniform(size=12), 3)
     assert model.state_hash() == before
 
 
