@@ -28,12 +28,11 @@ from .metrics import METRICS
 from .report import (
     emit_plot,
     emit_report,
-    load_forecasts,
     load_report,
     render_comparison,
     write_forecasts,
 )
-from .series import load_csv
+from .series import load_csv, read_json
 from .transformer import TransformerConfig, TransformerForecaster
 
 
@@ -172,7 +171,7 @@ def _cmd_plot(args) -> int:
         raise ConfigError(f"bad horizon in cell: {args.cell!r}") from None
     if horizon not in ALLOWED_HORIZONS:
         raise ConfigError(f"horizon {horizon} not in {list(ALLOWED_HORIZONS)}")
-    payload = load_forecasts(os.path.join(args.report, "forecasts.json"))
+    payload = read_json(os.path.join(args.report, "forecasts.json"))
     if case not in payload:
         raise ConfigError(f"case {case!r} not in the stored forecasts")
     block = payload[case]

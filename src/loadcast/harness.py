@@ -15,7 +15,6 @@ rolled past the train/test boundary.
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 
@@ -32,6 +31,7 @@ from .series import (
     hour_features,
     load_csv,
     make_windows,
+    read_json,
     split_case,
 )
 from .transformer import TransformerForecaster
@@ -46,6 +46,17 @@ DEFAULT_RUNS = 30
 DEFAULT_VALIDATION_FRACTION = 0.25
 
 _CASE_ORDER = tuple(CaseId)
+
+
+def _check_model_ids(ids: tuple[str, ...]) -> None:
+    """A spec's models or a selection's candidates: at least one, all known, none repeated."""
+    if not ids:
+        raise ConfigError("no model ids given")
+    unknown = [m for m in ids if m not in MODEL_ORDER]
+    if unknown:
+        raise ConfigError(f"unknown model ids {unknown}; known: {list(MODEL_ORDER)}")
+    if len(set(ids)) != len(ids):
+        raise ConfigError(f"repeated model ids in {list(ids)}")
 
 
 @dataclass(frozen=True)
@@ -88,13 +99,9 @@ class ExperimentSpec:
             raise ConfigError(f"unsupported horizons {bad}; allowed: {list(ALLOWED_HORIZONS)}")
         if len(set(self.horizons_hours)) != len(self.horizons_hours):
             raise ConfigError("duplicate horizons in spec")
-        if not self.models:
-            raise ConfigError("spec needs at least one model")
-        unknown = [m for m in self.models if m not in MODEL_ORDER]
-        if unknown:
-            raise ConfigError(f"unknown model ids {unknown}; known: {list(MODEL_ORDER)}")
-        if len(set(self.models)) != len(self.models):
-            raise ConfigError("duplicate model ids in spec")
+        _check_model_ids(self.models)
+        if self.dataset is not None and not isinstance(self.dataset, (str, dict)):
+            raise ConfigError(f"dataset must be a CSV path or a recipe object, got {self.dataset!r}")
         if self.pretrained_artifact is not None and not isinstance(self.pretrained_artifact, str):
             raise ConfigError(f"pretrained_artifact must be a path string, got {self.pretrained_artifact!r}")
         if not isinstance(self.fine_tune, bool):
@@ -124,8 +131,7 @@ class ExperimentSpec:
 
 def load_spec(path) -> ExperimentSpec:
     """Read an ExperimentSpec from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentSpec.from_dict(json.load(fh))
+    return ExperimentSpec.from_dict(read_json(path))
 
 
 def resolve_dataset(spec: ExperimentSpec) -> TimeSeries:
@@ -280,8 +286,9 @@ def run_experiment(
             continue
         train_len = len(split.train)
         for model_id in spec.models:
-            # Per horizon: the triples of the runs so far, or the first error's text.
-            cells: dict[int, list[MetricTriple] | str] = {h: [] for h in spec.horizons_hours}
+            # Per horizon: the triples of the runs so far, until its first error.
+            triples: dict[int, list[MetricTriple]] = {h: [] for h in spec.horizons_hours}
+            errors: dict[int, str] = {}
             for run in range(spec.runs_per_model):
                 seed = derive_run_seed(spec.master_seed, model_id, case_value, run)
                 try:
@@ -291,26 +298,25 @@ def run_experiment(
                     )
                     preds = roll_forecasts(model, series, train_len, h_max, normalizer)
                 except Exception as exc:
-                    for h, cell in cells.items():
-                        if not isinstance(cell, str):
-                            cells[h] = _describe(exc)
+                    for h in triples:
+                        errors.setdefault(h, _describe(exc))
                     break
                 if run == 0 and trajectory_sink is not None:
                     trajectory_sink[(model_id, case_value)] = normalizer.invert(preds[0])
-                for h, cell in cells.items():
-                    if isinstance(cell, str):
+                for h, cell in triples.items():
+                    if h in errors:
                         continue
                     try:
                         cell.append(_score(preds, norm_test, h))
                     except Exception as exc:
-                        cells[h] = _describe(exc)
+                        errors[h] = _describe(exc)
                 if progress is not None:
                     progress(model_id, case_value, run)
             # Run 0 always ends with a triple or an error, so no list is empty.
-            for h, cell in cells.items():
+            for h, cell in triples.items():
                 key: CellKey = (model_id, case_value, h)
-                if isinstance(cell, str):
-                    report.errors[key] = cell
+                if h in errors:
+                    report.errors[key] = errors[h]
                 else:
                     report.entries[key] = aggregate_runs(cell)
     return report
@@ -369,11 +375,7 @@ def select_model(
     tail leaves every candidate's MAPE None, which ties as well.
     """
     candidates = tuple(candidates)
-    if not candidates:
-        raise ConfigError("no candidate models given")
-    unknown = [m for m in candidates if m not in MODEL_ORDER]
-    if unknown:
-        raise ConfigError(f"unknown candidate ids {unknown}; known: {list(MODEL_ORDER)}")
+    _check_model_ids(candidates)
     if criterion not in METRICS:
         raise ConfigError(f"criterion must be one of {METRICS}, got {criterion!r}")
     if not 0.0 < validation_fraction < 0.5:

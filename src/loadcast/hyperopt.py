@@ -1,8 +1,8 @@
 """Sequential model-based hyper-parameter search: GP surrogate + expected improvement.
 
 Points live on the unit cube internally; dimensions map them to integer
-ranges, log or linear real ranges, and categorical choices. The optimizer
-minimizes, matching validation-error objectives.
+ranges and log or linear real ranges. The optimizer minimizes, matching
+validation-error objectives.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, OptimizationError
 
-KINDS = ("int", "log", "linear", "categorical")
+KINDS = ("int", "log", "linear")
 INITIAL_RANDOM_TRIALS = 5
 CANDIDATES_PER_ROUND = 256
 GP_NOISE = 1e-6
@@ -22,25 +22,20 @@ GP_NOISE = 1e-6
 
 @dataclass(frozen=True)
 class Dimension:
-    """One search axis: an integer/real range or a categorical choice set."""
+    """One search axis: an integer or a log or linear real range."""
 
     name: str
     kind: str
     low: float = 0.0
     high: float = 1.0
-    choices: tuple = ()
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown dimension kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind == "categorical":
-            if not self.choices:
-                raise ConfigError(f"categorical dimension {self.name!r} has no choices")
-        else:
-            if not self.low < self.high and not (self.kind == "int" and self.low == self.high):
-                raise ConfigError(f"dimension {self.name!r}: bounds must satisfy low < high")
-            if self.kind == "log" and self.low <= 0:
-                raise ConfigError(f"log dimension {self.name!r} needs positive bounds")
+        if not self.low < self.high and not (self.kind == "int" and self.low == self.high):
+            raise ConfigError(f"dimension {self.name!r}: bounds must satisfy low < high")
+        if self.kind == "log" and self.low <= 0:
+            raise ConfigError(f"log dimension {self.name!r} needs positive bounds")
 
     def from_unit(self, u: float):
         u = min(max(u, 0.0), 1.0)
@@ -49,17 +44,12 @@ class Dimension:
             return int(self.low) + min(int(u * span), span - 1)
         if self.kind == "log":
             return float(math.exp(math.log(self.low) + u * (math.log(self.high) - math.log(self.low))))
-        if self.kind == "linear":
-            return float(self.low + u * (self.high - self.low))
-        k = len(self.choices)
-        return self.choices[min(int(u * k), k - 1)]
+        return float(self.low + u * (self.high - self.low))
 
     def cardinality(self) -> int | None:
         """Number of distinct realizable values; None when continuous."""
         if self.kind == "int":
             return int(self.high) - int(self.low) + 1
-        if self.kind == "categorical":
-            return len(self.choices)
         return None
 
 
@@ -80,10 +70,7 @@ class SearchSpace:
     def contains(self, point: dict) -> bool:
         for d in self.dimensions:
             v = point.get(d.name)
-            if d.kind == "categorical":
-                if v not in d.choices:
-                    return False
-            elif d.kind == "int":
+            if d.kind == "int":
                 if not (int(d.low) <= v <= int(d.high)):
                     return False
             elif not (d.low <= v <= d.high):
@@ -105,7 +92,6 @@ class SearchSpace:
 class Trial:
     point: dict
     objective: float
-    rank: int = 0
 
 
 @dataclass
@@ -243,9 +229,7 @@ def bo_optimize(objective, space: SearchSpace, budget: int, seed: int = 0) -> BO
 
     if not trials:
         raise OptimizationError(f"all {len(failures)} trials failed")
-    for rank, trial in enumerate(sorted(trials, key=lambda t: t.objective), start=1):
-        trial.rank = rank
-    best = min(trials, key=lambda t: (t.objective, t.rank))
+    best = min(trials, key=lambda t: t.objective)  # the earliest of equal objectives
     return BOResult(best=best, trials=trials, failures=failures)
 
 

@@ -70,9 +70,6 @@ class ParamStore:
     def __len__(self) -> int:
         return len(self._params)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __iter__(self) -> Iterator[Param]:
         return iter(self._params.values())
 

@@ -8,7 +8,6 @@ fractions and converted to percent at this rendering layer only.
 from __future__ import annotations
 
 import html
-import json
 import os
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from .baselines import MODEL_ORDER
 from .errors import DataError, ShapeError
 from .metrics import METRICS, MetricReport
-from .series import TimeSeries, split_case
+from .series import TimeSeries, read_json, split_case, write_json
 
 #: Stroke colors assigned to forecast lines, cycled in sorted-model order.
 PLOT_PALETTE = (
@@ -127,9 +126,7 @@ def emit_report(report: MetricReport, out_dir) -> list[str]:
     paths: list[str] = []
 
     json_path = os.path.join(out_dir, "report.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, report.to_dict())
     paths.append(json_path)
 
     for case in report.cases():
@@ -150,8 +147,7 @@ def load_report(report_dir) -> MetricReport:
     path = os.path.join(report_dir, "report.json")
     if not os.path.exists(path):
         raise DataError(f"no report.json under {report_dir!r}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return MetricReport.from_dict(json.load(fh))
+    return MetricReport.from_dict(read_json(path))
 
 
 def write_forecasts(trajectories: dict, series: TimeSeries, out_path) -> str:
@@ -172,15 +168,8 @@ def write_forecasts(trajectories: dict, series: TimeSeries, out_path) -> str:
         observed = split.test.values[: forecast.size]
         block["actual"] = [float(v) for v in observed]
         block["start_timestamp"] = split.test.start.isoformat()
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_path, payload)
     return str(out_path)
-
-
-def load_forecasts(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def emit_plot(actual, forecasts: dict, out_path, title: str | None = None) -> str:

@@ -1,4 +1,4 @@
-"""Time series ingestion, normalization, windowing, and train/test case splits.
+"""Time series ingestion, normalization, windowing, case splits, and artifact JSON.
 
 Everything in this module is pure and timezone-naive. A series is an hourly
 univariate load record; all downstream models consume either a raw series
@@ -8,6 +8,7 @@ univariate load record; all downstream models consume either a raw series
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -257,6 +258,25 @@ def write_csv(series: TimeSeries, path) -> None:
             handle.write(f"{series.timestamp(i).isoformat()},{value!r}\n")
 
 
+def read_json(path) -> dict:
+    """Read a JSON object from `path`: a spec, report, forecast or model sidecar."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+            raise DataError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def write_json(path, payload: dict) -> None:
+    """Write `payload` as indented, key-sorted JSON and a newline: equal payloads, equal bytes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def fit_normalizer(series: TimeSeries | np.ndarray) -> NormalizationParams:
     """Fit min-max bounds on a training slice (and nothing else)."""
     values = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=np.float64)
@@ -274,30 +294,24 @@ def holdout_count(n: int) -> int:
     return int(round(VALIDATION_TAIL * n)) if n >= 5 else 0
 
 
-def make_windows(series: TimeSeries, window: int, horizon_step: int = 1) -> SupervisedWindowSet:
-    """Slide (window, horizon_step) supervised pairs over an already-normalized series.
+def make_windows(series: TimeSeries, window: int) -> SupervisedWindowSet:
+    """Slide one-step supervised pairs over an already-normalized series.
 
-    Each input vector is `window` consecutive load values followed by the
-    (sin, cos) encoding of the target's hour-of-day. The target is the value
-    `horizon_step` steps after the window.
+    Each input is `window` consecutive load values plus the (sin, cos)
+    encoding of the hour of its target, the value right after the window.
     """
-    if window < 1 or horizon_step < 1:
-        raise ConfigError("window and horizon_step must be positive")
-    n = len(series) - window - horizon_step + 1
+    if window < 1:
+        raise ConfigError("window must be positive")
+    n = len(series) - window
     if n < 1:
-        raise InsufficientDataError(
-            f"series of length {len(series)} is too short for window={window}, "
-            f"horizon_step={horizon_step}"
-        )
+        raise InsufficientDataError(f"series of length {len(series)} is too short for window={window}")
     values = series.values
     lags = np.lib.stride_tricks.sliding_window_view(values, window)[:n]
-    target_idx = np.arange(n) + window + horizon_step - 1
+    target_idx = np.arange(n) + window
     targets = values[target_idx]
     sin_h, cos_h = hour_features(series.hour_of_day(target_idx))
     inputs = np.column_stack([lags, sin_h, cos_h])
-    return SupervisedWindowSet(
-        inputs=inputs, targets=targets, window_length=window, horizon_step=horizon_step
-    )
+    return SupervisedWindowSet(inputs=inputs, targets=targets, window_length=window, horizon_step=1)
 
 
 def split_case(series: TimeSeries, case_id: CaseId) -> CaseSplit:

@@ -11,7 +11,6 @@ context window (recursive forecasting).
 from __future__ import annotations
 
 import functools
-import json
 import os
 from dataclasses import asdict, dataclass
 
@@ -25,7 +24,7 @@ from .nn import autodiff as ad
 from .nn.autodiff import Tensor, no_grad
 from .nn.ops import _materialize
 from .nn.params import ParamStore
-from .series import NormalizationParams, TimeSeries, fit_normalizer, holdout_count
+from .series import NormalizationParams, TimeSeries, fit_normalizer, holdout_count, read_json, write_json
 
 PE_BASE = 10000.0
 FINE_TUNE_LR_FACTOR = 0.1
@@ -552,15 +551,11 @@ class TransformerForecaster:
     def save(self, path: str) -> None:
         """Write the weight binary at `path` and a JSON sidecar at path + '.json'."""
         self.params.save(path)
-        with open(path + ".json", "w", encoding="utf-8") as fh:
-            json.dump(self._state(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path + ".json", self._state())
 
     @classmethod
     def load(cls, path: str) -> "TransformerForecaster":
         sidecar_path = path + ".json"
         if not os.path.exists(sidecar_path):
             raise StateError(f"missing model sidecar {sidecar_path}")
-        with open(sidecar_path, "r", encoding="utf-8") as fh:
-            state = json.load(fh)
-        return cls._from_state(state, ParamStore.load(path))
+        return cls._from_state(read_json(sidecar_path), ParamStore.load(path))

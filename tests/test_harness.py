@@ -26,14 +26,19 @@ from loadcast.metrics import MetricReport, MetricTriple, rmse
 from loadcast.report import (
     emit_plot,
     emit_report,
-    load_forecasts,
     load_report,
     render_case_csv,
     render_comparison,
     render_text_table,
     write_forecasts,
 )
-from loadcast.series import fit_normalizer, split_case, write_csv
+from loadcast.series import fit_normalizer, read_json, split_case, write_csv
+from loadcast.transformer import TransformerConfig, TransformerForecaster
+
+#: A transformer small enough to pretrain inside the module suite.
+TINY_TSFM = TransformerConfig(
+    d_model=8, head_count=2, encoder_layers=1, decoder_layers=1, context_length=12, horizon_length=3
+)
 
 
 def seasonal_series(length=100, seed=0, noise=0.05):
@@ -396,6 +401,63 @@ def test_trajectory_sink_records_first_origin_persistence_forecast():
     np.testing.assert_allclose(trajectory, np.full(4, series.values[71]), rtol=1e-12)
 
 
+@pytest.fixture(scope="module")
+def tiny_artifact(tmp_path_factory):
+    """A TINY_TSFM transformer pretrained for one epoch, saved as an artifact."""
+    corpus = [seasonal_series(length=96, seed=30 + i) for i in range(3)]
+    model = TransformerForecaster(TINY_TSFM, init_seed=0)
+    model.pretrain(corpus, epochs=1, seed=0, batch_size=32)
+    path = str(tmp_path_factory.mktemp("tiny") / "tiny.bin")
+    model.save(path)
+    return path
+
+
+def tsfm_fitted_directly(artifact, train, fine_tune, seed):
+    """The tsfm model fit_case_model should build, written out step by step."""
+    model = TransformerForecaster.load(artifact).clone()
+    if fine_tune:
+        model.fine_tune(train, seed=seed)
+    else:
+        model.set_normalizer(fit_normalizer(train))
+    return model
+
+
+@pytest.mark.parametrize("fine_tune", [True, False])
+def test_run_experiment_scores_the_transformer(tiny_artifact, fine_tune):
+    series = seasonal_series(length=100, seed=31)
+    spec = ExperimentSpec(
+        cases=("case1",), horizons_hours=(1, 4), models=("tsfm", "pm"), runs_per_model=2,
+        fine_tune=fine_tune, pretrained_artifact=tiny_artifact,
+    )
+    sink: dict = {}
+    report = run_experiment(spec, series=series, trajectory_sink=sink)
+    assert not report.errors
+    for h in (1, 4):
+        triple = report.get("tsfm", "case1", h)
+        assert np.isfinite([triple.rmse, triple.mae, triple.mape]).all()
+
+    train = split_case(series, "case1").train
+    normalizer = fit_normalizer(train)
+    model = tsfm_fitted_directly(tiny_artifact, train, fine_tune, derive_run_seed(0, "tsfm", "case1", 0))
+    preds = roll_forecasts(model, series, len(train), 4, normalizer)
+    np.testing.assert_array_equal(sink[("tsfm", "case1")], normalizer.invert(preds[0]))
+
+
+@pytest.mark.parametrize("fine_tune", [True, False])
+def test_select_model_scores_the_transformer(tiny_artifact, fine_tune):
+    series = seasonal_series(length=100, seed=32)
+    verdict = select_model(
+        series, ("tsfm", "pm", "lr"), seed=3, pretrained_artifact=tiny_artifact, fine_tune=fine_tune
+    )
+    assert set(verdict.validation_scores) == {"tsfm", "pm", "lr"}
+    head = series.slice(0, 75)  # the default validation fraction holds out the last 25 points
+    normalizer = fit_normalizer(head)
+    model = tsfm_fitted_directly(tiny_artifact, head, fine_tune, 3)
+    preds = roll_forecasts(model, series, 75, 1, normalizer)
+    expected = MetricTriple.from_arrays(*score_horizon(preds, normalizer.apply(series.values[75:]), 1))
+    assert verdict.validation_scores["tsfm"] == expected
+
+
 def test_compare_models_fixture_and_edge_cases():
     entries = {
         ("tsfm", "case1", 1): MetricTriple(rmse=0.033, mae=0.02, mape=0.01),
@@ -448,6 +510,8 @@ def test_select_model_guards():
         select_model(series, ())
     with pytest.raises(ConfigError):
         select_model(series, ("arima",))
+    with pytest.raises(ConfigError, match="repeated model ids"):
+        select_model(series, ("lr", "pm", "lr"))  # a spec with the same repeat is rejected too
     with pytest.raises(ConfigError):
         select_model(series, ("pm",), criterion="r2")
     with pytest.raises(ConfigError):
@@ -527,7 +591,7 @@ def test_forecast_payload_round_trip(tmp_path):
     run_experiment(pm_spec(horizons=(1, 4)), series=series, trajectory_sink=sink)
     path = tmp_path / "forecasts.json"
     write_forecasts(sink, series, str(path))
-    payload = load_forecasts(str(path))
+    payload = read_json(str(path))
     assert "case1" in payload
     block = payload["case1"]
     np.testing.assert_allclose(block["forecasts"]["pm"], sink[("pm", "case1")], rtol=1e-12)
@@ -623,6 +687,34 @@ def test_cli_select_prints_verdict(tmp_path, capsys):
     assert "rmse" in out
 
 
+def test_cli_select_zero_shot_transformer(tmp_path, capsys, tiny_artifact):
+    csv_path = tmp_path / "history.csv"
+    write_csv(seasonal_series(length=100, seed=33), str(csv_path))
+    argv = ["select", "--data", str(csv_path), "--candidates", "tsfm,pm", "--artifact", tiny_artifact]
+    assert cli_main(argv + ["--zero-shot"]) == 0
+    zero_shot = capsys.readouterr().out
+    assert cli_main(argv) == 0
+    fine_tuned = capsys.readouterr().out
+    assert "tsfm" in zero_shot and zero_shot.count("rmse") == 2
+    assert zero_shot != fine_tuned  # the flag reaches select_model
+
+
+def test_cli_run_data_override_and_verbose_progress(tmp_path, capsys):
+    spec_path, out_dir = write_run_artifacts(tmp_path, horizons=(1,))
+    payload = json.loads(spec_path.read_text())
+    missing = str(tmp_path / "missing.csv")  # --data must win over the spec's dataset
+    spec_path.write_text(json.dumps({**payload, "runs_per_model": 2, "dataset": missing}))
+    csv_path = tmp_path / "series.csv"
+    series = seasonal_series(length=100, seed=34)
+    write_csv(series, str(csv_path))
+    argv = ["run", "--spec", str(spec_path), "--data", str(csv_path), "--out", str(out_dir), "--verbose"]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().err.splitlines() == ["  pm case1 run 1/2", "  pm case1 run 2/2"]
+    expected = run_experiment(ExperimentSpec(cases=("case1",), horizons_hours=(1,), models=("pm",),
+                                             runs_per_model=2), series=series)
+    assert load_report(str(out_dir)).get("pm", "case1", 1) == expected.get("pm", "case1", 1)
+
+
 def test_cli_select_prints_err_for_a_missing_mape(tmp_path, capsys):
     csv_path = tmp_path / "history.csv"
     write_csv(zero_actual_series(length=64, train_len=48, at=60), str(csv_path))
@@ -700,9 +792,12 @@ def test_cli_run_rejects_a_non_string_pretrained_artifact(tmp_path, capsys):
     "field, value, message",
     [("seed", -1, "seed must be >= 0"), ("seed", 1.5, "seed must be an integer"),
      ("length", 100.5, "length must be an integer"), ("period", 24.0, "period must be an integer"),
-     ("length", True, "length must be an integer")],
+     ("length", True, "length must be an integer"), ("trend_slope", "x", "trend_slope must be a number"),
+     ("noise_std", True, "noise_std must be a number"),
+     ("outlier_rate", "0.01", "outlier_rate must be a number")],
 )
 def test_cli_run_rejects_non_integer_recipe_fields(tmp_path, capsys, field, value, message):
+    """Integer fields must be integers and float fields real numbers; a bool is neither."""
     spec_path, out_dir = write_run_artifacts(tmp_path)
     payload = json.loads(spec_path.read_text())
     payload["dataset"][field] = value
@@ -710,6 +805,72 @@ def test_cli_run_rejects_non_integer_recipe_fields(tmp_path, capsys, field, valu
     assert cli_main(["run", "--spec", str(spec_path), "--out", str(out_dir)]) == 1
     assert f"loadcast: error: {message}" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_cli_run_rejects_a_dataset_that_is_not_a_path_or_recipe(tmp_path, capsys):
+    spec_path, out_dir = write_run_artifacts(tmp_path)
+    payload = json.loads(spec_path.read_text())
+    spec_path.write_text(json.dumps({**payload, "dataset": 5}))
+    assert cli_main(["run", "--spec", str(spec_path), "--out", str(out_dir)]) == 1
+    assert "loadcast: error: dataset must be a CSV path or a recipe object, got 5" in capsys.readouterr().err
+
+
+def test_cli_select_rejects_repeated_candidates(tmp_path, capsys):
+    csv_path = tmp_path / "history.csv"
+    write_csv(seasonal_series(length=64, seed=22), str(csv_path))
+    assert cli_main(["select", "--data", str(csv_path), "--candidates", "lr,lr"]) == 1
+    assert "loadcast: error: repeated model ids in ['lr', 'lr']" in capsys.readouterr().err
+
+
+MALFORMED_JSON = {"truncated": '{"cases": ["case1"', "scalar": "5", "list": '["case1"]'}
+
+
+def write_malformed_artifacts(tmp_path, text):
+    """A spec, report.json, forecasts.json and model sidecar that all hold `text`."""
+    spec_path = tmp_path / "spec.json"
+    report_dir = tmp_path / "report"
+    report_dir.mkdir()
+    weights = str(tmp_path / "model.bin")
+    TransformerForecaster(TINY_TSFM, init_seed=0).save(weights)
+    sidecar = tmp_path / "model.bin.json"
+    for path in (spec_path, report_dir / "report.json", report_dir / "forecasts.json", sidecar):
+        path.write_text(text)
+    return spec_path, report_dir, weights
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_JSON))
+def test_json_readers_reject_malformed_files(tmp_path, kind):
+    spec_path, report_dir, weights = write_malformed_artifacts(tmp_path, MALFORMED_JSON[kind])
+    readers = (
+        lambda: load_spec(str(spec_path)),
+        lambda: load_report(str(report_dir)),
+        lambda: read_json(str(report_dir / "forecasts.json")),
+        lambda: TransformerForecaster.load(weights),
+    )
+    message = "not valid JSON" if kind == "truncated" else "expected a JSON object"
+    for read in readers:
+        with pytest.raises(DataError, match=message):
+            read()
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_JSON))
+def test_cli_reports_a_malformed_json_file_as_an_error(tmp_path, capsys, kind):
+    spec_path, report_dir, weights = write_malformed_artifacts(tmp_path, MALFORMED_JSON[kind])
+    good_spec = tmp_path / "good.json"
+    good_spec.write_text(json.dumps({
+        "cases": ["case1"], "horizons_hours": [1], "models": ["tsfm"],
+        "dataset": {"family": "trend", "length": 100}, "pretrained_artifact": weights,
+    }))
+    commands = (
+        ["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")],
+        ["compare", "--report", str(report_dir)],
+        ["plot", "--report", str(report_dir), "--cell", "pm:case1:1h", "--out", str(tmp_path / "p.svg")],
+        ["run", "--spec", str(good_spec), "--out", str(tmp_path / "out")],  # the sidecar is malformed
+    )
+    for argv in commands:
+        assert cli_main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("loadcast: error: ") and "JSON" in err, (argv, err)
 
 
 def test_every_exported_name_resolves():

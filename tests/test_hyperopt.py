@@ -37,9 +37,6 @@ def test_dimension_from_unit_endpoints():
     np.testing.assert_allclose(d_log.from_unit(0.0), 1e-4, rtol=1e-12)
     np.testing.assert_allclose(d_log.from_unit(1.0), 1e-1, rtol=1e-12)
     np.testing.assert_allclose(d_log.from_unit(0.5), np.sqrt(1e-4 * 1e-1), rtol=1e-12)
-    d_cat = Dimension("k", "categorical", choices=("a", "b", "c"))
-    assert d_cat.from_unit(0.0) == "a"
-    assert d_cat.from_unit(0.99) == "c"
 
 
 def test_dimension_from_unit_clips_out_of_range():
@@ -61,7 +58,6 @@ def test_dimension_validation():
 
 def test_dimension_cardinality():
     assert Dimension("n", "int", 3, 7).cardinality() == 5
-    assert Dimension("k", "categorical", choices=(1, 2)).cardinality() == 2
     assert Dimension("x", "linear", 0.0, 1.0).cardinality() is None
 
 
@@ -70,9 +66,7 @@ def test_search_space_validation_and_counting():
         SearchSpace(())
     with pytest.raises(ConfigError):
         SearchSpace((Dimension("x", "linear"), Dimension("x", "linear")))
-    finite = SearchSpace(
-        (Dimension("a", "int", 1, 3), Dimension("b", "categorical", choices=("u", "v")))
-    )
+    finite = SearchSpace((Dimension("a", "int", 1, 3), Dimension("b", "int", 0, 1)))
     assert finite.point_count() == 6
     assert QUADRATIC_SPACE.point_count() is None
 
@@ -82,13 +76,11 @@ def test_search_space_contains():
         (
             Dimension("depth", "int", 1, 8),
             Dimension("rate", "log", 1e-3, 1e-1),
-            Dimension("kind", "categorical", choices=("a", "b")),
         )
     )
-    assert space.contains({"depth": 4, "rate": 0.01, "kind": "a"})
-    assert not space.contains({"depth": 9, "rate": 0.01, "kind": "a"})
-    assert not space.contains({"depth": 4, "rate": 0.5, "kind": "a"})
-    assert not space.contains({"depth": 4, "rate": 0.01, "kind": "z"})
+    assert space.contains({"depth": 4, "rate": 0.01})
+    assert not space.contains({"depth": 9, "rate": 0.01})
+    assert not space.contains({"depth": 4, "rate": 0.5})
 
 
 def test_bo_optimize_converges_on_quadratic():
@@ -155,13 +147,12 @@ def test_bo_optimize_stops_when_finite_space_is_exhausted():
     assert result.best.point["n"] == min(calls)
 
 
-def test_bo_optimize_ranks_trials():
-    result = bo_optimize(quadratic, QUADRATIC_SPACE, budget=12, seed=5)
-    ranked = sorted(result.trials, key=lambda t: t.rank)
-    objectives = [t.objective for t in ranked]
-    assert objectives == sorted(objectives)
-    assert ranked[0].rank == 1
-    assert result.best.objective == objectives[0]
+def test_bo_optimize_best_is_the_earliest_minimum():
+    space = SearchSpace((Dimension("n", "int", 1, 8),))
+    result = bo_optimize(lambda point: float(point["n"] % 2), space, budget=8, seed=5)
+    objectives = [t.objective for t in result.trials]
+    assert objectives.count(0.0) == 4  # the space is exhausted: every even n ties
+    assert result.best is result.trials[objectives.index(0.0)]
 
 
 def test_default_space_brackets_benchmark_defaults():

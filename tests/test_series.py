@@ -197,15 +197,15 @@ def test_make_windows_matches_loop_oracle():
     rng = np.random.default_rng(1)
     values = rng.uniform(0.0, 1.0, size=40)
     s = _series(values, start=datetime(2021, 3, 5, 13))
-    window, step = 6, 2
-    ws = make_windows(s, window=window, horizon_step=step)
-    n = 40 - window - step + 1
+    window = 6
+    ws = make_windows(s, window=window)
+    n = 40 - window
     assert len(ws) == n
     assert ws.inputs.shape[1] == window + 2
     hours = s.hour_of_day(np.arange(len(s)))
     for i in range(n):
         np.testing.assert_array_equal(ws.inputs[i, :window], values[i : i + window])
-        target_idx = i + window + step - 1
+        target_idx = i + window
         assert ws.targets[i] == values[target_idx]
         sin_h, cos_h = hour_features(hours[target_idx])
         np.testing.assert_allclose(ws.inputs[i, window:], [sin_h, cos_h], atol=1e-12)
@@ -214,11 +214,9 @@ def test_make_windows_matches_loop_oracle():
 def test_make_windows_guards():
     s = _series(np.arange(10.0))
     with pytest.raises(InsufficientDataError):
-        make_windows(s, window=10, horizon_step=1)
+        make_windows(s, window=10)
     with pytest.raises(ConfigError):
         make_windows(s, window=0)
-    with pytest.raises(ConfigError):
-        make_windows(s, window=3, horizon_step=0)
 
 
 def test_case_split_sizes_follow_day_counts():
