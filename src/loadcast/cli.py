@@ -14,7 +14,7 @@ import sys
 
 from .baselines import MODEL_ORDER
 from .corpus import DEFAULT_SERIES_COUNT, DEFAULT_SERIES_LENGTH, FAMILIES, build_corpus
-from .errors import ConfigError, LoadcastError
+from .errors import ConfigError, DataError, LoadcastError
 from .harness import (
     ALLOWED_HORIZONS,
     DEFAULT_VALIDATION_FRACTION,
@@ -159,6 +159,11 @@ def _cmd_select(args) -> int:
     return 0
 
 
+def _numbers(value) -> bool:
+    """True for a JSON list of numbers."""
+    return isinstance(value, list) and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+
+
 def _cmd_plot(args) -> int:
     pieces = args.cell.split(":")
     if len(pieces) != 3:
@@ -171,14 +176,18 @@ def _cmd_plot(args) -> int:
         raise ConfigError(f"bad horizon in cell: {args.cell!r}") from None
     if horizon not in ALLOWED_HORIZONS:
         raise ConfigError(f"horizon {horizon} not in {list(ALLOWED_HORIZONS)}")
-    payload = read_json(os.path.join(args.report, "forecasts.json"))
+    path = os.path.join(args.report, "forecasts.json")
+    payload = read_json(path)
     if case not in payload:
         raise ConfigError(f"case {case!r} not in the stored forecasts")
     block = payload[case]
+    if not isinstance(block, dict) or not isinstance(block.get("forecasts"), dict):
+        raise DataError(f"{path}: case {case!r} is not an object holding a 'forecasts' object")
     if model not in block["forecasts"]:
         raise ConfigError(f"model {model!r} has no stored forecast for {case}")
-    forecast = block["forecasts"][model]
-    actual = block["actual"]
+    forecast, actual = block["forecasts"][model], block.get("actual")
+    if not (_numbers(forecast) and _numbers(actual)):
+        raise DataError(f"{path}: {model} on {case} needs 'actual' and forecast lists of numbers")
     n = min(horizon, len(forecast), len(actual))
     if n < 1:
         raise ConfigError(f"no overlapping points to plot for {args.cell!r}")

@@ -3,13 +3,21 @@
 A Tensor wraps a float64 ndarray plus an optional node in the backward tape.
 Ops build the tape only while gradients are enabled; inference runs the same
 code under `no_grad()` with zero tape overhead. All math is 64-bit.
-Single-parent ops with an elementwise or reshaping gradient (scale, relu,
-sigmoid, tanh, exp, log, reshape, transpose) build their node with `_unary`.
+Single-parent ops (scale, relu, sigmoid, tanh, exp, log, reshape,
+transpose, softmax, maxpool1d_same) build their node with `_unary`.
+
+Fused ops are one node for what would otherwise be a chain of small ones,
+with the chain's arithmetic in its order, so values and gradients are
+bitwise the chain's: `attention` (split heads, QK^T, scale, mask, softmax,
+@V, merged heads), `add_layer_norm` (add, then layer_norm), `conv_relu_pool`
+(conv1d_same, relu, maxpool1d_same), and for the baselines `dense_stack`
+and `mse`.
 
 Gradient ownership: a tensor adopts the first gradient array it is handed
 and adds later ones into it in place, so a handed-over array must not be
 written again. An op gives its incoming gradient, or a view of it, to one
-parent only; when `add`'s first parent adopts it, the second adopts a copy.
+parent only; when the first parent of `add`, or the x of `add_layer_norm`,
+adopts the sum's gradient, the second parent (y) adopts a copy.
 ParamStore leaves keep their external `grad_buffer` and always add into it:
 that buffer is a view into the store's flat gradient array, which
 `adam_update` reads and zeroes as a whole.
@@ -296,6 +304,37 @@ def index(a, key) -> Tensor:
     return _make(value, (a,), backward)
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """max over the last axis, keepdims, as one np.maximum per column: on
+    many short rows that beats numpy's reduction, which costs about 0.1 us a
+    row. Max is exact, so the order does not change the bits."""
+    m = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j : j + 1], out=m)
+    return m
+
+
+def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax over the last axis, written to `out` (which may be
+    `logits`). -inf entries get zero weight; a row of only -inf stays all zero."""
+    m = _row_max(logits)
+    m = np.where(np.isfinite(m), m, 0.0)
+    value = np.subtract(logits, m, out=out)
+    np.exp(value, out=value)
+    denom = value.sum(axis=-1, keepdims=True)
+    denom = np.where(denom == 0.0, 1.0, denom)
+    value /= denom
+    return value
+
+
+def _softmax_grad(p: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The gradient g of softmax output p taken back to its logits, into `out` (which may be g)."""
+    inner = (g * p).sum(axis=-1, keepdims=True)
+    out = np.subtract(g, inner, out=out)
+    out *= p
+    return out
+
+
 def softmax(a, mask: np.ndarray | None = None) -> Tensor:
     """Row-wise softmax over the last axis; masked-out entries get zero weight.
 
@@ -304,52 +343,180 @@ def softmax(a, mask: np.ndarray | None = None) -> Tensor:
     masked copy of the logits, or `a - max` without a mask.
     """
     a = astensor(a)
-    masked = mask is not None
-    logits = np.where(mask, a.value, -np.inf) if masked else a.value
-    m = np.max(logits, axis=-1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)  # fully masked rows stay all-zero
-    value = np.subtract(logits, m, out=logits if masked else None)
-    np.exp(value, out=value)
-    denom = value.sum(axis=-1, keepdims=True)
-    denom = np.where(denom == 0.0, 1.0, denom)
-    value /= denom
+    logits = a.value if mask is None else np.where(mask, a.value, -np.inf)
+    value = _softmax(logits, out=None if mask is None else logits)
+    return _unary(a, value, lambda g: _softmax_grad(value, g))
+
+
+def _heads(x: np.ndarray, head_count: int) -> np.ndarray:
+    """(..., T, head_count * dh) as a (..., head_count, T, dh) view."""
+    return np.swapaxes(x.reshape(x.shape[:-1] + (head_count, x.shape[-1] // head_count)), -2, -3)
+
+
+def attention_probabilities(q: np.ndarray, k: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """softmax(Q K^T / sqrt(d)) over the keys for (..., Tq, d) queries and
+    (..., Tk, d) keys, with no tape: the forward kernel of `attention`.
+    `mask` (True = attend) broadcasts to (..., Tq, Tk); a query with no key
+    left gets all-zero weights."""
+    if q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"Q/K feature dims differ: {q.shape[-1]} vs {k.shape[-1]}")
+    probs = q @ np.swapaxes(k, -1, -2)
+    probs *= 1.0 / np.sqrt(q.shape[-1])
+    if mask is not None:
+        np.copyto(probs, -np.inf, where=~mask)
+    return _softmax(probs, out=probs)
+
+
+def attention(q, k, v, head_count: int = 1, mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    q: (..., Tq, d); k: (..., Tk, d); v: (..., Tk, dv), with the same
+    leading axes (they do not broadcast); `mask` (True =
+    attend) broadcasts to (..., head_count, Tq, Tk), so a (Tq, Tk) mask
+    serves every head. Each input splits into head_count heads along its
+    feature axis as a view, every head attends with
+    `attention_probabilities`, and the heads' outputs are written side by
+    side into one contiguous (..., Tq, dv) array. The backward pass writes
+    dQ, dK and dV the same way, each into a contiguous array of its input's
+    shape, so the projections that made q, k and v get contiguous
+    gradients. Every product and row sum repeats the matmul, scale, softmax
+    and transpose tape this node replaced, so its values and gradients are
+    bitwise that tape's.
+    """
+    q, k, v = astensor(q), astensor(k), astensor(v)
+    if (not q.value.shape[:-2] == k.value.shape[:-2] == v.value.shape[:-2]
+            or k.value.shape[-2] != v.value.shape[-2] or q.value.shape[-1] != k.value.shape[-1]):
+        raise ShapeError(f"attention shapes q {q.value.shape}, k {k.value.shape}, v {v.value.shape} "
+                         f"do not fit (..., Tq, d), (..., Tk, d), (..., Tk, dv)")
+    if q.value.shape[-1] % head_count or v.value.shape[-1] % head_count:
+        raise ConfigError(f"feature dims {q.value.shape[-1]}, {v.value.shape[-1]} "
+                          f"not divisible by head_count {head_count}")
+    qh, kh, vh = (_heads(t.value, head_count) for t in (q, k, v))
+    probs = attention_probabilities(qh, kh, mask)
+    value = np.empty(q.value.shape[:-1] + v.value.shape[-1:])
+    np.matmul(probs, vh, out=_heads(value, head_count))
+    factor = 1.0 / np.sqrt(qh.shape[-1])
+
+    def product_into(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
+        if t.requires_grad:
+            grad = np.empty(t.value.shape)
+            np.matmul(a, b, out=_heads(grad, head_count))
+            _accumulate(t, grad)
 
     def backward(g):
-        inner = (g * value).sum(axis=-1, keepdims=True)
-        _accumulate(a, value * (g - inner))
+        gh = _heads(g, head_count)
+        dscores = gh @ np.swapaxes(vh, -1, -2)
+        product_into(v, np.swapaxes(probs, -1, -2), gh)
+        _softmax_grad(probs, dscores, out=dscores)
+        dscores *= factor
+        product_into(q, dscores, kh)
+        product_into(k, np.swapaxes(dscores, -1, -2), qh)
 
-    return _make(value, (a,), backward)
+    return _make(value, (q, k, v), backward)
 
 
-def layer_norm(x, gamma, beta) -> Tensor:
-    """Normalize over the last axis with population variance and
-    LAYER_NORM_EPSILON, then scale and shift. `x - mu` is computed once
-    and scaled in place into xhat."""
-    x, gamma, beta = astensor(x), astensor(gamma), astensor(beta)
-    if gamma.value.shape[-1] != x.value.shape[-1] or beta.value.shape[-1] != x.value.shape[-1]:
+def _layer_norm(s: np.ndarray, out: np.ndarray | None, inputs: tuple[Tensor, ...], gamma, beta, route) -> Tensor:
+    """The node both layer norms build: normalize `s` over the last axis
+    with population variance and LAYER_NORM_EPSILON, then scale and shift.
+    `s - mu` is written to `out` (s itself when the caller made s) and
+    scaled in place into xhat; `route` takes the gradient with respect to s
+    to `inputs`. Each mean is a sum over the last axis divided by n, as
+    np.mean computes it, and full-size temporaries are reused in place:
+    above glibc's mmap threshold every fresh one costs page faults."""
+    gamma, beta = astensor(gamma), astensor(beta)
+    if gamma.value.shape[-1] != s.shape[-1] or beta.value.shape[-1] != s.shape[-1]:
         raise ShapeError("gamma/beta must match the normalized axis length")
-    n = x.value.shape[-1]
-    xhat = x.value - x.value.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + LAYER_NORM_EPSILON)
+    n = s.shape[-1]
+    mu = s.sum(axis=-1, keepdims=True)
+    mu /= n
+    xhat = np.subtract(s, mu, out=out)
+    var = np.square(xhat).sum(axis=-1, keepdims=True)
+    var /= n
+    var += LAYER_NORM_EPSILON
+    inv = 1.0 / np.sqrt(var, out=var)
     xhat *= inv
-    value = gamma.value * xhat + beta.value
+    value = gamma.value * xhat
+    value += beta.value
 
     def backward(g):
         _accumulate(gamma, g * xhat)
         dxhat = g * gamma.value
         s1 = dxhat.sum(axis=-1, keepdims=True)
-        s2 = (dxhat * xhat).sum(axis=-1, keepdims=True)
-        _accumulate(x, (inv / n) * (n * dxhat - s1 - xhat * s2))
+        work = np.multiply(dxhat, xhat)
+        s2 = work.sum(axis=-1, keepdims=True)
+        # (inv / n) * (n * dxhat - s1 - xhat * s2), evaluated in that order
+        dx = np.multiply(dxhat, n, out=dxhat)
+        dx -= s1
+        dx -= np.multiply(xhat, s2, out=work)
+        dx *= inv / n
+        route(dx)
         _accumulate(beta, g)
 
-    return _make(value, (x, gamma, beta), backward)
+    return _make(value, inputs + (gamma, beta), backward)
+
+
+def layer_norm(x, gamma, beta) -> Tensor:
+    """Normalize x over its last axis (population variance), then scale by
+    gamma and shift by beta."""
+    x = astensor(x)
+    return _layer_norm(x.value, None, (x,), gamma, beta, lambda dx: _accumulate(x, dx))
+
+
+def add_layer_norm(x, y, gamma, beta) -> Tensor:
+    """layer_norm(x + y, gamma, beta) as one node: a residual sublayer's
+    output. The sum's gradient goes to x and y as `add` hands it over: when
+    x adopts it, y adopts a copy."""
+    x, y = astensor(x), astensor(y)
+    s = x.value + y.value
+
+    def route(ds):
+        _accumulate(x, ds)
+        _accumulate(y, ds, shared=x.grad is ds)
+
+    return _layer_norm(s, s, (x, y), gamma, beta, route)
 
 
 def _pad_time(x: np.ndarray, width: int, causal: bool, fill: float) -> tuple[np.ndarray, int]:
-    """Pad the time axis (-2) for a same-length window of odd `width`; also returns the left pad."""
+    """Pad the time axis (-2) for a same-length window of odd `width`; also
+    returns the left pad. Slice writes into an empty array: np.pad costs
+    about 190 us a call at the transformer's shapes."""
     left = width - 1 if causal else width // 2
-    pad_spec = [(0, 0)] * (x.ndim - 2) + [(left, width - 1 - left), (0, 0)]
-    return np.pad(x, pad_spec, constant_values=fill), left
+    t = x.shape[-2]
+    xpad = np.empty(x.shape[:-2] + (t + width - 1, x.shape[-1]))
+    xpad[..., :left, :] = fill
+    xpad[..., left : left + t, :] = x
+    xpad[..., left + t :, :] = fill
+    return xpad, left
+
+
+def _conv(x: Tensor, weights: Tensor, bias: Tensor, causal: bool):
+    """conv1d_same's value and the backward function that takes its output
+    gradient to x, weights and bias."""
+    k, cin, cout = weights.value.shape
+    if k % 2 == 0:
+        raise ConfigError(f"convolution kernel width must be odd, got {k}")
+    if x.value.shape[-1] != cin:
+        raise ShapeError(f"input channels {x.value.shape[-1]} != kernel channels {cin}")
+    t = x.value.shape[-2]
+    xpad, left = _pad_time(x.value, k, causal, 0.0)
+    # (..., T, Cin, K) windows -> rows of [x[t], x[t + 1], ..., x[t + K - 1]]
+    windows = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=-2)
+    cols = np.swapaxes(windows, -1, -2).reshape(-1, k * cin)
+    kernel = weights.value.reshape(k * cin, cout)
+    value = (cols @ kernel).reshape(x.value.shape[:-1] + (cout,))
+    value += bias.value
+
+    def backward(g):
+        g2 = g.reshape(-1, cout)
+        _accumulate(weights, (cols.T @ g2).reshape(k, cin, cout))
+        dcols = (g2 @ kernel.T).reshape(x.value.shape[:-1] + (k, cin))
+        dxpad = np.zeros_like(xpad)
+        for j in range(k):
+            dxpad[..., j : j + t, :] += dcols[..., j, :]
+        _accumulate(x, dxpad[..., left : left + t, :])
+        _accumulate(bias, g)
+
+    return value, backward
 
 
 def conv1d_same(x, weights, bias, causal: bool = False) -> Tensor:
@@ -362,30 +529,34 @@ def conv1d_same(x, weights, bias, causal: bool = False) -> Tensor:
     windows times the kernel as a (K*Cin, Cout) matrix, one GEMM each way.
     """
     x, weights, bias = astensor(x), astensor(weights), astensor(bias)
-    k, cin, cout = weights.value.shape
-    if k % 2 == 0:
-        raise ConfigError(f"convolution kernel width must be odd, got {k}")
-    if x.value.shape[-1] != cin:
-        raise ShapeError(f"input channels {x.value.shape[-1]} != kernel channels {cin}")
-    t = x.value.shape[-2]
-    xpad, left = _pad_time(x.value, k, causal, 0.0)
-    # (..., T, Cin, K) windows -> rows of [x[t], x[t + 1], ..., x[t + K - 1]]
-    windows = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=-2)
-    cols = np.swapaxes(windows, -1, -2).reshape(-1, k * cin)
-    kernel = weights.value.reshape(k * cin, cout)
-    value = (cols @ kernel).reshape(x.value.shape[:-1] + (cout,)) + bias.value
+    value, backward = _conv(x, weights, bias, causal)
+    return _make(value, (x, weights, bias), backward)
+
+
+def _pool(x: np.ndarray, pool_range: int, causal: bool):
+    """maxpool1d_same's value over x and the function that takes its output
+    gradient to x's."""
+    if pool_range % 2 == 0 or pool_range < 1:
+        raise ConfigError(f"pool range must be odd and positive, got {pool_range}")
+    t = x.shape[-2]
+    xpad, left = _pad_time(x, pool_range, causal, -np.inf)
+    value = xpad[..., :t, :].copy()
+    for j in range(1, pool_range):
+        np.maximum(value, xpad[..., j : j + t, :], out=value)
 
     def backward(g):
-        g2 = g.reshape(-1, cout)
-        _accumulate(weights, (cols.T @ g2).reshape(k, cin, cout))
-        dcols = (g2 @ kernel.T).reshape(x.value.shape[:-1] + (k, cin))
         dxpad = np.zeros_like(xpad)
-        for j in range(k):
-            dxpad[..., j : j + t, :] += dcols[..., j, :]
-        _accumulate(x, dxpad[..., left : left + t, :])
-        _accumulate(bias, g)
+        unclaimed = np.ones(value.shape, dtype=bool)
+        first = np.empty(value.shape, dtype=bool)
+        routed = np.empty(value.shape)
+        for j in range(pool_range):
+            np.equal(xpad[..., j : j + t, :], value, out=first)
+            first &= unclaimed
+            unclaimed ^= first
+            dxpad[..., j : j + t, :] += np.multiply(g, first, out=routed)
+        return dxpad[..., left : left + t, :]
 
-    return _make(value, (x, weights, bias), backward)
+    return value, backward
 
 
 def maxpool1d_same(x, pool_range: int, causal: bool = False) -> Tensor:
@@ -397,26 +568,28 @@ def maxpool1d_same(x, pool_range: int, causal: bool = False) -> Tensor:
     to the first window position holding the max, argmax's tie rule.
     """
     x = astensor(x)
-    if pool_range % 2 == 0 or pool_range < 1:
-        raise ConfigError(f"pool range must be odd and positive, got {pool_range}")
     if pool_range == 1:
         return x
-    t = x.value.shape[-2]
-    xpad, left = _pad_time(x.value, pool_range, causal, -np.inf)
-    value = xpad[..., :t, :].copy()
-    for j in range(1, pool_range):
-        np.maximum(value, xpad[..., j : j + t, :], out=value)
+    value, backward = _pool(x.value, pool_range, causal)
+    return _unary(x, value, backward)
+
+
+def conv_relu_pool(x, weights, bias, pool_range: int, causal: bool = False) -> Tensor:
+    """maxpool1d_same(relu(conv1d_same(x, weights, bias))) as one node, on
+    the same kernels: the backward pass routes the pool gradient, masks it
+    where the ReLU was off and runs the im2col backward, so values and
+    gradients are bitwise those of the three ops."""
+    x, weights, bias = astensor(x), astensor(weights), astensor(bias)
+    conv, conv_backward = _conv(x, weights, bias, causal)
+    activated = np.maximum(conv, 0.0, out=conv)
+    value, pool_backward = (activated, None) if pool_range == 1 else _pool(activated, pool_range, causal)
 
     def backward(g):
-        dxpad = np.zeros_like(xpad)
-        unclaimed = np.ones(value.shape, dtype=bool)
-        for j in range(pool_range):
-            first = (xpad[..., j : j + t, :] == value) & unclaimed
-            unclaimed ^= first
-            dxpad[..., j : j + t, :] += g * first
-        _accumulate(x, dxpad[..., left : left + t, :])
+        if pool_backward is not None:
+            g = pool_backward(g)
+        conv_backward(g * (activated > 0.0))
 
-    return _make(value, (x,), backward)
+    return _make(value, (x, weights, bias), backward)
 
 
 def lstm_layer(x, w, u, b) -> Tensor:

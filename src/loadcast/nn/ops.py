@@ -40,12 +40,10 @@ def conv_pool_forward(x, weights, bias, pool_range: int, causal: bool = False):
 
     x: (..., T, Cin); weights: (K, Cin, Cout), odd K; bias: broadcastable
     to (Cout,). causal=True pads on the left only, so position t never reads
-    positions after t (decoder use).
+    positions after t (decoder use). One tape node (`autodiff.conv_relu_pool`).
     """
     wt = astensor(weights)
     if wt.value.ndim != 3:
         raise ShapeError(f"kernel must be (K, Cin, Cout), got shape {wt.value.shape}")
-    out = autodiff.conv1d_same(astensor(x), wt, astensor(bias), causal=causal)
-    out = autodiff.relu(out)
-    out = autodiff.maxpool1d_same(out, pool_range, causal=causal)
+    out = autodiff.conv_relu_pool(astensor(x), wt, astensor(bias), pool_range, causal=causal)
     return _materialize(out, x, weights, bias)

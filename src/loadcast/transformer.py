@@ -61,33 +61,22 @@ def _causal_mask(tq: int, tk: int) -> np.ndarray:
     return np.tril(np.ones((tq, tk), dtype=bool), k=tk - tq)
 
 
-def _attention_probabilities(q: Tensor, k: Tensor, causal: bool) -> Tensor:
-    """softmax(QK^T/sqrt(d)), each query row masked to its causal keys if asked."""
-    if q.value.shape[-1] != k.value.shape[-1]:
-        raise ShapeError(f"Q/K feature dims differ: {q.value.shape[-1]} vs {k.value.shape[-1]}")
-    axes = list(range(k.value.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, axes)), 1.0 / np.sqrt(q.value.shape[-1]))
-    mask = _causal_mask(*scores.value.shape[-2:]) if causal else None
-    return ad.softmax(scores, mask=mask)
-
-
 def attention_weights(q, k, causal: bool = False) -> np.ndarray:
     """The row-stochastic softmax(QK^T/sqrt(d)) matrix, without applying V."""
-    with no_grad():
-        return _attention_probabilities(ad.astensor(q), ad.astensor(k), causal).value
+    q, k = ad.astensor(q).value, ad.astensor(k).value
+    return ad.attention_probabilities(q, k, _causal_mask(q.shape[-2], k.shape[-2]) if causal else None)
 
 
 def scaled_dot_attention(q, k, v, causal: bool = False):
     """softmax(QK^T/sqrt(d))V with an optional causal mask.
 
-    Accepts 2-D (T, d) or batched (..., T, d) arrays/Tensors; returns a
-    Tensor when any input is one, else an ndarray.
+    Accepts 2-D (T, d) or batched (..., T, d) arrays/Tensors with the same
+    leading axes (they do not broadcast); returns a Tensor when any input is
+    one, else an ndarray.
     """
     qt, kt, vt = ad.astensor(q), ad.astensor(k), ad.astensor(v)
-    if kt.value.shape[-2] != vt.value.shape[-2]:
-        raise ShapeError(f"K/V row counts differ: {kt.value.shape[-2]} vs {vt.value.shape[-2]}")
-    return _materialize(ad.matmul(_attention_probabilities(qt, kt, causal), vt), q, k, v)
+    mask = _causal_mask(qt.value.shape[-2], kt.value.shape[-2]) if causal else None
+    return _materialize(ad.attention(qt, kt, vt, 1, mask), q, k, v)
 
 
 ATTENTION_WEIGHT_NAMES = ("wq", "wk", "wv", "wo")
@@ -95,17 +84,17 @@ ATTENTION_WEIGHT_NAMES = ("wq", "wk", "wv", "wo")
 
 def multi_head_attention(x, params: ParamStore, head_count: int, causal: bool = False, kv=None, prefix: str = "",
                          cache: dict | None = None):
-    """Project to per-head Q/K/V, attend in parallel, concatenate, project back.
+    """Project to Q/K/V, attend with head_count heads in one node, project back.
 
     Expects square projection matrices named {prefix}wq/wk/wv/wo in `params`.
     `kv` switches the key/value source for cross-attention. Takes (B, T, d)
     input; returns a Tensor when given one, else an ndarray.
 
-    `cache` is a dict that keeps the per-head keys and values between calls
-    for incremental decoding. In self-attention the rows of `x` are the
-    positions after the cached ones: their keys and values are appended and
-    the queries attend to all of them. With `kv` the source is projected on
-    the first call only and reused after.
+    `cache` is a dict that keeps the projected (B, T, d) keys and values
+    between calls for incremental decoding. In self-attention the rows of
+    `x` are the positions after the cached ones: their keys and values are
+    appended and the queries attend to all of them. With `kv` the source is
+    projected on the first call only and reused after.
     """
     xt = ad.astensor(x)
     if xt.value.ndim != 3:
@@ -113,28 +102,21 @@ def multi_head_attention(x, params: ParamStore, head_count: int, causal: bool = 
     d = xt.value.shape[-1]
     if d % head_count != 0:
         raise ConfigError(f"d_model {d} not divisible by head_count {head_count}")
-    dh = d // head_count
-    source = ad.astensor(kv) if kv is not None else xt
-
-    def split_heads(m: Tensor) -> Tensor:
-        b, t, _ = m.value.shape
-        return ad.transpose(ad.reshape(m, (b, t, head_count, dh)), (0, 2, 1, 3))
-
-    qh = split_heads(ad.matmul(xt, params.tensor(prefix + "wq")))
+    q = ad.matmul(xt, params.tensor(prefix + "wq"))
     if cache and kv is not None:
-        kh, vh = cache["k"], cache["v"]
+        k, v = cache["k"], cache["v"]
     else:
-        kh = split_heads(ad.matmul(source, params.tensor(prefix + "wk")))
-        vh = split_heads(ad.matmul(source, params.tensor(prefix + "wv")))
+        source = ad.astensor(kv) if kv is not None else xt
+        k = ad.matmul(source, params.tensor(prefix + "wk"))
+        v = ad.matmul(source, params.tensor(prefix + "wv"))
         if cache:
-            kh = ad.concat([cache["k"], kh], axis=2)
-            vh = ad.concat([cache["v"], vh], axis=2)
+            k = ad.concat([cache["k"], k], axis=1)
+            v = ad.concat([cache["v"], v], axis=1)
         if cache is not None:
-            cache.update(k=kh, v=vh)
-    heads = scaled_dot_attention(qh, kh, vh, causal=causal)
-    b, _, tq, _ = heads.value.shape
-    merged = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (b, tq, d))
-    return _materialize(ad.matmul(merged, params.tensor(prefix + "wo")), x, kv)
+            cache.update(k=k, v=v)
+    mask = _causal_mask(q.value.shape[1], k.value.shape[1]) if causal else None
+    heads = ad.attention(q, k, v, head_count, mask)
+    return _materialize(ad.matmul(heads, params.tensor(prefix + "wo")), x, kv)
 
 
 @dataclass(frozen=True)
@@ -178,12 +160,12 @@ class _LayerCache:
     """What one decoder layer keeps from the positions already decoded.
 
     The decoder is causal position by position, so an earlier position's
-    hidden state never changes and a new position needs only: the
-    self-attention keys and values of every earlier position, the encoder's
-    cross-attention keys and values (projected on the first step), the last
-    conv_kernel_width - 1 conv inputs and the last pool_range - 1 post-ReLU
-    conv outputs. Before position 0 the conv rows are zeros and the pool
-    rows -inf, the padding the full-sequence kernels use.
+    hidden state never changes and a new position needs only: the projected
+    (B, T, d) self-attention keys and values of every earlier position, the
+    encoder's cross-attention keys and values (projected on the first step),
+    the last conv_kernel_width - 1 conv inputs and the last pool_range - 1
+    post-ReLU conv outputs. Before position 0 the conv rows are zeros and
+    the pool rows -inf, the padding the full-sequence kernels use.
     """
 
     def __init__(self, config: TransformerConfig, batch: int):
@@ -284,8 +266,7 @@ class TransformerForecaster:
 
     def _add_norm(self, prefix: str, h: Tensor, sublayer: Tensor) -> Tensor:
         """Residual sublayer output: layer_norm(h + sublayer) with the {prefix}g/b weights."""
-        return ad.layer_norm(ad.add(h, sublayer), self.params.tensor(prefix + "g"),
-                             self.params.tensor(prefix + "b"))
+        return ad.add_layer_norm(h, sublayer, self.params.tensor(prefix + "g"), self.params.tensor(prefix + "b"))
 
     def _embed(self, prefix: str, values: np.ndarray) -> Tensor:
         """Each scalar of the (B, T) `values` projected to d_model by {prefix}w/b."""
@@ -535,17 +516,28 @@ class TransformerForecaster:
 
     @classmethod
     def _from_state(cls, state: dict, params: ParamStore) -> "TransformerForecaster":
-        """A model rebuilt from a `_state()` record and a store of its weights."""
+        """A model rebuilt from a `_state()` record and a store of its weights.
+        A record of the wrong shape (a sidecar edited by hand) is a StateError."""
+        missing = [key for key in ("config", "normalizer", "trained", "pretrain_learning_rate") if key not in state]
+        if missing:
+            raise StateError(f"model state lacks {', '.join(missing)}")
         if state["trained"] not in cls.TRAINED_STATES:
             raise StateError(f"unknown trained state {state['trained']!r}")
-        model = cls(TransformerConfig.from_dict(state["config"]), init_seed=0)
+        config, normalizer = state["config"], state["normalizer"]
+        rate, provenance = state["pretrain_learning_rate"], state.get("provenance", {})
+        if (not isinstance(config, dict) or not isinstance(normalizer, (dict, type(None)))
+                or isinstance(rate, bool) or not isinstance(rate, (int, float)) or not isinstance(provenance, dict)):
+            raise StateError("model state needs a config object, a normalizer object or null, "
+                             "a numeric pretrain_learning_rate and a provenance object")
+        try:
+            model = cls(TransformerConfig.from_dict(config), init_seed=0)
+            model.normalizer = NormalizationParams.from_dict(normalizer) if normalizer else None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StateError(f"malformed model state: {type(exc).__name__}: {exc}") from None
         model.params.load_values_from(params)
-        model.normalizer = (
-            NormalizationParams.from_dict(state["normalizer"]) if state["normalizer"] else None
-        )
         model.trained = state["trained"]
-        model.pretrain_learning_rate = float(state["pretrain_learning_rate"])
-        model.provenance = dict(state.get("provenance", {}))
+        model.pretrain_learning_rate = float(rate)
+        model.provenance = dict(provenance)
         return model
 
     def save(self, path: str) -> None:

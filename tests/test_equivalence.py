@@ -7,8 +7,10 @@ whole generated prefix at every step, the im2col conv, shifted-max pool
 and one-GEMM matmul against the einsum, argmax and batched kernels,
 `nn.train_minibatch` against the two training loops it replaced,
 `dense_stack` and the one-node `mse` against the per-layer tape, the
-in-place softmax and layer_norm against their allocating forms, and the
-all-columns `best_split` against the per-feature scan.
+in-place softmax and layer_norm against their allocating forms, the
+all-columns `best_split` against the per-feature scan, and the fused
+attention, add_layer_norm and conv_relu_pool nodes against the tape of
+small ops each replaced (down to a whole teacher-forced pass).
 """
 
 import warnings
@@ -20,14 +22,18 @@ import loadcast.nn.autodiff as ad
 from loadcast.baselines import GradientBoostedTrees, LSTMModel, MLPModel, RegressionTree, lstm_cell_step, trees
 from loadcast.baselines.neural import LSTM_GATES, _add_dense
 from loadcast.corpus import GeneratorSpec, generate_series
-from loadcast.errors import NumericError, ShapeError
+from loadcast.errors import ConfigError, NumericError, ShapeError
 from loadcast.nn import ParamStore, Tensor, adam_update, glorot_init, grad_check, no_grad
 from loadcast.series import VALIDATION_TAIL, NormalizationParams, SupervisedWindowSet, fit_normalizer
+from loadcast import transformer
 from loadcast.transformer import (
+    ATTENTION_WEIGHT_NAMES,
     TransformerConfig,
     TransformerForecaster,
+    _causal_mask,
     _guarded_normalize,
     _sequence_windows,
+    multi_head_attention,
 )
 
 
@@ -822,3 +828,247 @@ def test_neural_baselines_train_bitwise_like_the_per_layer_tape(monkeypatch, mak
     np.testing.assert_allclose(fused.curve, tape.curve, rtol=0, atol=0)
     assert fused.params.state_hash() == tape.params.state_hash()
     _assert_bitwise(fused.predict(windows.inputs), tape.predict(windows.inputs))
+
+
+def _split_heads(m, head_count):
+    """The per-head view the tape built: reshape to (B, T, H, dh), then move the heads before time."""
+    b, t, d = m.value.shape
+    return ad.transpose(ad.reshape(m, (b, t, head_count, d // head_count)), (0, 2, 1, 3))
+
+
+def _tape_attention(q, k, v, head_count, mask):
+    """The tape `ad.attention` replaced: split heads, Q @ K^T, scale, softmax, @ V, merge the heads."""
+    qh, kh, vh = (_split_heads(t, head_count) for t in (q, k, v))
+    scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(qh.value.shape[-1]))
+    heads = ad.matmul(ad.softmax(scores, mask=mask), vh)
+    b, _, tq, _ = heads.value.shape
+    return ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (b, tq, v.value.shape[-1]))
+
+
+def _tape_multi_head_attention(x, params, head_count, causal=False, kv=None, prefix="", cache=None):
+    """multi_head_attention on the tape `ad.attention` replaced (no decoding cache)."""
+    assert cache is None
+    x = ad.astensor(x)
+    source = x if kv is None else ad.astensor(kv)
+    q = ad.matmul(x, params.tensor(prefix + "wq"))
+    k = ad.matmul(source, params.tensor(prefix + "wk"))
+    v = ad.matmul(source, params.tensor(prefix + "wv"))
+    mask = _causal_mask(q.value.shape[1], k.value.shape[1]) if causal else None
+    return ad.matmul(_tape_attention(q, k, v, head_count, mask), params.tensor(prefix + "wo"))
+
+
+def _tape_conv_pool(x, weights, bias, pool_range, causal=False):
+    """conv_pool_forward's tape before it was one node."""
+    return ad.maxpool1d_same(ad.relu(ad.conv1d_same(x, weights, bias, causal=causal)), pool_range, causal=causal)
+
+
+class _TapeForecaster(TransformerForecaster):
+    """The forecaster with add and layer_norm and the three-op conv block
+    (attention comes from `_tape_multi_head_attention`, patched in)."""
+
+    def _add_norm(self, prefix, h, sublayer):
+        return ad.layer_norm(ad.add(h, sublayer), self.params.tensor(prefix + "g"), self.params.tensor(prefix + "b"))
+
+    def _conv_block(self, prefix, x, causal=False, cache=None):
+        assert cache is None
+        cfg = self.config
+        kernel = ad.reshape(self.params.tensor(prefix + "w"), (cfg.conv_kernel_width, cfg.d_model, cfg.d_model))
+        return _tape_conv_pool(x, kernel, self.params.tensor(prefix + "b"), cfg.pool_range, causal=causal)
+
+
+def _attention_store(rng, d):
+    params = ParamStore()
+    for name in ATTENTION_WEIGHT_NAMES:
+        params.add(name, rng.normal(scale=0.4, size=(d, d)))
+    return params
+
+
+@pytest.mark.parametrize("mask_name", ["none", "causal", "blocked_row"])
+@pytest.mark.parametrize("tq,tk", [(5, 5), (2, 6)], ids=["square", "suffix"])
+@pytest.mark.parametrize("batch", [1, 9])
+@pytest.mark.parametrize("head_count", [1, 2, 4])
+def test_fused_attention_is_bitwise_the_tape(head_count, batch, tq, tk, mask_name):
+    rng = np.random.default_rng(head_count * 100 + batch * 10 + tq)
+    arrays = [rng.normal(size=(batch, tq, 8)), rng.normal(size=(batch, tk, 8)), rng.normal(size=(batch, tk, 8))]
+    mask = _masks(tq, tk)[mask_name]
+    fused = _value_and_grads(lambda q, k, v: ad.attention(q, k, v, head_count, mask), arrays, seed=tq)
+    tape = _value_and_grads(lambda q, k, v: _tape_attention(q, k, v, head_count, mask), arrays, seed=tq)
+    for a, b in zip(fused, tape):
+        _assert_bitwise(a, b)
+    if mask_name == "blocked_row":
+        assert not fused[0][:, 0].any()
+
+
+def test_attention_guards_its_shapes():
+    q, k = np.zeros((2, 3, 8)), np.zeros((2, 4, 8))
+    with pytest.raises(ShapeError):
+        ad.attention(q, k, np.zeros((2, 5, 8)), 2)  # K/V row counts differ
+    with pytest.raises(ShapeError):
+        ad.attention(q, k, np.zeros((3, 4, 8)), 2)  # batch sizes differ
+    with pytest.raises(ShapeError):
+        ad.attention(q, np.zeros((2, 4, 6)), np.zeros((2, 4, 8)), 2)  # Q/K feature dims differ
+    with pytest.raises(ShapeError):
+        ad.attention(q, np.zeros((2, 4, 6)), np.zeros((2, 4, 8)), 4)  # ... and K's is not divisible
+    with pytest.raises(ShapeError):
+        ad.attention(q, np.zeros((4, 8)), np.zeros((4, 8)), 2)  # leading axes do not broadcast
+    with pytest.raises(ConfigError):
+        ad.attention(q, k, np.zeros((2, 4, 8)), 3)
+
+
+def test_cached_cross_attention_is_bitwise_the_tape():
+    """Keys and values projected once and reused give each step what projecting them again gives."""
+    rng = np.random.default_rng(80)
+    params = _attention_store(rng, 8)
+    x, source = rng.normal(size=(3, 4, 8)), rng.normal(size=(3, 7, 8))
+    cache = {}
+    for t in range(4):
+        row = x[:, t : t + 1]
+        step = multi_head_attention(row, params, 2, kv=source, cache=cache)
+        _assert_bitwise(step, _tape_multi_head_attention(row, params, 2, kv=source).value)
+        assert cache["k"].value.shape == (3, 7, 8)
+
+
+def test_projection_matmuls_get_contiguous_gradients(monkeypatch):
+    """With the heads split on the tape, the key projection's gradient reached
+    its matmul as a (B, T, d) view whose feature axis had stride T, and the
+    folded matmul copied it; the fused node writes every gradient contiguous."""
+    rng = np.random.default_rng(81)
+    params = _attention_store(rng, 8)
+    matmul, seen = ad.matmul, {}
+
+    def recording(a, b):
+        out = matmul(a, b)
+        names = [n for n in ATTENTION_WEIGHT_NAMES if getattr(b, "grad", None) is params.get(n).grad]
+        if names and out._backward is not None:
+            backward = out._backward
+
+            def check(g):
+                seen.setdefault(names[0], []).append(g.flags.c_contiguous)
+                backward(g)
+
+            out._backward = check
+        return out
+
+    monkeypatch.setattr(ad, "matmul", recording)
+    x = Tensor(rng.normal(size=(3, 5, 8)), requires_grad=True)
+    source = Tensor(rng.normal(size=(3, 6, 8)), requires_grad=True)
+    out = ad.add(multi_head_attention(x, params, 2, causal=True), multi_head_attention(x, params, 2, kv=source))
+    ad.tsum(ad.mul(out, Tensor(rng.normal(size=out.value.shape)))).backward()
+    assert seen == {name: [True, True] for name in ATTENTION_WEIGHT_NAMES}
+
+
+@pytest.mark.parametrize("x_grad", [False, True], ids=["constant_x", "taped_x"])
+@pytest.mark.parametrize("shape", [(5, 8), (3, 4, 8)], ids=["2d", "3d"])
+def test_add_layer_norm_is_bitwise_add_then_layer_norm(shape, x_grad):
+    rng = np.random.default_rng(len(shape) + 10 * x_grad)
+    arrays = [rng.normal(loc=1.0, scale=2.0, size=shape), rng.normal(size=shape),
+              rng.normal(size=(1, 8)), rng.normal(size=(1, 8))]
+    upstream = rng.normal(size=shape)
+    results = []
+    for op in (ad.add_layer_norm, lambda x, y, g, b: ad.layer_norm(ad.add(x, y), g, b)):
+        x = Tensor(arrays[0].copy(), requires_grad=x_grad)
+        rest = [Tensor(a.copy(), requires_grad=True) for a in arrays[1:]]
+        out = op(x, *rest)
+        ad.tsum(ad.mul(out, Tensor(upstream))).backward()
+        results.append([out.value] + [t.grad for t in rest] + ([x.grad] if x_grad else []))
+        if x_grad:  # x adopted the sum's gradient, so y holds its own copy
+            assert not np.shares_memory(x.grad, rest[0].grad)
+    for a, b in zip(*results):
+        _assert_bitwise(a, b)
+
+
+@pytest.mark.parametrize("causal", [False, True], ids=["centered", "causal"])
+@pytest.mark.parametrize("k,pool_range", [(1, 1), (3, 1), (3, 3), (5, 3), (3, 5)])
+@pytest.mark.parametrize("shape", [(9, 3), (4, 9, 3)], ids=["2d", "3d"])
+def test_conv_relu_pool_is_bitwise_the_three_ops(shape, k, pool_range, causal):
+    rng = np.random.default_rng(10 * k + pool_range)
+    arrays = [rng.normal(size=shape), rng.normal(size=(k, 3, 4)), rng.normal(size=(1, 4))]
+    fused = _value_and_grads(lambda x, w, b: ad.conv_relu_pool(x, w, b, pool_range, causal=causal), arrays, seed=k)
+    tape = _value_and_grads(lambda x, w, b: _tape_conv_pool(x, w, b, pool_range, causal=causal), arrays, seed=k)
+    for a, b in zip(fused, tape):
+        _assert_bitwise(a, b)
+
+
+def test_fused_nodes_keep_no_tape_under_no_grad():
+    rng = np.random.default_rng(82)
+    q, k, v, x, y = (Tensor(rng.normal(size=(2, 5, 8)), requires_grad=True) for _ in range(5))
+    gamma, beta, bias = (Tensor(rng.normal(size=(1, 8)), requires_grad=True) for _ in range(3))
+    weights = Tensor(rng.normal(size=(3, 8, 8)), requires_grad=True)
+    with no_grad():
+        outs = [ad.attention(q, k, v, 2, _masks(5, 5)["causal"]), ad.add_layer_norm(x, y, gamma, beta),
+                ad.conv_relu_pool(x, weights, bias, 3, causal=True)]
+    for out in outs:
+        assert out._backward is None and out._parents == ()
+
+
+def _fused_losses(rng):
+    """Per fused node: its parameter store and a loss built on it."""
+    q_target = rng.normal(size=(2, 5, 8))
+    attention = ParamStore()
+    for name, rows in (("q", 10), ("k", 12), ("v", 12)):
+        attention.add(name, rng.normal(size=(rows, 8)))
+    mask = _masks(5, 6)["blocked_row"]
+
+    def attention_loss():
+        q, k, v = (ad.reshape(attention.tensor(n), (2, -1, 8)) for n in ("q", "k", "v"))
+        return ad.mse(ad.tanh(ad.attention(q, k, v, 2, mask)), q_target)
+
+    norm = ParamStore()
+    for name, shape in (("x", (10, 8)), ("y", (10, 8)), ("g", (1, 8)), ("b", (1, 8))):
+        norm.add(name, rng.normal(size=shape))
+
+    def norm_loss():
+        x, y = (ad.reshape(norm.tensor(n), (2, 5, 8)) for n in ("x", "y"))
+        return ad.mse(ad.add_layer_norm(x, y, norm.tensor("g"), norm.tensor("b")), q_target)
+
+    conv = ParamStore()
+    for name, shape in (("x", (14, 3)), ("w", (9, 4)), ("b", (1, 4))):
+        conv.add(name, rng.normal(size=shape))
+    conv_target = rng.normal(size=(2, 7, 4))
+
+    def conv_loss():
+        x, w = ad.reshape(conv.tensor("x"), (2, 7, 3)), ad.reshape(conv.tensor("w"), (3, 3, 4))
+        return ad.mse(ad.tanh(ad.conv_relu_pool(x, w, conv.tensor("b"), 3, causal=True)), conv_target)
+
+    return {"attention": (attention, attention_loss), "add_layer_norm": (norm, norm_loss),
+            "conv_relu_pool": (conv, conv_loss)}
+
+
+@pytest.mark.parametrize("node", ["attention", "add_layer_norm", "conv_relu_pool"])
+def test_fused_nodes_pass_grad_check(node):
+    params, loss = _fused_losses(np.random.default_rng(83))[node]
+    assert grad_check(loss, params, probe_count=40, rng=np.random.default_rng(1)) < 1e-4
+
+
+@pytest.mark.parametrize("fill", [0.0, -np.inf], ids=["zero", "neg_inf"])
+@pytest.mark.parametrize("causal", [False, True], ids=["centered", "causal"])
+@pytest.mark.parametrize("width", [1, 3, 5])
+@pytest.mark.parametrize("shape", [(6, 3), (2, 6, 3)], ids=["2d", "3d"])
+def test_pad_time_is_bitwise_np_pad(shape, width, causal, fill):
+    x = np.random.default_rng(width).normal(size=shape)
+    padded, left = ad._pad_time(x, width, causal, fill)
+    assert left == (width - 1 if causal else width // 2)
+    pad_spec = [(0, 0)] * (len(shape) - 2) + [(left, width - 1 - left), (0, 0)]
+    _assert_bitwise(padded, np.pad(x, pad_spec, constant_values=fill))
+
+
+def _teacher_pass(model, contexts, targets):
+    """Teacher-forced predictions and every parameter's gradient of their MSE."""
+    model.params.zero_grads()
+    prediction = model._forward_teacher(contexts, targets)
+    ad.mse(prediction, targets).backward()
+    return [prediction.value] + [param.grad.copy() for param in model.params]
+
+
+@pytest.mark.parametrize("batch", [32, 256])
+@pytest.mark.parametrize("config", [TransformerConfig(), TINY], ids=["default", "tiny"])
+def test_teacher_forced_pass_is_bitwise_the_unfused_tape(monkeypatch, config, batch):
+    rng = np.random.default_rng(batch)
+    contexts = rng.uniform(-0.2, 1.2, size=(batch, config.context_length))
+    targets = rng.uniform(-0.2, 1.2, size=(batch, config.horizon_length))
+    fused = _teacher_pass(TransformerForecaster(config, init_seed=5), contexts, targets)
+    monkeypatch.setattr(transformer, "multi_head_attention", _tape_multi_head_attention)
+    tape = _teacher_pass(_TapeForecaster(config, init_seed=5), contexts, targets)
+    assert len(fused) == len(tape)
+    for a, b in zip(fused, tape):
+        _assert_bitwise(a, b)

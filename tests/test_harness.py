@@ -853,24 +853,64 @@ def test_json_readers_reject_malformed_files(tmp_path, kind):
             read()
 
 
-@pytest.mark.parametrize("kind", sorted(MALFORMED_JSON))
-def test_cli_reports_a_malformed_json_file_as_an_error(tmp_path, capsys, kind):
-    spec_path, report_dir, weights = write_malformed_artifacts(tmp_path, MALFORMED_JSON[kind])
-    good_spec = tmp_path / "good.json"
-    good_spec.write_text(json.dumps({
+def tsfm_spec(tmp_path, weights):
+    """A valid spec that runs tsfm from the artifact at `weights`."""
+    spec_path = tmp_path / "good.json"
+    spec_path.write_text(json.dumps({
         "cases": ["case1"], "horizons_hours": [1], "models": ["tsfm"],
         "dataset": {"family": "trend", "length": 100}, "pretrained_artifact": weights,
     }))
+    return spec_path
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_JSON))
+def test_cli_reports_a_malformed_json_file_as_an_error(tmp_path, capsys, kind):
+    spec_path, report_dir, weights = write_malformed_artifacts(tmp_path, MALFORMED_JSON[kind])
     commands = (
         ["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")],
         ["compare", "--report", str(report_dir)],
         ["plot", "--report", str(report_dir), "--cell", "pm:case1:1h", "--out", str(tmp_path / "p.svg")],
-        ["run", "--spec", str(good_spec), "--out", str(tmp_path / "out")],  # the sidecar is malformed
+        # the sidecar is malformed
+        ["run", "--spec", str(tsfm_spec(tmp_path, weights)), "--out", str(tmp_path / "out")],
     )
     for argv in commands:
         assert cli_main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("loadcast: error: ") and "JSON" in err, (argv, err)
+
+
+_SIDECAR = {"config": TINY_TSFM.to_dict(), "normalizer": None, "trained": "untrained",
+            "pretrain_learning_rate": 0.001}
+WRONG_SHAPE_JSON = {
+    "sidecar_empty": ("sidecar", {}, "model state lacks config, normalizer, trained"),
+    "sidecar_config_list": ("sidecar", {**_SIDECAR, "config": []}, "model state needs a config object"),
+    "sidecar_rate_text": ("sidecar", {**_SIDECAR, "pretrain_learning_rate": "fast"},
+                          "a numeric pretrain_learning_rate"),
+    "sidecar_config_key": ("sidecar", {**_SIDECAR, "config": {"width": 3}},
+                           "malformed model state: TypeError"),
+    "sidecar_normalizer": ("sidecar", {**_SIDECAR, "normalizer": {"min_value": 0.0}},
+                           "malformed model state: KeyError"),
+    "forecasts_int_case": ("forecasts", {"case1": 5}, "case 'case1' is not an object holding a 'forecasts' object"),
+    "forecasts_list": ("forecasts", {"case1": {"forecasts": []}}, "is not an object holding a 'forecasts' object"),
+    "forecasts_text": ("forecasts", {"case1": {"forecasts": {"pm": [1.0, "x"]}, "actual": [1.0, 2.0]}},
+                       "pm on case1 needs 'actual' and forecast lists of numbers"),
+    "forecasts_no_actual": ("forecasts", {"case1": {"forecasts": {"pm": [1.0]}}}, "lists of numbers"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRONG_SHAPE_JSON))
+def test_cli_reports_a_json_object_of_the_wrong_shape_as_an_error(tmp_path, capsys, kind):
+    """A well-formed JSON object of the wrong shape once ended in a KeyError
+    (a sidecar holding {}) or a TypeError (forecasts.json holding {"case1": 5})."""
+    artifact, payload, message = WRONG_SHAPE_JSON[kind]
+    _, report_dir, weights = write_malformed_artifacts(tmp_path, json.dumps(payload))
+    if artifact == "sidecar":
+        argv = ["run", "--spec", str(tsfm_spec(tmp_path, weights)), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["plot", "--report", str(report_dir), "--cell", "pm:case1:1h", "--out", str(tmp_path / "p.svg")]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("loadcast: error: ") and message in err, err
 
 
 def test_every_exported_name_resolves():

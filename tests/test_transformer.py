@@ -177,7 +177,7 @@ def test_multi_head_attention_cache_extends_self_attention_and_reuses_cross_keys
         row = x[:, t : t + 1]
         step = multi_head_attention(row, store, head_count=2, causal=True, cache=self_cache)
         np.testing.assert_allclose(step, full[:, t : t + 1], rtol=0, atol=1e-14)
-        assert self_cache["k"].shape == (3, 2, t + 1, 4)
+        assert self_cache["k"].shape == (3, t + 1, 8)  # projected keys, heads not split
         keys = cross_cache.get("k")
         step = multi_head_attention(row, store, head_count=2, kv=source, cache=cross_cache)
         np.testing.assert_allclose(step, cross[:, t : t + 1], rtol=0, atol=1e-14)
