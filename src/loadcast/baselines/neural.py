@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, InsufficientDataError
+from ..errors import ConfigError, InsufficientDataError, ShapeError
 # adam_update is not called here; it stays importable from this module
 # because the benchmark's tracer patches the name on it.
 from ..nn import ParamStore, adam_update, glorot_init, train_minibatch  # noqa: F401
 from ..nn import autodiff as ad
 from ..nn.autodiff import Tensor, no_grad
-from ..series import SupervisedWindowSet
+from ..series import SupervisedWindowSet, TimeSeries, hour_features, origin_windows
 
 LSTM_GATES = ("input", "forget", "output", "cell")
 
@@ -84,6 +84,8 @@ def _predict(model, features: np.ndarray) -> np.ndarray:
     if model.params is None:
         raise InsufficientDataError("model is not fitted")
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    if features.ndim != 2 or features.shape[1] != model._width():
+        raise ShapeError(f"features must be (rows, {model._width()}), got shape {features.shape}")
     with no_grad():
         return model._forward(features).value
 
@@ -104,6 +106,9 @@ class MLPModel:
 
     def _build(self, input_dim: int, rng: np.random.Generator) -> ParamStore:
         return _add_dense(ParamStore(), rng, "", input_dim, self.layers)
+
+    def _width(self) -> int:
+        return self.params.get("w1").shape[0]
 
     def _forward(self, features: np.ndarray) -> Tensor:
         return _dense_forward(self.params, "", len(self.layers), Tensor(features))
@@ -154,13 +159,78 @@ class LSTMModel:
         # The dense stage reads the last hidden state plus the hour sin/cos.
         return _add_dense(params, rng, "dense.", self.lstm_units[-1] + 2, self.dense_units)
 
+    def _width(self) -> int:
+        return self.window_length + 2
+
+    def _head(self, last_hidden: Tensor, hours: np.ndarray) -> Tensor:
+        h = ad.concat([last_hidden, Tensor(hours)], axis=1)
+        return _dense_forward(self.params, "dense.", len(self.dense_units), h)
+
     def _forward(self, features: np.ndarray) -> Tensor:
         w = self.window_length
         sequence = Tensor(features[:, :w, None])
         for layer in range(len(self.lstm_units)):
             sequence = ad.lstm_layer(sequence, *(self.params.tensor(f"lstm{layer}.{k}") for k in "wub"))
-        h = ad.concat([ad.index(sequence, (slice(None), -1)), Tensor(features[:, w:])], axis=1)
-        return _dense_forward(self.params, "dense.", len(self.dense_units), h)
+        return self._head(ad.index(sequence, (slice(None), -1)), features[:, w:])
+
+    def _zero_state(self, batch: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [(np.zeros((batch, n)),) * 2 for n in self.lstm_units]
+
+    def _resume(self, projected: np.ndarray, states) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each layer's (hidden, cells), both (T + 1, B, n), from layer 0's
+        time-major input projections (T, B, 4n), every layer starting from
+        its (h, c) in `states`."""
+        layers = []
+        for layer, (h0, c0) in enumerate(states):
+            if layer:
+                w = self.params.get(f"lstm{layer}.w").value
+                below = layers[-1][0][1:]
+                projected = (below.reshape(-1, below.shape[-1]) @ w).reshape(below.shape[:2] + w.shape[1:])
+            u, b = (self.params.get(f"lstm{layer}.{k}").value for k in "ub")
+            layers.append(ad.lstm_recurrence(projected, u, b, h0, c0)[:2])
+        return layers
+
+    def roll(self, series: TimeSeries, train_len: int, h_max: int, normalizer) -> np.ndarray:
+        """The rolling sweep of `harness.roll_forecasts`, from shared prefix states.
+
+        With W lags, origin o's step-s window is the W - s + 1 actual lags
+        from test index o + s - 1 on, then its first s - 1 predictions, so
+        windows with the same start share their actual prefix. One pass over
+        the actuals from every start keeps each layer's (h, c) at every
+        position; step s resumes each origin from there (from zero once
+        s > W) and runs its predictions only: 300 cell steps per origin at
+        W = h_max = 24, not 576. A lag's layer-0 projection is one exact
+        product per column, so each actual and prediction is projected once.
+        Rows repeat the `predict` recursion's arithmetic op for op.
+        """
+        if self.params is None:
+            raise InsufficientDataError("model is not fitted")
+        w = self.window_length
+        w0 = self.params.get("lstm0.w").value
+        contexts = origin_windows(normalizer.apply(series.values), train_len, w)
+        origins = len(contexts)
+        shared = min(h_max, w)  # steps whose window starts with an actual lag
+        # One prefix row per start 0 .. origins + shared - 2; zeros pad the
+        # late starts past the last actual, where no origin reads them.
+        actuals = np.concatenate([contexts[:, 0], contexts[-1, 1:], np.zeros(shared - 1)])
+        starts = len(actuals) - w + 1
+        # Layer 0's projection of every actual; start a reads row a + t at step t.
+        lagged = np.lib.stride_tricks.sliding_window_view(actuals[:, None] @ w0, starts, axis=0)
+        prefix = self._resume(lagged.transpose(0, 2, 1), self._zero_state(starts))
+        fed = np.empty((h_max, origins, w0.shape[1]))  # layer 0's projection of each prediction
+        target = train_len + np.arange(origins)
+        preds = np.empty((origins, h_max))
+        for step in range(1, h_max + 1):
+            known = max(w - step + 1, 0)
+            rows = slice(step - 1, step - 1 + origins)
+            states = ([(hidden[known, rows], cells[known, rows]) for hidden, cells in prefix]
+                      if known else self._zero_state(origins))
+            last = self._resume(fed[step - 1 - (w - known) : step - 1], states)[-1][0][-1]
+            hours = np.column_stack(hour_features(series.hour_of_day(target + step - 1)))
+            with no_grad():
+                preds[:, step - 1] = self._head(Tensor(last), hours).value
+            fed[step - 1] = preds[:, step - 1, None] @ w0
+        return preds
 
     def fit(self, windows: SupervisedWindowSet, seed: int = 0) -> "LSTMModel":
         self.window_length = windows.window_length

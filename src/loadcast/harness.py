@@ -31,6 +31,7 @@ from .series import (
     hour_features,
     load_csv,
     make_windows,
+    origin_windows,
     read_json,
     split_case,
 )
@@ -197,27 +198,22 @@ def roll_forecasts(model, series: TimeSeries, train_len: int, h_max: int, normal
     """Normalized forecast matrix over every rolling origin in the test slice.
 
     Row o holds the h_max-step trajectory launched from the origin whose
-    context ends just before absolute index train_len + o. Baselines advance
-    recursively: each prediction becomes the newest lag for the next step,
-    with the target hour's cyclic features refreshed per step. Returns shape
-    (test_len, h_max).
+    context ends just before absolute index train_len + o. A model with its
+    own `roll(series, train_len, h_max, normalizer)` computes that matrix
+    itself: the transformer decodes every origin as one batch, the LSTM
+    resumes shared prefix states. Any other model advances recursively from
+    DEFAULT_WINDOW normalized lags: each prediction becomes the newest lag
+    for the next step, with the target hour's cyclic features refreshed per
+    step. Returns shape (test_len, h_max).
     """
-    test_len = len(series) - train_len
-    if test_len < 1:
-        raise InsufficientDataError("no test points after the training slice")
-    tsfm = isinstance(model, TransformerForecaster)
-    width, unit = (model.config.context_length, "point context") if tsfm else (DEFAULT_WINDOW, "lag window")
-    if train_len < width:
-        raise InsufficientDataError(f"training slice shorter than the {width}-{unit}")
-    # The transformer normalizes its raw contexts itself; baselines take normalized lags.
-    values = series.values if tsfm else normalizer.apply(series.values)
-    starts = train_len - width
-    contexts = np.lib.stride_tricks.sliding_window_view(values, width)[starts : starts + test_len]
-    if tsfm:
-        return normalizer.apply(model.forecast_batch(contexts, h_max))
-    lags = np.array(contexts)
-    target_index = train_len + np.arange(test_len)
-    preds = np.empty((test_len, h_max))
+    if h_max < 1:
+        raise ConfigError(f"h_max must be >= 1, got {h_max}")
+    roll = getattr(model, "roll", None)
+    if roll is not None:
+        return roll(series, train_len, h_max, normalizer)
+    lags = np.array(origin_windows(normalizer.apply(series.values), train_len, DEFAULT_WINDOW))
+    target_index = train_len + np.arange(len(lags))
+    preds = np.empty((len(lags), h_max))
     for step in range(1, h_max + 1):
         sin_h, cos_h = hour_features(series.hour_of_day(target_index + step - 1))
         p = np.asarray(model.predict(np.column_stack([lags, sin_h, cos_h])), dtype=np.float64)

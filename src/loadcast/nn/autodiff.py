@@ -592,6 +592,44 @@ def conv_relu_pool(x, weights, bias, pool_range: int, causal: bool = False) -> T
     return _make(value, (x, weights, bias), backward)
 
 
+def lstm_recurrence(projected: np.ndarray, u: np.ndarray, b: np.ndarray, h0: np.ndarray,
+                    c0: np.ndarray, record: bool = False):
+    """The LSTM forward recurrence from a given state, without a tape.
+
+    projected: (T, B, 4n), each step's input projection x_t @ w, time-major;
+    u: (n, 4n); b: (1, 4n); h0, c0: (B, n), the state before the first step.
+    Gate columns run input, forget, output (sigmoid) then the cell candidate
+    (tanh). Returns (hidden, cells, gates, squashed): hidden and cells are
+    (T + 1, B, n) with the initial state at index 0. With `record`, gates
+    (T, B, 4n) keeps every step's activated i, f, o, g and squashed
+    (T, B, n) every tanh(c_t), as backpropagation through time reads them;
+    without, both hold the last step only. Each step is one h @ u and
+    in-place elementwise work on contiguous blocks.
+    """
+    steps, batch, _ = projected.shape
+    n = u.shape[0]
+    keep = steps if record else 1
+    gates = np.empty((keep, batch, 4 * n))
+    squashed = np.empty((keep, batch, n))
+    hidden = np.empty((steps + 1, batch, n))
+    cells = np.empty((steps + 1, batch, n))
+    hidden[0], cells[0] = h0, c0
+    ig = np.empty((batch, n))
+    work = np.empty((batch, 3 * n))
+    for t in range(steps):
+        z, tc, c = gates[t if record else 0], squashed[t if record else 0], cells[t + 1]
+        np.matmul(hidden[t], u, out=z)
+        np.add(projected[t], z, out=z)
+        z += b
+        _sigmoid(z[:, : 3 * n], out=z[:, : 3 * n], work=work)
+        np.tanh(z[:, 3 * n :], out=z[:, 3 * n :])
+        np.multiply(z[:, n : 2 * n], cells[t], out=c)
+        c += np.multiply(z[:, :n], z[:, 3 * n :], out=ig)
+        np.tanh(c, out=tc)
+        np.multiply(z[:, 2 * n : 3 * n], tc, out=hidden[t + 1])
+    return hidden, cells, gates, squashed
+
+
 def lstm_layer(x, w, u, b) -> Tensor:
     """One LSTM layer over a whole sequence as a single tape node.
 
@@ -599,11 +637,14 @@ def lstm_layer(x, w, u, b) -> Tensor:
     input, forget, output (sigmoid) then the cell candidate (tanh), so every
     step matches `baselines.lstm_cell_step` from a zero state. Returns the
     hidden sequence (B, T, n). The input projection is one GEMM over all
-    steps and the recurrence one h @ u per step; the backward pass is an
-    explicit backpropagation through time whose weight gradients are single
-    GEMMs over all steps (Appleyard, Kocisky & Blunsom, arXiv:1604.01946).
-    Work arrays are time-major, so each step touches contiguous blocks, and
-    are written in place; without a tape only one step's worth is kept.
+    steps and the recurrence, `lstm_recurrence`, one h @ u per step; the
+    backward pass is an explicit backpropagation through time whose weight
+    gradients are single GEMMs over all steps (Appleyard, Kocisky & Blunsom,
+    arXiv:1604.01946). Work arrays are time-major, so each step touches
+    contiguous blocks; without a tape, gates are kept for one step only.
+    `LSTMModel.roll` runs the same recurrence from saved states: a rolling
+    sweep computes each layer's (h, c) over the actual lags once per window
+    start and resumes every origin from there over its own predictions.
     """
     x, w, u, b = astensor(x), astensor(w), astensor(u), astensor(b)
     batch, steps, width = x.value.shape
@@ -616,26 +657,8 @@ def lstm_layer(x, w, u, b) -> Tensor:
     tracked = _GRAD_ENABLED and any(t.requires_grad for t in (x, w, u, b))
     inputs = x.value.transpose(1, 0, 2).reshape(-1, width)
     projected = (inputs @ w.value).reshape(steps, batch, 4 * n)
-    keep = steps if tracked else 1
-    gates = np.empty((keep, batch, 4 * n))  # activated: i, f, o sigmoids, then g
-    squashed = np.empty((keep, batch, n))  # tanh(c)
-    cells = np.zeros((steps + 1 if tracked else 1, batch, n))  # cells[0], hidden[0]: zero state
-    hidden = np.zeros((steps + 1, batch, n))
-    ig = np.empty((batch, n))
-    work = np.empty((batch, 3 * n))
-    for t in range(steps):
-        k = t if tracked else 0
-        z, tc = gates[k], squashed[k]
-        c_prev, c = (cells[t], cells[t + 1]) if tracked else (cells[0], cells[0])
-        np.matmul(hidden[t], u.value, out=z)
-        np.add(projected[t], z, out=z)
-        z += b.value
-        _sigmoid(z[:, : 3 * n], out=z[:, : 3 * n], work=work)
-        np.tanh(z[:, 3 * n :], out=z[:, 3 * n :])
-        np.multiply(z[:, n : 2 * n], c_prev, out=c)
-        c += np.multiply(z[:, :n], z[:, 3 * n :], out=ig)
-        np.tanh(c, out=tc)
-        np.multiply(z[:, 2 * n : 3 * n], tc, out=hidden[t + 1])
+    zero = np.zeros((batch, n))
+    hidden, cells, gates, squashed = lstm_recurrence(projected, u.value, b.value, zero, zero, record=tracked)
 
     def backward(grad):
         grad = grad.transpose(1, 0, 2)

@@ -314,6 +314,20 @@ def make_windows(series: TimeSeries, window: int) -> SupervisedWindowSet:
     return SupervisedWindowSet(inputs=inputs, targets=targets, window_length=window, horizon_step=1)
 
 
+def origin_windows(values: np.ndarray, train_len: int, width: int) -> np.ndarray:
+    """The `width` values before every rolling origin of the test slice.
+
+    Row o ends just before index train_len + o, so there is one row per
+    test point; shape (len(values) - train_len, width), a read-only view.
+    """
+    test_len = len(values) - train_len
+    if test_len < 1:
+        raise InsufficientDataError("no test points after the training slice")
+    if train_len < width:
+        raise InsufficientDataError(f"training slice shorter than the {width}-point window")
+    return np.lib.stride_tricks.sliding_window_view(values, width)[train_len - width : len(values) - width]
+
+
 def split_case(series: TimeSeries, case_id: CaseId) -> CaseSplit:
     """First {3,5,7,15,30} days of data become the training slice; the rest is test."""
     if not isinstance(case_id, CaseId):

@@ -24,7 +24,8 @@ from .nn import autodiff as ad
 from .nn.autodiff import Tensor, no_grad
 from .nn.ops import _materialize
 from .nn.params import ParamStore
-from .series import NormalizationParams, TimeSeries, fit_normalizer, holdout_count, read_json, write_json
+from .series import (NormalizationParams, TimeSeries, fit_normalizer, holdout_count, origin_windows,
+                     read_json, write_json)
 
 PE_BASE = 10000.0
 FINE_TUNE_LR_FACTOR = 0.1
@@ -395,6 +396,12 @@ class TransformerForecaster:
             window = np.concatenate([window, predictions], axis=1)[:, -ctx:]
             remaining -= steps
         return self.normalizer.invert(np.concatenate(chunks, axis=1))
+
+    def roll(self, series: TimeSeries, train_len: int, h_max: int, normalizer) -> np.ndarray:
+        """The rolling sweep of `harness.roll_forecasts`: every origin's raw
+        context decoded as one batch, scaled by the caller's normalizer."""
+        contexts = origin_windows(series.values, train_len, self.config.context_length)
+        return normalizer.apply(self.forecast_batch(contexts, h_max))
 
     # ---- training ---------------------------------------------------------
 

@@ -20,7 +20,7 @@ from loadcast.baselines import (
     lstm_cell_step,
     pm_forecast,
 )
-from loadcast.errors import ConfigError, ConfigWarning, InsufficientDataError
+from loadcast.errors import ConfigError, ConfigWarning, InsufficientDataError, ShapeError
 from loadcast.nn import ParamStore
 from loadcast.series import (
     SupervisedWindowSet,
@@ -311,6 +311,17 @@ def test_mlp_config_guards():
         MLPModel(layers=())
     with pytest.raises(InsufficientDataError):
         MLPModel().predict(np.zeros((1, 14)))
+
+
+@pytest.mark.parametrize("make", [lambda: MLPModel(epochs=1), lambda: LSTMModel(lstm_units=(4,), epochs=1)],
+                         ids=["mlp", "lstm"])
+def test_neural_predict_names_the_expected_feature_width(make):
+    windows = window_fixture(seed=22, length=40, window=12)
+    model = make().fit(windows, seed=0)
+    assert model.predict(windows.inputs).shape == (len(windows),)
+    for width in (30, 20, 13):
+        with pytest.raises(ShapeError, match=r"\(rows, 14\)"):
+            model.predict(np.zeros((3, width)))
 
 
 def test_lstm_cell_step_matches_hand_computation():

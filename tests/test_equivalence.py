@@ -1,7 +1,8 @@
 """Fast kernels against the plain code they replace.
 
 The fused LSTM layer is checked against `lstm_cell_step` unrolled on the
-tape, the array tree walks against a per-row walk and a per-tree sum, the
+tape, the LSTM's prefix-state rolling sweep against the per-step `predict`
+recursion, the array tree walks against a per-row walk and a per-tree sum, the
 transformer's cached decoding against re-running the decoder over the
 whole generated prefix at every step, the im2col conv, shifted-max pool
 and one-GEMM matmul against the einsum, argmax and batched kernels,
@@ -25,7 +26,7 @@ from loadcast.corpus import GeneratorSpec, generate_series
 from loadcast.errors import ConfigError, NumericError, ShapeError
 from loadcast.nn import ParamStore, Tensor, adam_update, glorot_init, grad_check, no_grad
 from loadcast.series import VALIDATION_TAIL, NormalizationParams, SupervisedWindowSet, fit_normalizer
-from loadcast import transformer
+from loadcast import harness, transformer
 from loadcast.transformer import (
     ATTENTION_WEIGHT_NAMES,
     TransformerConfig,
@@ -190,6 +191,70 @@ def test_lstm_model_stores_the_per_gate_draws_joined(units):
     assert joined.names() == [f"lstm{k}.{kind}" for k in range(len(units)) for kind in "wub"] + dense
     for name in dense:
         _assert_bitwise(joined.tensor(name).value, per_gate.tensor(name).value)
+
+
+def test_lstm_recurrence_resumes_from_a_saved_state():
+    """A nonzero initial state through the shared kernel: against the cell
+    unrolled from that state, and bitwise against one uninterrupted pass."""
+    rng = np.random.default_rng(7)
+    params = _lstm_store(rng, (5,), width=3)
+    w, u, b = (np.concatenate([params.get(f"lstm0.{gate}.{kind}").value for gate in LSTM_GATES], axis=1)
+               for kind in "wub")
+    x = rng.normal(size=(9, 4, 3))
+    h0, c0 = rng.normal(scale=0.5, size=(2, 4, 5))
+    projected = (x.reshape(-1, 3) @ w).reshape(9, 4, 20)
+    hidden, cells, _, _ = ad.lstm_recurrence(projected, u, b, h0, c0)
+    h, c = Tensor(h0), Tensor(c0)
+    for t in range(9):
+        h, c = lstm_cell_step(x[t], h, c, params, prefix="lstm0.")
+        np.testing.assert_allclose(hidden[t + 1], h.value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cells[t + 1], c.value, rtol=0, atol=1e-12)
+    resumed_h, resumed_c, _, _ = ad.lstm_recurrence(projected[4:], u, b, hidden[4], cells[4])
+    _assert_bitwise(resumed_h, hidden[4:])
+    _assert_bitwise(resumed_c, cells[4:])
+
+
+class _PredictOnly:
+    """A model seen through `predict` alone, so `roll_forecasts` runs the
+    per-step recursion: the reference for the LSTM's prefix-state sweep."""
+
+    def __init__(self, model):
+        self.predict = model.predict
+
+
+def _lstm_sweep_inputs(units, origins):
+    data = generate_series(GeneratorSpec(family="trend_seasonal", length=72 + 40, period=24,
+                                         trend_slope=0.001, noise_std=0.05, seed=len(units)))
+    train = data.slice(0, 72)
+    model = harness.fit_case_model("lstm", train, 3, hyperparams={"lstm_units": units, "epochs": 2})
+    return model, data.slice(0, 72 + origins), fit_normalizer(train)
+
+
+LSTM_SWEEP_UNITS = [(16, 8), (4,), (6, 5, 3)]
+
+
+@pytest.mark.parametrize("units", LSTM_SWEEP_UNITS, ids=str)
+@pytest.mark.parametrize("origins", [2, 5, 40])
+@pytest.mark.parametrize("h_max", [1, 6, 24, 27])
+def test_lstm_roll_is_bitwise_the_predict_recursion(units, origins, h_max):
+    model, view, normalizer = _lstm_sweep_inputs(units, origins)
+    swept = harness.roll_forecasts(model, view, 72, h_max, normalizer)
+    _assert_bitwise(swept, harness.roll_forecasts(_PredictOnly(model), view, 72, h_max, normalizer))
+
+
+@pytest.mark.parametrize("units", LSTM_SWEEP_UNITS, ids=str)
+def test_lstm_roll_matches_the_predict_recursion_at_one_origin(units):
+    """One origin is the exception to bitwise: the recursion then multiplies
+    one-row matrices, which numpy sends to GEMV, while the prefix pass runs
+    several starts through GEMM; the two sum in different orders, about
+    1e-16 apart."""
+    model, view, normalizer = _lstm_sweep_inputs(units, 1)
+    for h_max in (1, 6, 24):
+        np.testing.assert_allclose(
+            harness.roll_forecasts(model, view, 72, h_max, normalizer),
+            harness.roll_forecasts(_PredictOnly(model), view, 72, h_max, normalizer),
+            rtol=0, atol=1e-15,
+        )
 
 
 def _per_row_walk(tree, features):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from loadcast import harness
+from loadcast.baselines import MODEL_ORDER
 from loadcast.cli import main as cli_main
 from loadcast.corpus import GeneratorSpec, generate_series
 from loadcast.errors import ConfigError, DataError, InsufficientDataError, ShapeError
@@ -420,6 +421,57 @@ def tsfm_fitted_directly(artifact, train, fine_tune, seed):
     else:
         model.set_normalizer(fit_normalizer(train))
     return model
+
+
+@pytest.fixture(scope="module")
+def sweep_models(tiny_artifact):
+    """A 30-origin case1 series and every model id fit on its training
+    slice, the trained ones briefly (tsfm zero-shot)."""
+    series = seasonal_series(length=72 + 30, seed=33)
+    train = split_case(series, "case1").train
+    base = TransformerForecaster.load(tiny_artifact)
+    quick = {"gbt": {"estimators": 5, "min_child_samples": 2}, "mlp": {"epochs": 1}, "lstm": {"epochs": 1}}
+    models = {
+        model_id: harness.fit_case_model(model_id, train, 4, base_transformer=base, fine_tune=False,
+                                         hyperparams=quick.get(model_id))
+        for model_id in MODEL_ORDER
+    }
+    return series, fit_normalizer(train), models
+
+
+@pytest.mark.parametrize("model_id", MODEL_ORDER)
+def test_roll_forecasts_rejects_a_horizon_below_one(sweep_models, model_id):
+    series, normalizer, models = sweep_models
+    for h_max in (0, -1):
+        with pytest.raises(ConfigError, match="h_max"):
+            roll_forecasts(models[model_id], series, 72, h_max, normalizer)
+
+
+@pytest.mark.parametrize("model_id", MODEL_ORDER)
+def test_roll_forecasts_never_reads_past_an_origin(sweep_models, model_id):
+    """Rows 0..o stay exactly as they were whatever happens from index
+    train_len + o on: no later actual reaches an earlier origin, also in the
+    sweeps that read the whole test slice at once (tsfm, lstm)."""
+    series, normalizer, models = sweep_models
+    model = models[model_id]
+    clean = roll_forecasts(model, series, 72, 24, normalizer)
+    rng = np.random.default_rng(5)
+    for origin in (0, 1, 13, 29):
+        values = series.values.copy()
+        values[72 + origin :] += rng.uniform(-3.0, 3.0, size=len(values) - 72 - origin)
+        perturbed = roll_forecasts(model, series.with_values(values), 72, 24, normalizer)
+        np.testing.assert_array_equal(perturbed[: origin + 1], clean[: origin + 1])
+        if origin < 29:  # the perturbation does reach the later rows
+            assert not np.array_equal(perturbed[origin + 1 :], clean[origin + 1 :])
+
+
+def test_transformer_roll_is_one_batch_of_raw_contexts(sweep_models):
+    series, normalizer, models = sweep_models
+    tsfm = models["tsfm"]
+    width = tsfm.config.context_length
+    contexts = np.stack([series.values[72 + o - width : 72 + o] for o in range(len(series) - 72)])
+    expected = normalizer.apply(tsfm.forecast_batch(contexts, 5))
+    np.testing.assert_array_equal(roll_forecasts(tsfm, series, 72, 5, normalizer), expected)
 
 
 @pytest.mark.parametrize("fine_tune", [True, False])
