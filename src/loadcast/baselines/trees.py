@@ -257,13 +257,15 @@ class GradientBoostedTrees:
         if self.initial is None:
             raise InsufficientDataError("model is not fitted")
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        out = np.full(len(features), self.initial)
-        if self.trees:
-            joint, starts = self._stacked
-            start = np.broadcast_to(starts[:, None], (len(starts), len(features)))
-            for leaf in joint.value[joint._descend(features, start)]:
-                out += self.learning_rate * leaf
-        return out
+        if not self.trees:
+            return np.full(len(features), self.initial)
+        joint, starts = self._stacked
+        start = np.broadcast_to(starts[:, None], (len(starts), len(features)))
+        leaves = joint.value[joint._descend(features, start)]
+        leaves *= self.learning_rate
+        leaves[0] += self.initial
+        # cumsum adds row after row, so its last row is initial + leaf 1 + leaf 2 + ... in boosting order
+        return np.cumsum(leaves, axis=0, out=leaves)[-1].copy()
 
     def training_curve(self, features: np.ndarray, targets: np.ndarray) -> list[float]:
         """MSE after each boosting round, for monotonicity diagnostics."""

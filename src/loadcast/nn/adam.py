@@ -3,9 +3,12 @@ every trained model in the package runs on it."""
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from ..errors import ConfigError, NumericError
+from .autodiff import workspace
 from .params import ParamStore
 
 BETA1 = 0.9
@@ -62,6 +65,14 @@ def train_minibatch(params: ParamStore, loss_fn, sample_count: int, epochs: int,
     With `validation`, a zero-argument callable giving the held-out loss
     after each epoch, training stops after EARLY_STOP_PATIENCE epochs
     without a new best, and the weights of the best epoch are restored.
+
+    The call holds one tape at a time: a step's loss, and with it every
+    array its tape keeps, is released before the next step's forward pass.
+    A call of more than one step opens an `autodiff.workspace()` for its
+    duration: the taped ops and `Tensor.backward` take their arrays from
+    it, so each step gets the previous step's buffers back, and the memory
+    goes when the call returns. `loss_fn` must keep nothing a step allocates
+    past that step; gradients reach the store through its parameter tensors.
     """
     if batch < 1 or epochs < 0:
         raise ConfigError(f"training needs batch >= 1 and epochs >= 0, got batch {batch}, epochs {epochs}")
@@ -70,28 +81,33 @@ def train_minibatch(params: ParamStore, loss_fn, sample_count: int, epochs: int,
     params.zero_grads()
     curve: list[float] = []
     best_val, best_state, stale, step = np.inf, None, 0, 0
-    for _ in range(epochs):
-        order = rng.permutation(sample_count)
-        total = 0.0
-        for lo in range(0, sample_count, batch):
-            chosen = order[lo : lo + batch]
-            loss = loss_fn(chosen)
-            if not np.isfinite(loss.value):
-                raise NumericError("training loss became non-finite")
-            loss.backward()
-            step += 1
-            adam_update(params, learning_rate, step)
-            total += float(loss.value) * len(chosen)
-        curve.append(total / sample_count)
-        if validation is None:
-            continue
-        val_loss = validation()
-        if val_loss < best_val - 1e-12:
-            best_val, best_state, stale = val_loss, params.snapshot(), 0
-        else:
-            stale += 1
-            if stale >= EARLY_STOP_PATIENCE:
-                break
+    # A one-step call has no later step to hand buffers to, so it allocates as numpy does.
+    with workspace() if epochs * -(-sample_count // batch) > 1 else contextlib.nullcontext() as steps:
+        for _ in range(epochs):
+            order = rng.permutation(sample_count)
+            total = 0.0
+            for lo in range(0, sample_count, batch):
+                if steps is not None:
+                    steps.rewind()
+                chosen = order[lo : lo + batch]
+                loss = loss_fn(chosen)
+                if not np.isfinite(loss.value):
+                    raise NumericError("training loss became non-finite")
+                loss.backward()
+                step += 1
+                adam_update(params, learning_rate, step)
+                total += float(loss.value) * len(chosen)
+                del loss  # the tape reads this step's buffers; the next step reuses them
+            curve.append(total / sample_count)
+            if validation is None:
+                continue
+            val_loss = validation()
+            if val_loss < best_val - 1e-12:
+                best_val, best_state, stale = val_loss, params.snapshot(), 0
+            else:
+                stale += 1
+                if stale >= EARLY_STOP_PATIENCE:
+                    break
     if best_state is not None:
         params.restore(best_state)
     return curve

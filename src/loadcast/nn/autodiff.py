@@ -21,11 +21,17 @@ adopts the sum's gradient, the second parent (y) adopts a copy.
 ParamStore leaves keep their external `grad_buffer` and always add into it:
 that buffer is a view into the store's flat gradient array, which
 `adam_update` reads and zeroes as a whole.
+
+Inside a `workspace()` block, while gradients are on, the taped ops take
+their full-size outputs, saved temporaries and gradients from the
+block's `Workspace` instead of allocating them, with the same arithmetic
+into the same layouts, so every value and gradient keeps its bits.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable
 
 import numpy as np
@@ -33,6 +39,8 @@ import numpy as np
 from ..errors import ConfigError, ShapeError
 
 _GRAD_ENABLED = True
+_WORKSPACE: "Workspace | None" = None
+_FLOAT, _BOOL = np.dtype(np.float64), np.dtype(bool)
 
 LAYER_NORM_EPSILON = 1e-5
 
@@ -51,6 +59,121 @@ def no_grad():
 
 def grad_enabled() -> bool:
     return _GRAD_ENABLED
+
+
+class Workspace:
+    """The buffers one training step's arrays live in, handed back to the next step.
+
+    A request first takes memory of its exact size that the step has given
+    back (`give_back`), newest first. Otherwise it takes the next buffer in
+    call order since the last `rewind()`: the same array when shape and
+    dtype repeat, a view of it when it holds enough bytes, and a new buffer
+    in its place when it does not. A step that repeats the previous step's
+    calls, at the same or a smaller batch, so gets the same memory back
+    instead of faulting in fresh pages. Rewind only once nothing reads the
+    arrays handed out since the last rewind.
+    """
+
+    def __init__(self):
+        self._buffers: list[np.ndarray] = []
+        self._views: list[np.ndarray] = []
+        self._given: dict[int, list[np.ndarray]] = {}  # flat uint8 memory by byte count
+        self._next = 0
+
+    def rewind(self) -> None:
+        self._next = 0
+        self._given.clear()
+
+    def take(self, shape: tuple[int, ...], dtype: np.dtype = _FLOAT) -> np.ndarray:
+        """An uninitialised array of `shape` and `dtype` (an np.dtype)."""
+        if self._given:
+            nbytes = math.prod(shape) * dtype.itemsize
+            given = self._given.get(nbytes)
+            if given:
+                memory = given.pop()
+                if not given:
+                    del self._given[nbytes]
+                return memory.view(dtype).reshape(shape)
+        i = self._next
+        self._next += 1
+        if i < len(self._views) and self._views[i].shape == shape and self._views[i].dtype is dtype:
+            return self._views[i]
+        nbytes = math.prod(shape) * dtype.itemsize
+        if i == len(self._buffers):
+            self._buffers.append(np.empty(nbytes, np.uint8))
+            self._views.append(self._buffers[i])
+        elif self._buffers[i].size < nbytes:
+            self._buffers[i] = np.empty(nbytes, np.uint8)
+        self._views[i] = self._buffers[i][:nbytes].view(dtype).reshape(shape)
+        return self._views[i]
+
+    def give_back(self, array: np.ndarray) -> None:
+        """Let this step's later requests reuse the memory of `array`, an
+        array from `take` that nothing reads any more."""
+        self._given.setdefault(array.nbytes, []).append(array.reshape(-1).view(np.uint8))
+
+
+@contextlib.contextmanager
+def workspace():
+    """Serve the taped ops' arrays from one fresh Workspace inside the block,
+    and drop it, with every buffer, on leaving."""
+    global _WORKSPACE
+    previous, _WORKSPACE = _WORKSPACE, Workspace()
+    try:
+        yield _WORKSPACE
+    finally:
+        _WORKSPACE = previous
+
+
+def _buffer(shape: tuple[int, ...], other: tuple[int, ...] | None = None,
+            dtype: np.dtype = _FLOAT) -> np.ndarray | None:
+    """A workspace array of `shape`, broadcast against `other` if given,
+    while a workspace is active and gradients are on; else None, so
+    `out=_buffer(...)` leaves numpy to allocate as it does without `out`."""
+    if _WORKSPACE is None or not _GRAD_ENABLED:
+        return None
+    if other is not None and other != shape:
+        shape = np.broadcast_shapes(shape, other)
+    return _WORKSPACE.take(shape, dtype)
+
+
+def _empty(shape: tuple[int, ...], dtype: np.dtype = _FLOAT) -> np.ndarray:
+    out = _buffer(shape, dtype=dtype)
+    return np.empty(shape, dtype) if out is None else out
+
+
+def _zeros(shape: tuple[int, ...]) -> np.ndarray:
+    out = _buffer(shape)
+    if out is None:
+        return np.zeros(shape)
+    out.fill(0.0)
+    return out
+
+
+def _copy(x: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of x."""
+    out = _buffer(x.shape)
+    if out is None:
+        return x.copy()
+    np.copyto(out, x)
+    return out
+
+
+def _release(*arrays: np.ndarray) -> None:
+    """Give workspace arrays that nothing reads any more back to the
+    active workspace for the step's later requests; without one, a no-op."""
+    if _WORKSPACE is not None and _GRAD_ENABLED:
+        for array in arrays:
+            _WORKSPACE.give_back(array)
+
+
+def _reshape(x: np.ndarray, shape) -> np.ndarray:
+    """x.reshape(shape), copying a non-contiguous x into a workspace array first."""
+    out = None if x.flags.c_contiguous else _buffer(x.shape)
+    if out is None:
+        return x.reshape(shape)
+    np.copyto(out, x)
+    return out.reshape(shape)
 
 
 class Tensor:
@@ -94,7 +217,7 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
+            self.grad = _zeros(self.value.shape)
         self.grad += 1.0
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
@@ -127,15 +250,21 @@ def _make(value: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def _accumulate(tensor: Tensor, grad: np.ndarray, shared: bool = False) -> None:
+def _accumulate(tensor: Tensor, grad: np.ndarray, shared: bool = False) -> bool:
     """Add `grad` into tensor.grad, adopting it on the first write unless it is
-    `shared` with another tensor, which gets a copy (see the module docstring)."""
-    if tensor.requires_grad:
-        reduced = _unbroadcast(grad, tensor.value.shape)
-        if tensor.grad is None:
-            tensor.grad = reduced.copy() if shared and reduced is grad else reduced
-        else:
-            tensor.grad += reduced
+    `shared` with another tensor, which gets a copy (see the module docstring).
+    Returns whether the tensor may have kept `grad`'s memory."""
+    if not tensor.requires_grad:
+        return False
+    reduced = _unbroadcast(grad, tensor.value.shape)
+    if tensor.grad is not None:
+        tensor.grad += reduced
+        return False
+    if shared and reduced is grad:
+        tensor.grad = _copy(reduced)
+        return False
+    tensor.grad = reduced
+    return True
 
 
 def _unary(a: Tensor, value: np.ndarray, grad) -> Tensor:
@@ -145,7 +274,7 @@ def _unary(a: Tensor, value: np.ndarray, grad) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
-    value = a.value + b.value
+    value = np.add(a.value, b.value, out=_buffer(a.value.shape, b.value.shape))
 
     def backward(g):
         _accumulate(a, g)
@@ -186,14 +315,23 @@ def matmul(a, b) -> Tensor:
     and both gradients are single GEMMs instead of a loop over the batch."""
     a, b = astensor(a), astensor(b)
     fold = b.value.ndim == 2
-    left = a.value.reshape(-1, a.value.shape[-1]) if fold else a.value
-    value = (left @ b.value).reshape(a.value.shape[:-1] + b.value.shape[1:]) if fold else left @ b.value
+    if fold:
+        left = _reshape(a.value, (-1, a.value.shape[-1]))
+        product = np.matmul(left, b.value, out=_buffer((left.shape[0], b.value.shape[1])))
+        value = product.reshape(a.value.shape[:-1] + b.value.shape[1:])
+    else:
+        left = a.value
+        value = left @ b.value
 
     def backward(g):
-        g = g.reshape(-1, g.shape[-1]) if fold else g
+        if fold:
+            g = _reshape(g, (-1, g.shape[-1]))
         if a.requires_grad:
-            da = g @ np.swapaxes(b.value, -1, -2)
-            _accumulate(a, da.reshape(a.value.shape) if fold else da)
+            if fold:
+                da = np.matmul(g, b.value.T, out=_buffer((g.shape[0], b.value.shape[0]))).reshape(a.value.shape)
+            else:
+                da = g @ np.swapaxes(b.value, -1, -2)
+            _accumulate(a, da)
         if b.requires_grad:
             _accumulate(b, np.swapaxes(left, -1, -2) @ g)
 
@@ -266,7 +404,7 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = astensor(a)
-    return _unary(a, a.value.reshape(shape), lambda g: g.reshape(a.value.shape))
+    return _unary(a, _reshape(a.value, shape), lambda g: _reshape(g, a.value.shape))
 
 
 def transpose(a, axes) -> Tensor:
@@ -278,8 +416,10 @@ def transpose(a, axes) -> Tensor:
 
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = [astensor(t) for t in tensors]
-    value = np.concatenate([t.value for t in tensors], axis=axis)
     sizes = [t.value.shape[axis] for t in tensors]
+    shape = list(tensors[0].value.shape)
+    shape[axis] = sum(sizes)
+    value = np.concatenate([t.value for t in tensors], axis=axis, out=_buffer(tuple(shape)))
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
@@ -297,7 +437,7 @@ def index(a, key) -> Tensor:
     value = a.value[key]
 
     def backward(g):
-        full = np.zeros_like(a.value)
+        full = _zeros(a.value.shape)
         np.add.at(full, key, g)
         _accumulate(a, full)
 
@@ -308,7 +448,7 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     """max over the last axis, keepdims, as one np.maximum per column: on
     many short rows that beats numpy's reduction, which costs about 0.1 us a
     row. Max is exact, so the order does not change the bits."""
-    m = x[..., :1].copy()
+    m = _copy(x[..., :1])
     for j in range(1, x.shape[-1]):
         np.maximum(m, x[..., j : j + 1], out=m)
     return m
@@ -318,19 +458,23 @@ def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax over the last axis, written to `out` (which may be
     `logits`). -inf entries get zero weight; a row of only -inf stays all zero."""
     m = _row_max(logits)
-    m = np.where(np.isfinite(m), m, 0.0)
+    np.copyto(m, 0.0, where=~np.isfinite(m))
     value = np.subtract(logits, m, out=out)
     np.exp(value, out=value)
-    denom = value.sum(axis=-1, keepdims=True)
-    denom = np.where(denom == 0.0, 1.0, denom)
+    denom = value.sum(axis=-1, keepdims=True, out=_buffer(m.shape))
+    np.copyto(denom, 1.0, where=denom == 0.0)
     value /= denom
+    _release(m, denom)
     return value
 
 
 def _softmax_grad(p: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The gradient g of softmax output p taken back to its logits, into `out` (which may be g)."""
-    inner = (g * p).sum(axis=-1, keepdims=True)
+    gp = np.multiply(g, p, out=_buffer(g.shape, p.shape))
+    inner = gp.sum(axis=-1, keepdims=True, out=_buffer(gp.shape[:-1] + (1,)))
+    _release(gp)
     out = np.subtract(g, inner, out=out)
+    _release(inner)
     out *= p
     return out
 
@@ -360,7 +504,8 @@ def attention_probabilities(q: np.ndarray, k: np.ndarray, mask: np.ndarray | Non
     left gets all-zero weights."""
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"Q/K feature dims differ: {q.shape[-1]} vs {k.shape[-1]}")
-    probs = q @ np.swapaxes(k, -1, -2)
+    out = _buffer(q.shape[:-1] + k.shape[-2:-1]) if q.shape[:-2] == k.shape[:-2] else None
+    probs = np.matmul(q, np.swapaxes(k, -1, -2), out=out)
     probs *= 1.0 / np.sqrt(q.shape[-1])
     if mask is not None:
         np.copyto(probs, -np.inf, where=~mask)
@@ -393,24 +538,25 @@ def attention(q, k, v, head_count: int = 1, mask: np.ndarray | None = None) -> T
                           f"not divisible by head_count {head_count}")
     qh, kh, vh = (_heads(t.value, head_count) for t in (q, k, v))
     probs = attention_probabilities(qh, kh, mask)
-    value = np.empty(q.value.shape[:-1] + v.value.shape[-1:])
+    value = _empty(q.value.shape[:-1] + v.value.shape[-1:])
     np.matmul(probs, vh, out=_heads(value, head_count))
     factor = 1.0 / np.sqrt(qh.shape[-1])
 
     def product_into(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
         if t.requires_grad:
-            grad = np.empty(t.value.shape)
+            grad = _empty(t.value.shape)
             np.matmul(a, b, out=_heads(grad, head_count))
             _accumulate(t, grad)
 
     def backward(g):
         gh = _heads(g, head_count)
-        dscores = gh @ np.swapaxes(vh, -1, -2)
+        dscores = np.matmul(gh, np.swapaxes(vh, -1, -2), out=_buffer(probs.shape))
         product_into(v, np.swapaxes(probs, -1, -2), gh)
         _softmax_grad(probs, dscores, out=dscores)
         dscores *= factor
         product_into(q, dscores, kh)
         product_into(k, np.swapaxes(dscores, -1, -2), qh)
+        _release(dscores, probs)
 
     return _make(value, (q, k, v), backward)
 
@@ -427,30 +573,38 @@ def _layer_norm(s: np.ndarray, out: np.ndarray | None, inputs: tuple[Tensor, ...
     if gamma.value.shape[-1] != s.shape[-1] or beta.value.shape[-1] != s.shape[-1]:
         raise ShapeError("gamma/beta must match the normalized axis length")
     n = s.shape[-1]
-    mu = s.sum(axis=-1, keepdims=True)
+    rows = s.shape[:-1] + (1,)
+    mu = s.sum(axis=-1, keepdims=True, out=_buffer(rows))
     mu /= n
     xhat = np.subtract(s, mu, out=out)
-    var = np.square(xhat).sum(axis=-1, keepdims=True)
+    squares = np.square(xhat, out=_buffer(xhat.shape))
+    var = squares.sum(axis=-1, keepdims=True, out=_buffer(rows))
+    _release(mu, squares)
     var /= n
     var += LAYER_NORM_EPSILON
-    inv = 1.0 / np.sqrt(var, out=var)
+    np.sqrt(var, out=var)
+    inv = np.divide(1.0, var, out=var)
     xhat *= inv
-    value = gamma.value * xhat
+    value = np.multiply(gamma.value, xhat, out=_buffer(gamma.value.shape, xhat.shape))
     value += beta.value
 
     def backward(g):
-        _accumulate(gamma, g * xhat)
-        dxhat = g * gamma.value
-        s1 = dxhat.sum(axis=-1, keepdims=True)
-        work = np.multiply(dxhat, xhat)
-        s2 = work.sum(axis=-1, keepdims=True)
+        scaled = np.multiply(g, xhat, out=_buffer(g.shape, xhat.shape))
+        if not _accumulate(gamma, scaled):
+            _release(scaled)
+        dxhat = np.multiply(g, gamma.value, out=_buffer(g.shape, gamma.value.shape))
+        s1 = dxhat.sum(axis=-1, keepdims=True, out=_buffer(rows))
+        work = np.multiply(dxhat, xhat, out=_buffer(dxhat.shape))
+        s2 = work.sum(axis=-1, keepdims=True, out=_buffer(rows))
         # (inv / n) * (n * dxhat - s1 - xhat * s2), evaluated in that order
         dx = np.multiply(dxhat, n, out=dxhat)
         dx -= s1
         dx -= np.multiply(xhat, s2, out=work)
-        dx *= inv / n
+        dx *= np.divide(inv, n, out=s1)
+        _release(s1, s2, work)
         route(dx)
         _accumulate(beta, g)
+        _release(xhat, inv)
 
     return _make(value, inputs + (gamma, beta), backward)
 
@@ -459,7 +613,7 @@ def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize x over its last axis (population variance), then scale by
     gamma and shift by beta."""
     x = astensor(x)
-    return _layer_norm(x.value, None, (x,), gamma, beta, lambda dx: _accumulate(x, dx))
+    return _layer_norm(x.value, _buffer(x.value.shape), (x,), gamma, beta, lambda dx: _accumulate(x, dx))
 
 
 def add_layer_norm(x, y, gamma, beta) -> Tensor:
@@ -467,7 +621,7 @@ def add_layer_norm(x, y, gamma, beta) -> Tensor:
     output. The sum's gradient goes to x and y as `add` hands it over: when
     x adopts it, y adopts a copy."""
     x, y = astensor(x), astensor(y)
-    s = x.value + y.value
+    s = np.add(x.value, y.value, out=_buffer(x.value.shape, y.value.shape))
 
     def route(ds):
         _accumulate(x, ds)
@@ -482,7 +636,7 @@ def _pad_time(x: np.ndarray, width: int, causal: bool, fill: float) -> tuple[np.
     about 190 us a call at the transformer's shapes."""
     left = width - 1 if causal else width // 2
     t = x.shape[-2]
-    xpad = np.empty(x.shape[:-2] + (t + width - 1, x.shape[-1]))
+    xpad = _empty(x.shape[:-2] + (t + width - 1, x.shape[-1]))
     xpad[..., :left, :] = fill
     xpad[..., left : left + t, :] = x
     xpad[..., left + t :, :] = fill
@@ -491,7 +645,8 @@ def _pad_time(x: np.ndarray, width: int, causal: bool, fill: float) -> tuple[np.
 
 def _conv(x: Tensor, weights: Tensor, bias: Tensor, causal: bool):
     """conv1d_same's value and the backward function that takes its output
-    gradient to x, weights and bias."""
+    gradient to x, weights and bias and returns whether bias may have kept
+    the gradient's memory."""
     k, cin, cout = weights.value.shape
     if k % 2 == 0:
         raise ConfigError(f"convolution kernel width must be odd, got {k}")
@@ -501,20 +656,25 @@ def _conv(x: Tensor, weights: Tensor, bias: Tensor, causal: bool):
     xpad, left = _pad_time(x.value, k, causal, 0.0)
     # (..., T, Cin, K) windows -> rows of [x[t], x[t + 1], ..., x[t + K - 1]]
     windows = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=-2)
-    cols = np.swapaxes(windows, -1, -2).reshape(-1, k * cin)
+    cols = _copy(np.swapaxes(windows, -1, -2)).reshape(-1, k * cin)
+    padded = xpad.shape
+    _release(xpad)  # the backward pass reads cols
     kernel = weights.value.reshape(k * cin, cout)
-    value = (cols @ kernel).reshape(x.value.shape[:-1] + (cout,))
+    value = np.matmul(cols, kernel, out=_buffer((cols.shape[0], cout))).reshape(x.value.shape[:-1] + (cout,))
     value += bias.value
 
     def backward(g):
-        g2 = g.reshape(-1, cout)
+        g2 = _reshape(g, (-1, cout))
         _accumulate(weights, (cols.T @ g2).reshape(k, cin, cout))
-        dcols = (g2 @ kernel.T).reshape(x.value.shape[:-1] + (k, cin))
-        dxpad = np.zeros_like(xpad)
+        dcols = np.matmul(g2, kernel.T, out=_buffer((g2.shape[0], k * cin))).reshape(x.value.shape[:-1] + (k, cin))
+        dxpad = _zeros(padded)
         for j in range(k):
             dxpad[..., j : j + t, :] += dcols[..., j, :]
-        _accumulate(x, dxpad[..., left : left + t, :])
-        _accumulate(bias, g)
+        _release(dcols)
+        if not _accumulate(x, dxpad[..., left : left + t, :]):
+            _release(dxpad)
+        _release(cols)
+        return _accumulate(bias, g)
 
     return value, backward
 
@@ -535,26 +695,28 @@ def conv1d_same(x, weights, bias, causal: bool = False) -> Tensor:
 
 def _pool(x: np.ndarray, pool_range: int, causal: bool):
     """maxpool1d_same's value over x and the function that takes its output
-    gradient to x's."""
+    gradient to x's: it returns the time-padded gradient and x's view of it."""
     if pool_range % 2 == 0 or pool_range < 1:
         raise ConfigError(f"pool range must be odd and positive, got {pool_range}")
     t = x.shape[-2]
     xpad, left = _pad_time(x, pool_range, causal, -np.inf)
-    value = xpad[..., :t, :].copy()
+    value = _copy(xpad[..., :t, :])
     for j in range(1, pool_range):
         np.maximum(value, xpad[..., j : j + t, :], out=value)
 
     def backward(g):
-        dxpad = np.zeros_like(xpad)
-        unclaimed = np.ones(value.shape, dtype=bool)
-        first = np.empty(value.shape, dtype=bool)
-        routed = np.empty(value.shape)
+        dxpad = _zeros(xpad.shape)
+        unclaimed = _empty(value.shape, _BOOL)
+        unclaimed.fill(True)
+        first = _empty(value.shape, _BOOL)
+        routed = _empty(value.shape)
         for j in range(pool_range):
             np.equal(xpad[..., j : j + t, :], value, out=first)
             first &= unclaimed
             unclaimed ^= first
             dxpad[..., j : j + t, :] += np.multiply(g, first, out=routed)
-        return dxpad[..., left : left + t, :]
+        _release(unclaimed, first, routed, xpad)
+        return dxpad, dxpad[..., left : left + t, :]
 
     return value, backward
 
@@ -571,7 +733,7 @@ def maxpool1d_same(x, pool_range: int, causal: bool = False) -> Tensor:
     if pool_range == 1:
         return x
     value, backward = _pool(x.value, pool_range, causal)
-    return _unary(x, value, backward)
+    return _unary(x, value, lambda g: backward(g)[1])
 
 
 def conv_relu_pool(x, weights, bias, pool_range: int, causal: bool = False) -> Tensor:
@@ -585,9 +747,17 @@ def conv_relu_pool(x, weights, bias, pool_range: int, causal: bool = False) -> T
     value, pool_backward = (activated, None) if pool_range == 1 else _pool(activated, pool_range, causal)
 
     def backward(g):
+        spent = []
         if pool_backward is not None:
-            g = pool_backward(g)
-        conv_backward(g * (activated > 0.0))
+            padded, g = pool_backward(g)
+            spent.append(padded)
+        on = np.greater(activated, 0.0, out=_buffer(activated.shape, dtype=_BOOL))
+        if pool_backward is not None:  # else activated is this node's value
+            spent.append(activated)
+        masked = np.multiply(g, on, out=_buffer(g.shape, on.shape))
+        _release(on, *spent)
+        if not conv_backward(masked):
+            _release(masked)
 
     return _make(value, (x, weights, bias), backward)
 
@@ -609,13 +779,13 @@ def lstm_recurrence(projected: np.ndarray, u: np.ndarray, b: np.ndarray, h0: np.
     steps, batch, _ = projected.shape
     n = u.shape[0]
     keep = steps if record else 1
-    gates = np.empty((keep, batch, 4 * n))
-    squashed = np.empty((keep, batch, n))
-    hidden = np.empty((steps + 1, batch, n))
-    cells = np.empty((steps + 1, batch, n))
+    gates = _empty((keep, batch, 4 * n))
+    squashed = _empty((keep, batch, n))
+    hidden = _empty((steps + 1, batch, n))
+    cells = _empty((steps + 1, batch, n))
     hidden[0], cells[0] = h0, c0
-    ig = np.empty((batch, n))
-    work = np.empty((batch, 3 * n))
+    ig = _empty((batch, n))
+    work = _empty((batch, 3 * n))
     for t in range(steps):
         z, tc, c = gates[t if record else 0], squashed[t if record else 0], cells[t + 1]
         np.matmul(hidden[t], u, out=z)
@@ -655,40 +825,48 @@ def lstm_layer(x, w, u, b) -> Tensor:
             f"b {b.value.shape} do not fit (B, T, in), (in, 4n), (n, 4n), (1, 4n)"
         )
     tracked = _GRAD_ENABLED and any(t.requires_grad for t in (x, w, u, b))
-    inputs = x.value.transpose(1, 0, 2).reshape(-1, width)
-    projected = (inputs @ w.value).reshape(steps, batch, 4 * n)
-    zero = np.zeros((batch, n))
+    inputs = _reshape(x.value.transpose(1, 0, 2), (-1, width))
+    projected = np.matmul(inputs, w.value, out=_buffer((inputs.shape[0], 4 * n))).reshape(steps, batch, 4 * n)
+    zero = _zeros((batch, n))
     hidden, cells, gates, squashed = lstm_recurrence(projected, u.value, b.value, zero, zero, record=tracked)
 
     def backward(grad):
         grad = grad.transpose(1, 0, 2)
         i, f, o, g = (gates[..., k * n : (k + 1) * n] for k in range(4))
-        # Per gate, d(pre-activation) / d(carried gradient); and dh -> dc.
-        mult = np.concatenate(
-            [g * i * (1.0 - i), cells[:-1] * f * (1.0 - f), squashed * o * (1.0 - o), i * (1.0 - g * g)],
-            axis=-1,
-        )
-        through = o * (1.0 - squashed * squashed)
+        # Per gate, d(pre-activation) / d(carried gradient), each evaluated
+        # left to right as written: g i (1 - i), c f (1 - f), tanh(c) o (1 - o)
+        # and i (1 - g g); and dh -> dc, o (1 - tanh(c) tanh(c)).
+        mult = _empty(gates.shape)
+        blocks = [mult[..., k * n : (k + 1) * n] for k in range(4)]
+        work = _empty(squashed.shape)
+        for out, left, gate in ((blocks[0], g, i), (blocks[1], cells[:-1], f), (blocks[2], squashed, o)):
+            np.multiply(left, gate, out=out)
+            out *= np.subtract(1.0, gate, out=work)
+        np.subtract(1.0, np.multiply(g, g, out=work), out=work)
+        np.multiply(i, work, out=blocks[3])
+        through = np.multiply(squashed, squashed, out=_buffer(squashed.shape))
+        np.subtract(1.0, through, out=through)
+        np.multiply(o, through, out=through)
         u_t = u.value.T
-        d_z = np.empty_like(gates)
-        dh_next = np.zeros((batch, n))
-        dc = np.zeros((batch, n))
+        d_z = _empty(gates.shape)
+        dh_next, dc, dh, carried = _zeros((batch, n)), _zeros((batch, n)), _empty((batch, n)), _empty((batch, n))
         for t in range(steps - 1, -1, -1):
-            dh = grad[t] + dh_next
-            dc = dc + dh * through[t]
+            np.add(grad[t], dh_next, out=dh)
+            dc += np.multiply(dh, through[t], out=carried)
             m, dz = mult[t], d_z[t]
             np.multiply(dc, m[:, :n], out=dz[:, :n])
             np.multiply(dc, m[:, n : 2 * n], out=dz[:, n : 2 * n])
             np.multiply(dh, m[:, 2 * n : 3 * n], out=dz[:, 2 * n : 3 * n])
             np.multiply(dc, m[:, 3 * n :], out=dz[:, 3 * n :])
-            dc = dc * f[t]
-            dh_next = dz @ u_t
+            dc *= f[t]
+            np.matmul(dz, u_t, out=dh_next)
         flat = d_z.reshape(-1, 4 * n)
         _accumulate(w, inputs.T @ flat)
         _accumulate(u, hidden[:-1].reshape(-1, n).T @ flat)
         _accumulate(b, flat.sum(axis=0, keepdims=True))
         if x.requires_grad:
-            _accumulate(x, (flat @ w.value.T).reshape(steps, batch, width).transpose(1, 0, 2))
+            dx = np.matmul(flat, w.value.T, out=_buffer((flat.shape[0], width)))
+            _accumulate(x, dx.reshape(steps, batch, width).transpose(1, 0, 2))
 
     return _make(hidden[1:].transpose(1, 0, 2), (x, w, u, b), backward)
 
@@ -709,22 +887,26 @@ def dense_stack(x, weights, biases) -> Tensor:
         raise ShapeError(f"dense_stack needs one bias per weight, got {len(weights)} and {len(biases)}")
     outputs = [x.value]  # each layer's input, then the stack's output
     for k, (w, b) in enumerate(zip(weights, biases)):
-        z = outputs[-1] @ w.value
+        z = np.matmul(outputs[-1], w.value, out=_buffer((outputs[-1].shape[0], w.value.shape[1])))
         z += b.value
-        outputs.append(_sigmoid(z, out=z) if k == len(weights) - 1 else np.maximum(z, 0.0, out=z))
+        outputs.append(_sigmoid(z, out=z, work=_buffer(z.shape)) if k == len(weights) - 1
+                       else np.maximum(z, 0.0, out=z))
 
     def backward(g):
         s = outputs[-1]
-        g = g * s * (1.0 - s)
+        g = np.multiply(g, s, out=_buffer(g.shape, s.shape))
+        g *= np.subtract(1.0, s, out=_buffer(s.shape))
         for k in range(len(weights) - 1, -1, -1):
             w, h = weights[k], outputs[k]
             _accumulate(biases[k], g)
             if w.requires_grad:
                 _accumulate(w, h.T @ g)
+            if k > 0 or x.requires_grad:
+                dh = np.matmul(g, w.value.T, out=_buffer((g.shape[0], w.value.shape[0])))
             if k > 0:  # h is a ReLU output, positive exactly where its input was
-                g = (g @ w.value.T) * (h > 0.0)
+                g = np.multiply(dh, np.greater(h, 0.0, out=_buffer(h.shape, dtype=_BOOL)), out=dh)
             elif x.requires_grad:
-                _accumulate(x, g @ w.value.T)
+                _accumulate(x, dh)
 
     return _make(outputs[-1], (x, *weights, *biases), backward)
 
@@ -740,12 +922,12 @@ def mse(prediction, target) -> Tensor:
     target = np.asarray(target, dtype=np.float64)
     if prediction.value.shape != target.shape:
         raise ShapeError(f"prediction {prediction.value.shape} vs target {target.shape}")
-    diff = prediction.value - target
+    diff = np.subtract(prediction.value, target, out=_buffer(target.shape))
     factor = 1.0 / diff.size
-    value = (diff * diff).sum() * factor
+    value = np.multiply(diff, diff, out=_buffer(diff.shape)).sum() * factor
 
     def backward(g):
-        grad = np.broadcast_to(g * factor, diff.shape) * diff
+        grad = np.multiply(np.broadcast_to(g * factor, diff.shape), diff, out=_buffer(diff.shape))
         grad += grad
         _accumulate(prediction, grad)
 

@@ -102,12 +102,7 @@ class ParamStore:
 
     def scratch(self) -> np.ndarray:
         """A work array the size of `value` for the optimizer, allocated on
-        first use and then kept, so an update allocates nothing model-sized.
-
-        First used while a step's tape is alive, it also stops glibc from
-        trimming the heap below it between steps, so the next tape reuses
-        mapped pages instead of faulting in fresh ones.
-        """
+        first use and then kept, so an update allocates nothing model-sized."""
         if self._scratch is None or self._scratch.size != self.value.size:
             self._scratch = np.empty_like(self.value)
         return self._scratch

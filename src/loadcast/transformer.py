@@ -53,13 +53,17 @@ def positional_encoding(seq_length: int, d_model: int) -> np.ndarray:
     return pe
 
 
+@functools.lru_cache(maxsize=64)
 def _causal_mask(tq: int, tk: int) -> np.ndarray:
     """True where a query may attend a key: the tq queries are the last tq of tk positions.
 
     With tq == tk this is the plain lower triangle; with fewer queries (a
     decoding step against cached keys) row i still sees keys 0 .. tk - tq + i.
+    Returned array is read-only and cached.
     """
-    return np.tril(np.ones((tq, tk), dtype=bool), k=tk - tq)
+    mask = np.tril(np.ones((tq, tk), dtype=bool), k=tk - tq)
+    mask.setflags(write=False)
+    return mask
 
 
 def attention_weights(q, k, causal: bool = False) -> np.ndarray:

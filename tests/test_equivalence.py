@@ -24,7 +24,7 @@ from loadcast.baselines import GradientBoostedTrees, LSTMModel, MLPModel, Regres
 from loadcast.baselines.neural import LSTM_GATES, _add_dense
 from loadcast.corpus import GeneratorSpec, generate_series
 from loadcast.errors import ConfigError, NumericError, ShapeError
-from loadcast.nn import ParamStore, Tensor, adam_update, glorot_init, grad_check, no_grad
+from loadcast.nn import ParamStore, Tensor, adam_update, glorot_init, grad_check, no_grad, train_minibatch
 from loadcast.series import VALIDATION_TAIL, NormalizationParams, SupervisedWindowSet, fit_normalizer
 from loadcast import harness, transformer
 from loadcast.transformer import (
@@ -310,6 +310,43 @@ def test_gbt_predict_matches_sequential_per_tree_sum():
         for tree in model.trees:
             expected += model.learning_rate * _per_row_walk(tree, probe)
         np.testing.assert_array_equal(model.predict(probe), expected)
+
+
+def _loop_leaf_sum(model, probe):
+    """GradientBoostedTrees.predict before the one-pass sum: the kept trees'
+    gathered leaves added to `initial` one tree at a time in a Python loop."""
+    out = np.full(len(probe), model.initial)
+    joint, starts = model._stacked
+    start = np.broadcast_to(starts[:, None], (len(starts), len(probe)))
+    for leaf in joint.value[joint._descend(probe, start)]:
+        out += model.learning_rate * leaf
+    return out
+
+
+def test_gbt_one_pass_leaf_sum_is_bitwise_the_loop():
+    rng = np.random.default_rng(11)
+    fitted = 0
+    for seed in range(6):
+        features, targets, probe = _random_tree_data(rng)
+        windows = SupervisedWindowSet(features, targets, window_length=features.shape[1], horizon_step=1)
+        model = GradientBoostedTrees(estimators=int(rng.integers(20, 80)), min_child_samples=2,
+                                     early_stopping_rounds=10, inner_depth=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model.fit(windows, seed=seed)
+        if len(model.trees) > 1:
+            fitted += 1
+            _assert_bitwise(model.predict(probe), _loop_leaf_sum(model, probe))
+    assert fitted >= 4
+
+
+def test_causal_mask_is_a_cached_read_only_lower_triangle():
+    for tq, tk in ((1, 1), (3, 3), (1, 5), (4, 7)):
+        mask = _causal_mask(tq, tk)
+        np.testing.assert_array_equal(mask, np.tril(np.ones((tq, tk), dtype=bool), k=tk - tq))
+        assert _causal_mask(tq, tk) is mask and not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0] = False
 
 
 def _prefix_recompute(model, contexts, steps):
@@ -608,6 +645,42 @@ def _seasonal_windows(length=90, window=12, seed=6):
     clock = np.column_stack([np.sin(t), np.cos(t)])
     targets = np.clip(lags[:, -1] + rng.normal(scale=0.05, size=length), 0.05, 0.95)
     return SupervisedWindowSet(np.hstack([lags, clock]), targets, window_length=window, horizon_step=1)
+
+
+def _three_step_setup(case):
+    """(params, loss_fn, sample_count, batch, learning_rate) for one of the
+    four training jobs, over sample counts that make three steps an epoch,
+    the last one short."""
+    rng = np.random.default_rng(3)
+    if case in ("pretrain", "fine_tune"):
+        model = TransformerForecaster(TransformerConfig(), init_seed=1)
+        recipe = GeneratorSpec(family="seasonal", length=109, period=24, noise_std=0.05, seed=8)
+        if case == "fine_tune":
+            model.pretrain(_small_corpus(), epochs=1, batch_size=64)
+            model.params.m.fill(0.0)  # the reference loop does not reset Adam's moments
+            model.params.v.fill(0.0)
+            recipe = GeneratorSpec(family="trend_seasonal", length=109, period=24, noise_std=0.2, seed=9)
+        values = _guarded_normalize(generate_series(recipe).values)
+        contexts, targets = _sequence_windows(values, 24, 6)
+        return model.params, model._teacher_losses(contexts, targets)[0], len(contexts), 32, 1e-3
+    windows = _seasonal_windows(length=20)
+    x, y = windows.inputs, windows.targets
+    model = MLPModel() if case == "mlp" else LSTMModel()
+    model.window_length = windows.window_length
+    model.params = model._build(x.shape[1], rng) if case == "mlp" else model._build(rng)
+    return model.params, lambda chosen: ad.mse(model._forward(x[chosen]), y[chosen]), len(y), model.batch, 1e-3
+
+
+@pytest.mark.parametrize("case", ["pretrain", "fine_tune", "mlp", "lstm"])
+def test_workspace_steps_match_a_loop_that_allocates_fresh_arrays(case):
+    params, loss_fn, count, batch, rate = _three_step_setup(case)
+    assert -(-count // batch) == 3 and count % batch
+    curve = train_minibatch(params, loss_fn, count, 2, batch, rate, np.random.default_rng(5))
+    fresh_params, fresh_loss, *_ = _three_step_setup(case)
+    # _reference_minibatch_train runs outside any workspace, so every array is new.
+    expected = _reference_minibatch_train(fresh_params, fresh_loss, count, 2, batch, rate, np.random.default_rng(5))
+    np.testing.assert_array_equal(curve, expected)
+    assert params.state_hash() == fresh_params.state_hash()
 
 
 @pytest.mark.parametrize("make", [lambda: MLPModel(epochs=12), lambda: LSTMModel(epochs=3)])

@@ -1,11 +1,14 @@
 """Tests for the autodiff substrate: tensors, layers, Adam, and gradient checks."""
 
 import struct
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import loadcast.nn.autodiff as ad
+from loadcast.corpus import GeneratorSpec, generate_series
 from loadcast.errors import ConfigError, NumericError, ShapeError, StateError
 from loadcast.nn import (
     Param,
@@ -469,6 +472,95 @@ def test_adam_scratch_is_kept_until_the_store_grows():
     assert store.scratch() is work
     store.add("b", np.zeros((1, 3)))
     assert store.scratch().shape == store.value.shape
+
+
+def test_workspace_serves_each_step_the_previous_steps_memory():
+    floats, flags = np.dtype(np.float64), np.dtype(bool)
+    steps = ad.Workspace()
+    a, b = steps.take((4, 3)), steps.take((2, 5), flags)
+    assert a.shape == (4, 3) and a.dtype == floats and b.shape == (2, 5) and b.dtype == flags
+    assert not np.shares_memory(a, b)
+    steps.rewind()
+    assert steps.take((4, 3)) is a  # same call, same shape: the same array
+    smaller = steps.take((2, 2))  # 32 bytes do not fit in the second buffer's 10
+    assert not np.shares_memory(smaller, a) and not np.shares_memory(smaller, b)
+    steps.rewind()
+    view = steps.take((3,))  # fewer bytes than buffer 0 holds: a view of it
+    assert np.shares_memory(view, a) and view.shape == (3,)
+    bigger = steps.take((3, 3))  # more than buffer 1 now holds: new memory
+    assert not np.shares_memory(bigger, smaller)
+    steps.give_back(view)
+    assert np.shares_memory(steps.take((1, 3)), a)  # same byte count as the given-back array
+    assert not np.shares_memory(steps.take((1, 3)), a)  # given back once, reused once
+
+
+def test_taped_ops_use_the_workspace_only_with_gradients_on():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    with ad.workspace() as steps:
+        first = ad.add(x, 1.0).value
+        steps.rewind()
+        again = ad.add(x, 1.0).value
+        assert again is first
+        np.testing.assert_array_equal(again, np.arange(6.0).reshape(2, 3) + 1.0)
+        with no_grad():
+            inference = ad.add(x, 1.0).value
+        steps.rewind()
+        assert not np.shares_memory(inference, ad.add(x, 2.0).value)
+    assert not np.shares_memory(ad.add(x, 3.0).value, first)
+
+
+def test_each_step_releases_the_previous_tape_before_the_next_forward():
+    rng = np.random.default_rng(4)
+    store = ParamStore()
+    store.add("w", rng.normal(size=(3, 1)))
+    x, y = rng.normal(size=(12, 3)), rng.normal(size=(12, 1))
+    roots = []
+
+    def loss_fn(chosen):
+        # The root's value is created by its node and held only by the tape.
+        assert all(root() is None for root in roots)
+        loss = ad.mse(ad.matmul(Tensor(x[chosen]), store.tensor("w")), y[chosen])
+        roots.append(weakref.ref(loss.value))
+        return loss
+
+    train_minibatch(store, loss_fn, 12, 2, 4, 0.01, np.random.default_rng(0))
+    assert len(roots) == 6
+
+
+def test_training_steps_reuse_the_previous_steps_buffers():
+    store = ParamStore()
+    store.add("w", np.ones((1, 3)))
+    x, y = np.arange(24.0).reshape(8, 3), np.ones((8, 3))
+    outputs = []
+
+    def loss_fn(chosen):
+        out = ad.add(Tensor(x[chosen]), store.tensor("w"))
+        outputs.append(out.value)
+        return ad.mse(out, y[chosen])
+
+    train_minibatch(store, loss_fn, 8, 1, 4, 0.01, np.random.default_rng(0))
+    assert outputs[1] is outputs[0]  # same call, same shape: the same workspace array
+    outputs.clear()
+    train_minibatch(store, loss_fn, 4, 1, 4, 0.01, np.random.default_rng(0))
+    assert ad._WORKSPACE is None and len(outputs) == 1  # a one-step call opens no workspace
+
+
+def _pretrain_peak_bytes(epochs):
+    """tracemalloc's peak over one batch-64 pretrain call on 64 windows."""
+    corpus = [generate_series(GeneratorSpec(family="seasonal", length=93, period=24, noise_std=0.05, seed=1))]
+    model = TransformerForecaster(TransformerConfig(), init_seed=0)
+    tracemalloc.start()
+    try:
+        model.pretrain(corpus, epochs=epochs, batch_size=64)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_three_training_steps_peak_no_higher_than_one():
+    # One tape at a time, in buffers the next step reuses: more steps add no memory.
+    one, three = _pretrain_peak_bytes(1), _pretrain_peak_bytes(3)
+    assert three <= 1.1 * one, (three, one)
 
 
 def _save_per_param(store, path):
