@@ -71,8 +71,11 @@ def train_minibatch(params: ParamStore, loss_fn, sample_count: int, epochs: int,
     A call of more than one step opens an `autodiff.workspace()` for its
     duration: the taped ops and `Tensor.backward` take their arrays from
     it, so each step gets the previous step's buffers back, and the memory
-    goes when the call returns. `loss_fn` must keep nothing a step allocates
-    past that step; gradients reach the store through its parameter tensors.
+    goes when the call returns. A first step that took no array from it
+    (every one was under `autodiff.WORKSPACE_FLOOR_BYTES`) closes it, so
+    later steps skip its bookkeeping. `loss_fn` must keep nothing a step
+    allocates past that step, not even a value it reads after backward;
+    gradients reach the store through its parameter tensors.
     """
     if batch < 1 or epochs < 0:
         raise ConfigError(f"training needs batch >= 1 and epochs >= 0, got batch {batch}, epochs {epochs}")
@@ -81,8 +84,9 @@ def train_minibatch(params: ParamStore, loss_fn, sample_count: int, epochs: int,
     params.zero_grads()
     curve: list[float] = []
     best_val, best_state, stale, step = np.inf, None, 0, 0
-    # A one-step call has no later step to hand buffers to, so it allocates as numpy does.
-    with workspace() if epochs * -(-sample_count // batch) > 1 else contextlib.nullcontext() as steps:
+    with contextlib.ExitStack() as scope:
+        # A one-step call has no later step to hand buffers to, so it allocates as numpy does.
+        steps = scope.enter_context(workspace()) if epochs * -(-sample_count // batch) > 1 else None
         for _ in range(epochs):
             order = rng.permutation(sample_count)
             total = 0.0
@@ -98,6 +102,9 @@ def train_minibatch(params: ParamStore, loss_fn, sample_count: int, epochs: int,
                 adam_update(params, learning_rate, step)
                 total += float(loss.value) * len(chosen)
                 del loss  # the tape reads this step's buffers; the next step reuses them
+                if step == 1 and steps is not None and steps.nbytes == 0:
+                    scope.close()
+                    steps = None
             curve.append(total / sample_count)
             if validation is None:
                 continue

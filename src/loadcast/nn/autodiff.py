@@ -17,7 +17,9 @@ Gradient ownership: a tensor adopts the first gradient array it is handed
 and adds later ones into it in place, so a handed-over array must not be
 written again. An op gives its incoming gradient, or a view of it, to one
 parent only; when the first parent of `add`, or the x of `add_layer_norm`,
-adopts the sum's gradient, the second parent (y) adopts a copy.
+adopts the sum's gradient, the second parent (y) adopts a copy. A node's
+backward function returns whether a parent kept its incoming gradient or
+a view of it (concat hands each parent a disjoint slice).
 ParamStore leaves keep their external `grad_buffer` and always add into it:
 that buffer is a view into the store's flat gradient array, which
 `adam_update` reads and zeroes as a whole.
@@ -26,6 +28,10 @@ Inside a `workspace()` block, while gradients are on, the taped ops take
 their full-size outputs, saved temporaries and gradients from the
 block's `Workspace` instead of allocating them, with the same arithmetic
 into the same layouts, so every value and gradient keeps its bits.
+Arrays under WORKSPACE_FLOOR_BYTES are left to numpy. `Tensor.backward`
+then lets go of each node once its backward function has run, since every
+consumer of a node runs before it, and gives the node's own gradient and
+output back for the step's later requests.
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ from ..errors import ConfigError, ShapeError
 _GRAD_ENABLED = True
 _WORKSPACE: "Workspace | None" = None
 _FLOAT, _BOOL = np.dtype(np.float64), np.dtype(bool)
+#: Requests smaller than this many bytes bypass the workspace: numpy's own
+#: allocator serves them faster than a workspace request's bookkeeping.
+WORKSPACE_FLOOR_BYTES = 16384
 
 LAYER_NORM_EPSILON = 1e-5
 
@@ -80,6 +89,11 @@ class Workspace:
         self._given: dict[int, list[np.ndarray]] = {}  # flat uint8 memory by byte count
         self._next = 0
 
+    @property
+    def nbytes(self) -> int:
+        """The bytes its buffers hold."""
+        return sum(buffer.nbytes for buffer in self._buffers)
+
     def rewind(self) -> None:
         self._next = 0
         self._given.clear()
@@ -108,8 +122,8 @@ class Workspace:
         return self._views[i]
 
     def give_back(self, array: np.ndarray) -> None:
-        """Let this step's later requests reuse the memory of `array`, an
-        array from `take` that nothing reads any more."""
+        """Let this step's later requests reuse the memory of `array`, a
+        C-contiguous array that nothing reads any more."""
         self._given.setdefault(array.nbytes, []).append(array.reshape(-1).view(np.uint8))
 
 
@@ -128,12 +142,15 @@ def workspace():
 def _buffer(shape: tuple[int, ...], other: tuple[int, ...] | None = None,
             dtype: np.dtype = _FLOAT) -> np.ndarray | None:
     """A workspace array of `shape`, broadcast against `other` if given,
-    while a workspace is active and gradients are on; else None, so
-    `out=_buffer(...)` leaves numpy to allocate as it does without `out`."""
+    while a workspace is active and gradients are on and it holds at least
+    WORKSPACE_FLOOR_BYTES; else None, so `out=_buffer(...)` leaves numpy to
+    allocate as it does without `out`."""
     if _WORKSPACE is None or not _GRAD_ENABLED:
         return None
     if other is not None and other != shape:
         shape = np.broadcast_shapes(shape, other)
+    if math.prod(shape) * dtype.itemsize < WORKSPACE_FLOOR_BYTES:
+        return None
     return _WORKSPACE.take(shape, dtype)
 
 
@@ -160,11 +177,13 @@ def _copy(x: np.ndarray) -> np.ndarray:
 
 
 def _release(*arrays: np.ndarray) -> None:
-    """Give workspace arrays that nothing reads any more back to the
-    active workspace for the step's later requests; without one, a no-op."""
+    """Give arrays that nothing reads any more back to the active workspace
+    for the step's later requests; without one, a no-op. Arrays under
+    WORKSPACE_FLOOR_BYTES, or not C-contiguous, are not given back."""
     if _WORKSPACE is not None and _GRAD_ENABLED:
         for array in arrays:
-            _WORKSPACE.give_back(array)
+            if array.nbytes >= WORKSPACE_FLOOR_BYTES and array.flags.c_contiguous:
+                _WORKSPACE.give_back(array)
 
 
 def _reshape(x: np.ndarray, shape) -> np.ndarray:
@@ -195,7 +214,10 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-accumulate d(self)/d(leaf) for every reachable leaf.
 
-        self must be scalar-valued (size 1).
+        self must be scalar-valued (size 1). Inside a workspace this spends
+        the tape: every node but self drops its value, gradient and parents
+        once its backward function has run, and what it owns goes back to
+        the workspace, so only self's value and the leaves' gradients remain.
         """
         if self.value.size != 1:
             raise ShapeError("backward() requires a scalar output")
@@ -220,8 +242,27 @@ class Tensor:
             self.grad = _zeros(self.value.shape)
         self.grad += 1.0
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is None or node.grad is None:
+                continue
+            kept = node._backward(node.grad)
+            if _WORKSPACE is None or node is self:
+                continue
+            # Every consumer of node ran before it, so nothing reads its
+            # arrays again; the root's value is the caller's loss.
+            if not kept:
+                _release(node.grad)
+            if _owns_value(node):
+                _release(node.value)
+            node.value = node.grad = node._backward = None
+            node._parents = ()
+
+
+def _owns_value(node: Tensor) -> bool:
+    """Whether node's value is no view of memory a parent's value lives in
+    (as a reshape's or an index's can be). numpy gives every view the
+    array that owns the memory as its base."""
+    base = node.value.base
+    return base is None or not any(base is p.value or base is p.value.base for p in node._parents)
 
 
 def astensor(x) -> Tensor:
@@ -253,7 +294,7 @@ def _make(value: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 def _accumulate(tensor: Tensor, grad: np.ndarray, shared: bool = False) -> bool:
     """Add `grad` into tensor.grad, adopting it on the first write unless it is
     `shared` with another tensor, which gets a copy (see the module docstring).
-    Returns whether the tensor may have kept `grad`'s memory."""
+    Returns whether the tensor kept `grad`'s memory."""
     if not tensor.requires_grad:
         return False
     reduced = _unbroadcast(grad, tensor.value.shape)
@@ -264,12 +305,13 @@ def _accumulate(tensor: Tensor, grad: np.ndarray, shared: bool = False) -> bool:
         tensor.grad = _copy(reduced)
         return False
     tensor.grad = reduced
-    return True
+    return reduced is grad
 
 
-def _unary(a: Tensor, value: np.ndarray, grad) -> Tensor:
-    """A node with the one parent `a`, whose gradient is `grad(g)`."""
-    return _make(value, (a,), lambda g: _accumulate(a, grad(g)))
+def _unary(a: Tensor, value: np.ndarray, grad, views: bool = False) -> Tensor:
+    """A node with the one parent `a`, whose gradient is `grad(g)`: a view
+    of g if `views`, else a new array."""
+    return _make(value, (a,), lambda g: _accumulate(a, grad(g)) and views)
 
 
 def add(a, b) -> Tensor:
@@ -277,8 +319,8 @@ def add(a, b) -> Tensor:
     value = np.add(a.value, b.value, out=_buffer(a.value.shape, b.value.shape))
 
     def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, g, shared=a.grad is g)
+        kept = _accumulate(a, g)
+        return _accumulate(b, g, shared=kept) or kept
 
     return _make(value, (a, b), backward)
 
@@ -288,8 +330,9 @@ def sub(a, b) -> Tensor:
     value = a.value - b.value
 
     def backward(g):
-        _accumulate(a, g)
+        kept = _accumulate(a, g)
         _accumulate(b, -g)
+        return kept
 
     return _make(value, (a, b), backward)
 
@@ -404,14 +447,14 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = astensor(a)
-    return _unary(a, _reshape(a.value, shape), lambda g: _reshape(g, a.value.shape))
+    return _unary(a, _reshape(a.value, shape), lambda g: _reshape(g, a.value.shape), views=True)
 
 
 def transpose(a, axes) -> Tensor:
     a = astensor(a)
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    return _unary(a, a.value.transpose(axes), lambda g: g.transpose(inverse))
+    return _unary(a, a.value.transpose(axes), lambda g: g.transpose(inverse), views=True)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -423,10 +466,12 @@ def concat(tensors, axis: int = -1) -> Tensor:
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
+        kept = False
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             index = [slice(None)] * g.ndim
             index[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(index)])
+            kept = _accumulate(t, g[tuple(index)]) or kept
+        return kept
 
     return _make(value, tuple(tensors), backward)
 
@@ -445,9 +490,12 @@ def index(a, key) -> Tensor:
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
-    """max over the last axis, keepdims, as one np.maximum per column: on
-    many short rows that beats numpy's reduction, which costs about 0.1 us a
-    row. Max is exact, so the order does not change the bits."""
+    """max over the last axis, keepdims. From 32 rows per column on, one
+    np.maximum per column beats numpy's reduction, which costs about 0.1 us
+    a row; below, as in a one-origin forecast, the reduction wins. Max is
+    exact, so either order gives the same bits."""
+    if math.prod(x.shape[:-1]) < 32 * x.shape[-1]:
+        return x.max(axis=-1, keepdims=True)
     m = _copy(x[..., :1])
     for j in range(1, x.shape[-1]):
         np.maximum(m, x[..., j : j + 1], out=m)
@@ -603,8 +651,9 @@ def _layer_norm(s: np.ndarray, out: np.ndarray | None, inputs: tuple[Tensor, ...
         dx *= np.divide(inv, n, out=s1)
         _release(s1, s2, work)
         route(dx)
-        _accumulate(beta, g)
+        kept = _accumulate(beta, g)
         _release(xhat, inv)
+        return kept
 
     return _make(value, inputs + (gamma, beta), backward)
 
@@ -624,8 +673,7 @@ def add_layer_norm(x, y, gamma, beta) -> Tensor:
     s = np.add(x.value, y.value, out=_buffer(x.value.shape, y.value.shape))
 
     def route(ds):
-        _accumulate(x, ds)
-        _accumulate(y, ds, shared=x.grad is ds)
+        _accumulate(y, ds, shared=_accumulate(x, ds))
 
     return _layer_norm(s, s, (x, y), gamma, beta, route)
 
@@ -645,8 +693,8 @@ def _pad_time(x: np.ndarray, width: int, causal: bool, fill: float) -> tuple[np.
 
 def _conv(x: Tensor, weights: Tensor, bias: Tensor, causal: bool):
     """conv1d_same's value and the backward function that takes its output
-    gradient to x, weights and bias and returns whether bias may have kept
-    the gradient's memory."""
+    gradient to x, weights and bias and returns whether bias kept the
+    gradient's memory."""
     k, cin, cout = weights.value.shape
     if k % 2 == 0:
         raise ConfigError(f"convolution kernel width must be odd, got {k}")

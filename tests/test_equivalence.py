@@ -14,6 +14,7 @@ attention, add_layer_norm and conv_relu_pool nodes against the tape of
 small ops each replaced (down to a whole teacher-forced pass).
 """
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -683,6 +684,64 @@ def test_workspace_steps_match_a_loop_that_allocates_fresh_arrays(case):
     assert params.state_hash() == fresh_params.state_hash()
 
 
+@pytest.fixture
+def poisoned_give_back(monkeypatch):
+    """Every array given back to a workspace is overwritten with 0xFF bytes
+    (NaN as float64) first, so a reader of given-back memory sees NaN."""
+    give_back = ad.Workspace.give_back
+
+    def poison_then_give_back(self, array):
+        array.reshape(-1).view(np.uint8).fill(0xFF)
+        give_back(self, array)
+
+    monkeypatch.setattr(ad.Workspace, "give_back", poison_then_give_back)
+
+
+@pytest.mark.parametrize("case", ["pretrain", "fine_tune", "mlp", "lstm"])
+def test_workspace_steps_match_fresh_arrays_when_given_back_memory_is_poisoned(case, poisoned_give_back):
+    test_workspace_steps_match_a_loop_that_allocates_fresh_arrays(case)
+
+
+def _shared_parent_value(op):
+    """A loss in which a view of p's value (`op`) runs its backward pass
+    before `mul`, which reads p's value after it."""
+
+    def build(x, w):
+        p = ad.matmul(x, w)
+        return ad.add(op(p), ad.mul(p, p))
+
+    return build
+
+
+_POISON_CASES = {
+    # add hands its gradient to the first parent and a copy to the second
+    "add_shared_gradient": lambda x, w: ad.add(ad.scale(x, 2.0), ad.scale(x, 3.0)),
+    "add_layer_norm_y_copy": lambda x, w: ad.add_layer_norm(
+        ad.scale(x, 2.0), ad.scale(x, 3.0), Tensor(np.full((1, 64), 1.5)), Tensor(np.full((1, 64), 0.25))),
+    # axis 0 slices are contiguous, so each parent adopts a view of the gradient
+    "concat_slices": lambda x, w: ad.concat([ad.scale(x, 2.0), ad.relu(x)], axis=0),
+    "index_slice": _shared_parent_value(lambda p: ad.index(p, (slice(None), slice(None)))),
+    "reshape_view": _shared_parent_value(lambda p: ad.reshape(p, p.shape)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POISON_CASES))
+def test_tape_gives_back_only_memory_nothing_reads(case, poisoned_give_back):
+    rng = np.random.default_rng(11)
+    x0, w0 = rng.normal(size=(64, 64)), rng.normal(size=(64, 64)) / 8.0  # above the workspace floor
+    results = []
+    for steps in (contextlib.nullcontext(), ad.workspace()):
+        with steps:
+            x, w = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+            out = _POISON_CASES[case](x, w)
+            loss = ad.mse(out, np.zeros(out.shape))
+            loss.backward()
+            results.append((np.asarray(loss.value), x.grad, w.grad))
+    for fresh, reused in zip(*results):
+        if fresh is not None:
+            _assert_bitwise(reused, fresh)
+
+
 @pytest.mark.parametrize("make", [lambda: MLPModel(epochs=12), lambda: LSTMModel(epochs=3)])
 def test_neural_baselines_train_bitwise_like_the_old_loop(make):
     windows = _seasonal_windows()
@@ -875,6 +934,30 @@ def test_in_place_softmax_is_bitwise_the_allocating_kernel(shape, mask_name):
     ad.tsum(ad.mul(ad.softmax(x, mask=mask), upstream)).backward()
     value = _old_softmax(logits, mask)
     _assert_bitwise(x.grad, value * (upstream - (upstream * value).sum(axis=-1, keepdims=True)))
+
+
+def _row_max_by_columns(x):
+    """The row max as one np.maximum per column, which `_row_max` runs on many rows."""
+    m = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j : j + 1], out=m)
+    return m
+
+
+# One-origin encoder and decoder attention (reduction), batch-32 and batch-768 (column loop).
+@pytest.mark.parametrize("shape", [(1, 4, 24, 24), (1, 4, 1, 6), (32, 4, 24, 24), (768, 4, 1, 24)])
+def test_row_max_is_bitwise_the_column_loop(shape):
+    rng = np.random.default_rng(shape[0])
+    x = rng.normal(scale=3.0, size=shape)
+    rows = x.reshape(-1, shape[-1])
+    rows[::3] = -np.inf  # fully masked rows
+    rows[1::3, : shape[-1] // 2] = -np.inf  # partly masked rows
+    rows[1, -1] = np.nan
+    rows[2, 0] = np.nan
+    got = ad._row_max(x)
+    expected = _row_max_by_columns(x)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert np.isnan(got.reshape(-1)[[1, 2]]).all() and np.isneginf(got.reshape(-1)[0])
 
 
 @pytest.mark.parametrize("shape", [(5, 8), (3, 4, 8)], ids=["2d", "3d"])

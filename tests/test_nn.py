@@ -1,5 +1,6 @@
 """Tests for the autodiff substrate: tensors, layers, Adam, and gradient checks."""
 
+import contextlib
 import struct
 import tracemalloc
 import weakref
@@ -25,6 +26,7 @@ from loadcast.nn import (
 )
 from loadcast.nn import adam
 from loadcast.nn.adam import BETA1, BETA2, EPSILON, EARLY_STOP_PATIENCE
+from loadcast import transformer
 from loadcast.transformer import TransformerConfig, TransformerForecaster
 
 
@@ -495,13 +497,14 @@ def test_workspace_serves_each_step_the_previous_steps_memory():
 
 
 def test_taped_ops_use_the_workspace_only_with_gradients_on():
-    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    rows = ad.WORKSPACE_FLOOR_BYTES // 8  # (rows, 3) float64 arrays are above the floor
+    x = Tensor(np.arange(3.0 * rows).reshape(rows, 3), requires_grad=True)
     with ad.workspace() as steps:
         first = ad.add(x, 1.0).value
         steps.rewind()
         again = ad.add(x, 1.0).value
         assert again is first
-        np.testing.assert_array_equal(again, np.arange(6.0).reshape(2, 3) + 1.0)
+        np.testing.assert_array_equal(again, np.arange(3.0 * rows).reshape(rows, 3) + 1.0)
         with no_grad():
             inference = ad.add(x, 1.0).value
         steps.rewind()
@@ -528,9 +531,10 @@ def test_each_step_releases_the_previous_tape_before_the_next_forward():
 
 
 def test_training_steps_reuse_the_previous_steps_buffers():
+    batch = ad.WORKSPACE_FLOOR_BYTES // 8  # (batch, 3) float64 arrays are above the floor
     store = ParamStore()
     store.add("w", np.ones((1, 3)))
-    x, y = np.arange(24.0).reshape(8, 3), np.ones((8, 3))
+    x, y = np.arange(6.0 * batch).reshape(2 * batch, 3), np.ones((2 * batch, 3))
     outputs = []
 
     def loss_fn(chosen):
@@ -538,10 +542,10 @@ def test_training_steps_reuse_the_previous_steps_buffers():
         outputs.append(out.value)
         return ad.mse(out, y[chosen])
 
-    train_minibatch(store, loss_fn, 8, 1, 4, 0.01, np.random.default_rng(0))
+    train_minibatch(store, loss_fn, 2 * batch, 1, batch, 0.01, np.random.default_rng(0))
     assert outputs[1] is outputs[0]  # same call, same shape: the same workspace array
     outputs.clear()
-    train_minibatch(store, loss_fn, 4, 1, 4, 0.01, np.random.default_rng(0))
+    train_minibatch(store, loss_fn, batch, 1, batch, 0.01, np.random.default_rng(0))
     assert ad._WORKSPACE is None and len(outputs) == 1  # a one-step call opens no workspace
 
 
@@ -561,6 +565,37 @@ def test_three_training_steps_peak_no_higher_than_one():
     # One tape at a time, in buffers the next step reuses: more steps add no memory.
     one, three = _pretrain_peak_bytes(1), _pretrain_peak_bytes(3)
     assert three <= 1.1 * one, (three, one)
+
+
+def test_step_workspace_holds_little_more_than_one_forward_tape(monkeypatch):
+    # Backward gives each node's spent gradient and output back, so the
+    # step's later requests reuse them: the workspace holds about the live
+    # set, not every array the step made.
+    spaces, tapes = [], []
+    open_workspace, train = adam.workspace, transformer.train_minibatch
+
+    @contextlib.contextmanager
+    def recorded_workspace():
+        with open_workspace() as steps:
+            spaces.append(steps)
+            yield steps
+
+    def measured_train(params, loss_fn, sample_count, epochs, batch, *rest):
+        tracemalloc.start()
+        try:
+            loss = loss_fn(np.arange(min(batch, sample_count)))  # outside any workspace
+            tapes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        del loss
+        return train(params, loss_fn, sample_count, epochs, batch, *rest)
+
+    monkeypatch.setattr(adam, "workspace", recorded_workspace)
+    monkeypatch.setattr(transformer, "train_minibatch", measured_train)
+    corpus = [generate_series(GeneratorSpec(family="seasonal", length=93, period=24, noise_std=0.05, seed=1))]
+    TransformerForecaster(TransformerConfig(), init_seed=0).pretrain(corpus, epochs=3, batch_size=64)
+    assert len(spaces) == 1 and len(tapes) == 1
+    assert spaces[0].nbytes <= 1.3 * tapes[0], (spaces[0].nbytes, tapes[0])
 
 
 def _save_per_param(store, path):
