@@ -56,7 +56,8 @@ def adam_update(params: ParamStore, learning_rate: float, step: int) -> None:
 
 
 def train_minibatch(params: ParamStore, loss_fn, sample_count: int, epochs: int, batch: int,
-                    learning_rate: float, rng: np.random.Generator, validation=None) -> list[float]:
+                    learning_rate: float, rng: np.random.Generator, validation=None,
+                    pass_rows: int | None = None) -> list[float]:
     """Shuffled minibatch Adam training from fresh optimizer state.
 
     Each epoch draws one `rng.permutation(sample_count)` and walks it in
@@ -66,42 +67,63 @@ def train_minibatch(params: ParamStore, loss_fn, sample_count: int, epochs: int,
     after each epoch, training stops after EARLY_STOP_PATIENCE epochs
     without a new best, and the weights of the best epoch are restored.
 
-    The call holds one tape at a time: a step's loss, and with it every
-    array its tape keeps, is released before the next step's forward pass.
-    A call of more than one step opens an `autodiff.workspace()` for its
+    A step is one Adam update per batch. With `pass_rows`, a step runs its
+    batch as forward/backward passes over consecutive slices of `chosen`
+    of at most `pass_rows` rows, and `loss_fn(rows, batch_rows)` returns the
+    loss of `rows` as its share of the mean over all `batch_rows` rows of
+    the batch, so the passes' losses sum to the batch's. Each backward pass
+    adds into the store's gradient buffer, and the update reads their sum.
+    Passes bound a step's tape, and so the memory it touches, by
+    `pass_rows` rows; on a model whose rows are independent only the sums
+    over rows (weight gradients, the loss) change order. Without
+    `pass_rows` a step is one pass over the whole batch.
+
+    The call holds one tape at a time: a pass's loss, and with it every
+    array its tape keeps, is released before the next pass's forward run.
+    A call of more than one pass opens an `autodiff.workspace()` for its
     duration: the taped ops and `Tensor.backward` take their arrays from
-    it, so each step gets the previous step's buffers back, and the memory
+    it, so each pass gets the previous pass's buffers back, and the memory
     goes when the call returns. A first step that took no array from it
     (every one was under `autodiff.WORKSPACE_FLOOR_BYTES`) closes it, so
-    later steps skip its bookkeeping. `loss_fn` must keep nothing a step
-    allocates past that step, not even a value it reads after backward;
+    later steps skip its bookkeeping. `loss_fn` must keep nothing a pass
+    allocates past that pass, not even a value it reads after backward;
     gradients reach the store through its parameter tensors.
     """
     if batch < 1 or epochs < 0:
         raise ConfigError(f"training needs batch >= 1 and epochs >= 0, got batch {batch}, epochs {epochs}")
+    if pass_rows is not None and pass_rows < 1:
+        raise ConfigError(f"training needs pass_rows >= 1, got {pass_rows}")
     params.m.fill(0.0)
     params.v.fill(0.0)
     params.zero_grads()
     curve: list[float] = []
     best_val, best_state, stale, step = np.inf, None, 0, 0
+    rows = batch if pass_rows is None else min(batch, pass_rows)
     with contextlib.ExitStack() as scope:
-        # A one-step call has no later step to hand buffers to, so it allocates as numpy does.
-        steps = scope.enter_context(workspace()) if epochs * -(-sample_count // batch) > 1 else None
+        # A one-pass call has no later pass to hand buffers to, so it allocates as numpy does.
+        steps = scope.enter_context(workspace()) if epochs * -(-sample_count // rows) > 1 else None
         for _ in range(epochs):
             order = rng.permutation(sample_count)
             total = 0.0
             for lo in range(0, sample_count, batch):
-                if steps is not None:
-                    steps.rewind()
                 chosen = order[lo : lo + batch]
-                loss = loss_fn(chosen)
-                if not np.isfinite(loss.value):
-                    raise NumericError("training loss became non-finite")
-                loss.backward()
+                batch_loss = 0.0
+                for start in range(0, len(chosen), rows):
+                    if steps is not None:
+                        steps.rewind()
+                    if pass_rows is None:
+                        loss = loss_fn(chosen)
+                    else:
+                        loss = loss_fn(chosen[start : start + rows], len(chosen))
+                    if not np.isfinite(loss.value):
+                        params.zero_grads()  # drop what earlier passes of the batch added
+                        raise NumericError("training loss became non-finite")
+                    loss.backward()
+                    batch_loss += float(loss.value)
+                    del loss  # the tape reads this pass's buffers; the next pass reuses them
                 step += 1
                 adam_update(params, learning_rate, step)
-                total += float(loss.value) * len(chosen)
-                del loss  # the tape reads this step's buffers; the next step reuses them
+                total += batch_loss * len(chosen)
                 if step == 1 and steps is not None and steps.nbytes == 0:
                     scope.close()
                     steps = None

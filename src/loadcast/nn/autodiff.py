@@ -959,19 +959,22 @@ def dense_stack(x, weights, biases) -> Tensor:
     return _make(outputs[-1], (x, *weights, *biases), backward)
 
 
-def mse(prediction, target) -> Tensor:
+def mse(prediction, target, count: int | None = None) -> Tensor:
     """Mean squared error against a constant target, as a single tape node.
 
     Value and gradient repeat the sub/mul/tsum/scale tape's arithmetic: the
     forward pass is (d * d).sum() * (1 / n) and the backward pass adds the
-    product d * g / n twice, once for each factor of d * d.
+    product d * g / n twice, once for each factor of d * d. n is the
+    target's size, or `count` if given: the size of a whole batch this
+    target is a slice of, so the slices' losses sum to the batch mean and
+    each element's gradient is bitwise the whole batch's.
     """
     prediction = astensor(prediction)
     target = np.asarray(target, dtype=np.float64)
     if prediction.value.shape != target.shape:
         raise ShapeError(f"prediction {prediction.value.shape} vs target {target.shape}")
     diff = np.subtract(prediction.value, target, out=_buffer(target.shape))
-    factor = 1.0 / diff.size
+    factor = 1.0 / (diff.size if count is None else count)
     value = np.multiply(diff, diff, out=_buffer(diff.shape)).sum() * factor
 
     def backward(g):

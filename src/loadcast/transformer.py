@@ -30,6 +30,16 @@ from .series import (NormalizationParams, TimeSeries, fit_normalizer, holdout_co
 PE_BASE = 10000.0
 FINE_TUNE_LR_FACTOR = 0.1
 FINE_TUNE_BATCH = 32
+#: Rows per forward/backward pass of a larger training batch (see
+#: `train_minibatch`): a batch-256 pretraining step runs as 8 passes in a
+#: workspace of about one 32-row tape (13 MB, where one pass's tape is
+#: about 100 MiB), and fine-tune batches stay one pass.
+TRAIN_PASS_ROWS = FINE_TUNE_BATCH
+#: Rows `forecast_batch` decodes at once. Every op is row-independent, so
+#: blocks give the bits of one pass; a 768-origin sweep then peaks at about
+#: 13 MB of arrays instead of 38 MB, which the heap keeps between calls
+#: where the larger set was trimmed and faulted back in on every call.
+FORECAST_ROWS = 256
 
 
 @functools.lru_cache(maxsize=64)
@@ -377,7 +387,8 @@ class TransformerForecaster:
         return self.forecast_batch(values[None, :], horizon_hours)[0]
 
     def forecast_batch(self, histories: np.ndarray, horizon_hours: int) -> np.ndarray:
-        """Vectorized forecast over (B, >= context_length) rows of raw values."""
+        """Vectorized forecast over (B, >= context_length) rows of raw values,
+        decoded in blocks of at most FORECAST_ROWS rows."""
         if horizon_hours < 1:
             raise ConfigError(f"horizon must be >= 1, got {horizon_hours}")
         if self.normalizer is None:
@@ -390,16 +401,18 @@ class TransformerForecaster:
             raise InsufficientDataError(
                 f"history has {histories.shape[1]} points, need >= {ctx}"
             )
-        window = self.normalizer.apply(histories[:, -ctx:])
-        chunks = []
-        remaining = horizon_hours
-        while remaining > 0:
-            steps = min(self.config.horizon_length, remaining)
-            predictions = self._generate(window, steps)
-            chunks.append(predictions)
-            window = np.concatenate([window, predictions], axis=1)[:, -ctx:]
-            remaining -= steps
-        return self.normalizer.invert(np.concatenate(chunks, axis=1))
+        windows = self.normalizer.apply(histories[:, -ctx:])
+        blocks = []
+        for lo in range(0, len(windows), FORECAST_ROWS):
+            window, chunks, remaining = windows[lo : lo + FORECAST_ROWS], [], horizon_hours
+            while remaining > 0:
+                steps = min(self.config.horizon_length, remaining)
+                predictions = self._generate(window, steps)
+                chunks.append(predictions)
+                window = np.concatenate([window, predictions], axis=1)[:, -ctx:]
+                remaining -= steps
+            blocks.append(np.concatenate(chunks, axis=1))
+        return self.normalizer.invert(np.concatenate(blocks))
 
     def roll(self, series: TimeSeries, train_len: int, h_max: int, normalizer) -> np.ndarray:
         """The rolling sweep of `harness.roll_forecasts`: every origin's raw
@@ -411,14 +424,20 @@ class TransformerForecaster:
 
     def _teacher_losses(self, contexts: np.ndarray, targets: np.ndarray):
         """The closure pair train_minibatch takes over these windows: the
-        taped MSE of the chosen rows, and the MSE of all rows without a tape."""
+        taped MSE of the chosen rows (with `batch_rows`, as their share of
+        the mean over a batch of that many rows), and the MSE of all rows
+        without a tape, predicted in passes of TRAIN_PASS_ROWS rows, which
+        give one pass's bits and keep its arrays as small as a step's."""
 
-        def batch_loss(chosen):
-            return ad.mse(self._forward_teacher(contexts[chosen], targets[chosen]), targets[chosen])
+        def batch_loss(chosen, batch_rows=None):
+            count = None if batch_rows is None else batch_rows * targets.shape[1]
+            return ad.mse(self._forward_teacher(contexts[chosen], targets[chosen]), targets[chosen], count)
 
         def full_loss() -> float:
             with no_grad():
-                predicted = self._forward_teacher(contexts, targets).value
+                predicted = np.concatenate([
+                    self._forward_teacher(contexts[lo : lo + TRAIN_PASS_ROWS], targets[lo : lo + TRAIN_PASS_ROWS]).value
+                    for lo in range(0, len(contexts), TRAIN_PASS_ROWS)])
             return float(np.mean((predicted - targets) ** 2))
 
         return batch_loss, full_loss
@@ -434,7 +453,9 @@ class TransformerForecaster:
         """Train on a corpus of series (each min-max squeezed on its own range).
 
         Windows from every series are pooled and shuffled each epoch; the
-        loss is MSE on normalized values. Returns the per-epoch training
+        loss is MSE on normalized values. A batch of more than
+        TRAIN_PASS_ROWS windows is one Adam step over the summed gradients
+        of TRAIN_PASS_ROWS-row passes. Returns the per-epoch training
         curve. With epochs=0 this is a no-op that leaves the model untrained.
         """
         if not corpus:
@@ -455,7 +476,7 @@ class TransformerForecaster:
         targets = np.concatenate(all_targets, axis=0)
         curve = train_minibatch(
             self.params, self._teacher_losses(contexts, targets)[0], len(contexts),
-            epochs, batch_size, learning_rate, np.random.default_rng(seed),
+            epochs, batch_size, learning_rate, np.random.default_rng(seed), pass_rows=TRAIN_PASS_ROWS,
         )
         if epochs > 0:
             self.trained = "pretrained"
@@ -506,6 +527,7 @@ class TransformerForecaster:
         curve = train_minibatch(
             self.params, self._teacher_losses(contexts, targets)[0], len(contexts),
             epochs, FINE_TUNE_BATCH, learning_rate, np.random.default_rng(seed), validation,
+            pass_rows=TRAIN_PASS_ROWS,
         )
         if epochs > 0:
             self.trained = "fine_tuned"

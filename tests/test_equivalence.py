@@ -4,9 +4,11 @@ The fused LSTM layer is checked against `lstm_cell_step` unrolled on the
 tape, the LSTM's prefix-state rolling sweep against the per-step `predict`
 recursion, the array tree walks against a per-row walk and a per-tree sum, the
 transformer's cached decoding against re-running the decoder over the
-whole generated prefix at every step, the im2col conv, shifted-max pool
+whole generated prefix at every step (and `forecast_batch`'s row blocks
+against one pass over every row), the im2col conv, shifted-max pool
 and one-GEMM matmul against the einsum, argmax and batched kernels,
-`nn.train_minibatch` against the two training loops it replaced,
+`nn.train_minibatch` against the two training loops it replaced (and
+its 32-row passes of a batch-256 step against one pass over the batch),
 `dense_stack` and the one-node `mse` against the per-layer tape, the
 in-place softmax and layer_norm against their allocating forms, the
 all-columns `best_split` against the per-feature scan, and the fused
@@ -20,6 +22,7 @@ import warnings
 import numpy as np
 import pytest
 
+import loadcast.nn.adam as adam
 import loadcast.nn.autodiff as ad
 from loadcast.baselines import GradientBoostedTrees, LSTMModel, MLPModel, RegressionTree, lstm_cell_step, trees
 from loadcast.baselines.neural import LSTM_GATES, _add_dense
@@ -393,6 +396,21 @@ def test_cached_generation_matches_prefix_recompute(config):
         with no_grad():
             replayed = model._forward_teacher(contexts, generated).value
         np.testing.assert_allclose(replayed, generated, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [16, 100, 384])
+def test_forecast_batch_in_row_blocks_is_bitwise_one_pass(monkeypatch, rows):
+    rng = np.random.default_rng(rows)
+    model = TransformerForecaster(TransformerConfig(), init_seed=4)
+    model.set_normalizer(NormalizationParams(10.0, 30.0))
+    histories = rng.uniform(5.0, 45.0, size=(768, 40))
+    blocks = [model.forecast_batch(histories, 24)]  # FORECAST_ROWS blocks
+    monkeypatch.setattr(transformer, "FORECAST_ROWS", rows)
+    blocks.append(model.forecast_batch(histories, 24))
+    monkeypatch.setattr(transformer, "FORECAST_ROWS", len(histories))
+    one_pass = model.forecast_batch(histories, 24)
+    for result in blocks:
+        _assert_bitwise(result, one_pass)
 
 
 def test_cached_forecast_batch_matches_prefix_recompute():
@@ -798,6 +816,90 @@ def test_pretrain_and_early_stopping_fine_tune_match_the_old_loop():
     np.testing.assert_allclose(curve, expected, rtol=0, atol=0)
     assert len(curve) == len(expected) < 40  # early stopping fired and restored the best epoch
     assert tuned.state_hash() == reference.state_hash()
+
+
+def _batch_256_windows():
+    """256 default-config training windows: one pretrain batch."""
+    series = generate_series(GeneratorSpec(family="seasonal", length=285, period=24, noise_std=0.05, seed=12))
+    return series, *_sequence_windows(_guarded_normalize(series.values), 24, 6)
+
+
+def _one_batch_256_step(monkeypatch, passes):
+    """One default-config batch-256 step: `pretrain` itself with passes,
+    else `train_minibatch` on the same windows and seed in one pass.
+    Returns each forward pass's teacher-forced outputs, the gradient Adam
+    reads and the step's loss."""
+    series, contexts, targets = _batch_256_windows()
+    model = TransformerForecaster(TransformerConfig(), init_seed=3)
+    outputs, grads = [], []
+    forward = model._forward_teacher
+
+    def recorded_forward(c, t):
+        out = forward(c, t)
+        outputs.append(out.value.copy())  # the next pass reuses the workspace array
+        return out
+
+    def recorded_update(params, learning_rate, step):
+        grads.append(params.grad.copy())
+        adam_update(params, learning_rate, step)
+
+    model._forward_teacher = recorded_forward
+    monkeypatch.setattr(adam, "adam_update", recorded_update)
+    if passes:
+        curve = model.pretrain([series], epochs=1, seed=0, batch_size=256)
+    else:
+        curve = train_minibatch(model.params, model._teacher_losses(contexts, targets)[0], len(contexts),
+                                1, 256, 1e-3, np.random.default_rng(0))
+    assert len(grads) == 1
+    return outputs, grads[0], curve[0]
+
+
+#: Largest gradient difference allowed between 32-row passes and one pass,
+#: relative to the largest gradient entry: only the sums over rows reorder.
+PASS_GRAD_RTOL = 1e-13
+
+
+def test_batch_256_pretrain_step_in_32_row_passes_matches_one_pass(monkeypatch):
+    outputs, grad, loss = _one_batch_256_step(monkeypatch, passes=True)
+    one_outputs, one_grad, one_loss = _one_batch_256_step(monkeypatch, passes=False)
+    assert [len(o) for o in outputs] == [transformer.TRAIN_PASS_ROWS] * 8 and len(one_outputs) == 1
+    _assert_bitwise(np.concatenate(outputs), one_outputs[0])  # every op is row-independent
+    scale = np.abs(one_grad).max()
+    assert np.abs(grad - one_grad).max() <= PASS_GRAD_RTOL * scale, np.abs(grad - one_grad).max() / scale
+    assert abs(loss - one_loss) <= 1e-14 * one_loss
+
+
+def test_held_out_loss_in_passes_is_bitwise_one_pass():
+    _, contexts, targets = _batch_256_windows()
+    contexts, targets = contexts[:100], targets[:100]  # passes of 32, 32, 32 and 4 rows
+    model = TransformerForecaster(TransformerConfig(), init_seed=3)
+    with no_grad():
+        predicted = model._forward_teacher(contexts, targets).value
+    assert model._teacher_losses(contexts, targets)[1]() == float(np.mean((predicted - targets) ** 2))
+
+
+def test_pass_weighted_loss_passes_grad_check():
+    _, contexts, targets = _batch_256_windows()
+    model = TransformerForecaster(TransformerConfig(), init_seed=3)
+    batch_loss = model._teacher_losses(contexts, targets)[0]
+    n, rows = 80, transformer.TRAIN_PASS_ROWS
+    starts = range(0, n, rows)  # passes of 32, 32 and 16 rows
+
+    def forward():
+        # Every pass but the last backpropagates into the store here, as in
+        # a training step; the last is returned with the earlier losses
+        # added as a constant, so grad_check's backward() completes the sum.
+        earlier = 0.0
+        for lo in starts[:-1]:
+            loss = batch_loss(np.arange(lo, lo + rows), n)
+            loss.backward()
+            earlier += float(loss.value)
+        return ad.add(batch_loss(np.arange(starts[-1], n), n), earlier)
+
+    with no_grad():
+        whole = float(batch_loss(np.arange(n)).value)
+    np.testing.assert_allclose(float(forward().value), whole, rtol=1e-14)
+    assert grad_check(forward, model.params, probe_count=30, rng=np.random.default_rng(2)) < 1e-4
 
 
 def _tape_dense(h, weights, biases):

@@ -567,10 +567,9 @@ def test_three_training_steps_peak_no_higher_than_one():
     assert three <= 1.1 * one, (three, one)
 
 
-def test_step_workspace_holds_little_more_than_one_forward_tape(monkeypatch):
-    # Backward gives each node's spent gradient and output back, so the
-    # step's later requests reuse them: the workspace holds about the live
-    # set, not every array the step made.
+def _pretrain_workspace_and_pass_tape(monkeypatch, length, epochs, batch):
+    """The workspace bytes of one pretrain call on a `length`-point series,
+    and the `tracemalloc` bytes of one forward pass's tape at its shape."""
     spaces, tapes = [], []
     open_workspace, train = adam.workspace, transformer.train_minibatch
 
@@ -580,22 +579,37 @@ def test_step_workspace_holds_little_more_than_one_forward_tape(monkeypatch):
             spaces.append(steps)
             yield steps
 
-    def measured_train(params, loss_fn, sample_count, epochs, batch, *rest):
+    def measured_train(params, loss_fn, sample_count, epochs, batch, *rest, **options):
+        rows = min(batch, sample_count, options.get("pass_rows") or batch)
         tracemalloc.start()
         try:
-            loss = loss_fn(np.arange(min(batch, sample_count)))  # outside any workspace
+            loss = loss_fn(np.arange(rows))  # outside any workspace
             tapes.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
         del loss
-        return train(params, loss_fn, sample_count, epochs, batch, *rest)
+        return train(params, loss_fn, sample_count, epochs, batch, *rest, **options)
 
     monkeypatch.setattr(adam, "workspace", recorded_workspace)
     monkeypatch.setattr(transformer, "train_minibatch", measured_train)
-    corpus = [generate_series(GeneratorSpec(family="seasonal", length=93, period=24, noise_std=0.05, seed=1))]
-    TransformerForecaster(TransformerConfig(), init_seed=0).pretrain(corpus, epochs=3, batch_size=64)
+    corpus = [generate_series(GeneratorSpec(family="seasonal", length=length, period=24, noise_std=0.05, seed=1))]
+    TransformerForecaster(TransformerConfig(), init_seed=0).pretrain(corpus, epochs=epochs, batch_size=batch)
     assert len(spaces) == 1 and len(tapes) == 1
-    assert spaces[0].nbytes <= 1.3 * tapes[0], (spaces[0].nbytes, tapes[0])
+    return spaces[0].nbytes, tapes[0]
+
+
+def test_step_workspace_holds_little_more_than_one_forward_tape(monkeypatch):
+    # Backward gives each node's spent gradient and output back, so the
+    # step's later requests reuse them: the workspace holds about the live
+    # set, not every array the step made.
+    space, tape = _pretrain_workspace_and_pass_tape(monkeypatch, 93, epochs=3, batch=64)
+    assert space <= 1.3 * tape, (space, tape)
+
+
+def test_one_batch_256_pretrain_step_runs_in_a_workspace_of_one_pass_tape(monkeypatch):
+    # 256 windows, one step: eight 32-row passes, each reusing the last one's buffers.
+    space, tape = _pretrain_workspace_and_pass_tape(monkeypatch, 285, epochs=1, batch=256)
+    assert space <= 1.3 * tape, (space, tape)
 
 
 def _save_per_param(store, path):
@@ -633,9 +647,9 @@ def _line_problem(seed=0, n=10):
     store.add("w", np.array([[0.5]]))
     store.add("b", np.array([[0.0]]))
 
-    def loss_fn(chosen):
+    def loss_fn(chosen, batch_rows=None):
         pred = ad.add(ad.matmul(Tensor(x[chosen]), store.tensor("w")), store.tensor("b"))
-        return ad.mse(ad.reshape(pred, (len(chosen),)), y[chosen])
+        return ad.mse(ad.reshape(pred, (len(chosen),)), y[chosen], batch_rows)
 
     return store, loss_fn, n
 
@@ -666,6 +680,38 @@ def test_train_minibatch_without_validation_runs_every_epoch(monkeypatch):
     curve = train_minibatch(store, loss_fn, n, 6, 4, 0.05, np.random.default_rng(1))
     assert len(curve) == 6
     assert steps == list(range(1, 6 * 3 + 1))  # ceil(10 / 4) = 3 batches an epoch
+
+
+def test_train_minibatch_runs_a_batch_as_passes_with_one_update(monkeypatch):
+    store, loss_fn, n = _line_problem()
+    whole, whole_loss, _ = _line_problem()
+    passes, steps = [], []
+
+    def recorded_loss(chosen, batch_rows):
+        passes.append((len(chosen), batch_rows))
+        return loss_fn(chosen, batch_rows)
+
+    def recorded_update(params, learning_rate, step):
+        steps.append(step)
+        adam_update(params, learning_rate, step)
+
+    monkeypatch.setattr(adam, "adam_update", recorded_update)
+    curve = train_minibatch(store, recorded_loss, n, 2, 8, 0.05, np.random.default_rng(1), pass_rows=3)
+    assert passes == [(3, 8), (3, 8), (2, 8), (2, 2)] * 2 and steps == [1, 2, 3, 4]
+    expected = train_minibatch(whole, whole_loss, n, 2, 8, 0.05, np.random.default_rng(1))
+    np.testing.assert_allclose(curve, expected, rtol=1e-14)
+    np.testing.assert_allclose(store.value, whole.value, rtol=1e-12)
+    with pytest.raises(ConfigError, match="pass_rows >= 1"):
+        train_minibatch(store, recorded_loss, n, 1, 8, 0.05, np.random.default_rng(1), pass_rows=0)
+    passes.clear()
+
+    def second_pass_nan(chosen, batch_rows):
+        loss = recorded_loss(chosen, batch_rows)
+        return ad.scale(loss, np.nan) if len(passes) == 2 else loss
+
+    with pytest.raises(NumericError):  # after the first pass added its gradients
+        train_minibatch(store, second_pass_nan, n, 1, 8, 0.05, np.random.default_rng(1), pass_rows=3)
+    assert len(passes) == 2 and not store.grad.any()
 
 
 def test_train_minibatch_rejects_a_non_finite_loss_before_any_step(monkeypatch):
