@@ -191,7 +191,10 @@ class LSTMModel:
         return layers
 
     def roll(self, series: TimeSeries, train_len: int, h_max: int, normalizer) -> np.ndarray:
-        """The rolling sweep of `harness.roll_forecasts`, from shared prefix states.
+        """The rolling sweep of `harness.roll_forecasts` over the origins from
+        train_len to the end of `series`, from shared prefix states. The
+        harness calls it once per block of at most `harness.ROLL_ROWS`
+        origins, so its (T + 1, B, n) state arrays stay that small.
 
         With W lags, origin o's step-s window is the W - s + 1 actual lags
         from test index o + s - 1 on, then its first s - 1 predictions, so

@@ -46,6 +46,13 @@ DEFAULT_WINDOW = 24
 DEFAULT_RUNS = 30
 DEFAULT_VALIDATION_FRACTION = 0.25
 
+#: Origins a model's own `roll` sweeps at once: a 768-origin sweep runs as
+#: three calls whose arrays are a third the size, small enough for the heap
+#: to keep between sweeps instead of trimming them and faulting them back in.
+#: A multiple of 8, so that the row groups BLAS GEMV sums (a dense layer's
+#: one-column output) fall where they fall in one pass over every origin.
+ROLL_ROWS = 256
+
 _CASE_ORDER = tuple(CaseId)
 
 
@@ -200,17 +207,25 @@ def roll_forecasts(model, series: TimeSeries, train_len: int, h_max: int, normal
     Row o holds the h_max-step trajectory launched from the origin whose
     context ends just before absolute index train_len + o. A model with its
     own `roll(series, train_len, h_max, normalizer)` computes that matrix
-    itself: the transformer decodes every origin as one batch, the LSTM
-    resumes shared prefix states. Any other model advances recursively from
-    DEFAULT_WINDOW normalized lags: each prediction becomes the newest lag
-    for the next step, with the target hour's cyclic features refreshed per
-    step. Returns shape (test_len, h_max).
+    itself (the transformer decodes the origins as one batch, the LSTM
+    resumes shared prefix states), in blocks of at most ROLL_ROWS origins,
+    each a `roll` over the series cut after its last origin; the blocks are
+    bitwise one pass. Any other model advances recursively from
+    DEFAULT_WINDOW normalized lags, all origins at once (its arrays are
+    only (test_len, DEFAULT_WINDOW + 2)): each prediction becomes the newest
+    lag for the next step, with the target hour's cyclic features refreshed
+    per step. Returns shape (test_len, h_max).
     """
     if h_max < 1:
         raise ConfigError(f"h_max must be >= 1, got {h_max}")
     roll = getattr(model, "roll", None)
     if roll is not None:
-        return roll(series, train_len, h_max, normalizer)
+        origins = len(series) - train_len
+        # A one-origin tail joins the block before it: numpy sends a one-row
+        # product to GEMV or dot, which sums in another order than GEMM.
+        edges = [0, *range(ROLL_ROWS, origins - 1, ROLL_ROWS), origins]
+        return np.concatenate([roll(series.slice(0, train_len + hi), train_len + lo, h_max, normalizer)
+                               for lo, hi in zip(edges, edges[1:])])
     lags = np.array(origin_windows(normalizer.apply(series.values), train_len, DEFAULT_WINDOW))
     target_index = train_len + np.arange(len(lags))
     preds = np.empty((len(lags), h_max))

@@ -35,11 +35,6 @@ FINE_TUNE_BATCH = 32
 #: workspace of about one 32-row tape (13 MB, where one pass's tape is
 #: about 100 MiB), and fine-tune batches stay one pass.
 TRAIN_PASS_ROWS = FINE_TUNE_BATCH
-#: Rows `forecast_batch` decodes at once. Every op is row-independent, so
-#: blocks give the bits of one pass; a 768-origin sweep then peaks at about
-#: 13 MB of arrays instead of 38 MB, which the heap keeps between calls
-#: where the larger set was trimmed and faulted back in on every call.
-FORECAST_ROWS = 256
 
 
 @functools.lru_cache(maxsize=64)
@@ -388,7 +383,8 @@ class TransformerForecaster:
 
     def forecast_batch(self, histories: np.ndarray, horizon_hours: int) -> np.ndarray:
         """Vectorized forecast over (B, >= context_length) rows of raw values,
-        decoded in blocks of at most FORECAST_ROWS rows."""
+        all B rows decoded as one batch (a rolling sweep comes here in
+        blocks of at most `harness.ROLL_ROWS` origins)."""
         if horizon_hours < 1:
             raise ConfigError(f"horizon must be >= 1, got {horizon_hours}")
         if self.normalizer is None:
@@ -401,22 +397,21 @@ class TransformerForecaster:
             raise InsufficientDataError(
                 f"history has {histories.shape[1]} points, need >= {ctx}"
             )
-        windows = self.normalizer.apply(histories[:, -ctx:])
-        blocks = []
-        for lo in range(0, len(windows), FORECAST_ROWS):
-            window, chunks, remaining = windows[lo : lo + FORECAST_ROWS], [], horizon_hours
-            while remaining > 0:
-                steps = min(self.config.horizon_length, remaining)
-                predictions = self._generate(window, steps)
-                chunks.append(predictions)
-                window = np.concatenate([window, predictions], axis=1)[:, -ctx:]
-                remaining -= steps
-            blocks.append(np.concatenate(chunks, axis=1))
-        return self.normalizer.invert(np.concatenate(blocks))
+        window = self.normalizer.apply(histories[:, -ctx:])
+        chunks = []
+        remaining = horizon_hours
+        while remaining > 0:
+            steps = min(self.config.horizon_length, remaining)
+            predictions = self._generate(window, steps)
+            chunks.append(predictions)
+            window = np.concatenate([window, predictions], axis=1)[:, -ctx:]
+            remaining -= steps
+        return self.normalizer.invert(np.concatenate(chunks, axis=1))
 
     def roll(self, series: TimeSeries, train_len: int, h_max: int, normalizer) -> np.ndarray:
-        """The rolling sweep of `harness.roll_forecasts`: every origin's raw
-        context decoded as one batch, scaled by the caller's normalizer."""
+        """The rolling sweep of `harness.roll_forecasts` over the origins
+        from train_len to the end of `series`: every origin's raw context
+        decoded as one batch, scaled by the caller's normalizer."""
         contexts = origin_windows(series.values, train_len, self.config.context_length)
         return normalizer.apply(self.forecast_batch(contexts, h_max))
 

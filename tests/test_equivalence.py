@@ -4,8 +4,8 @@ The fused LSTM layer is checked against `lstm_cell_step` unrolled on the
 tape, the LSTM's prefix-state rolling sweep against the per-step `predict`
 recursion, the array tree walks against a per-row walk and a per-tree sum, the
 transformer's cached decoding against re-running the decoder over the
-whole generated prefix at every step (and `forecast_batch`'s row blocks
-against one pass over every row), the im2col conv, shifted-max pool
+whole generated prefix at every step, `roll_forecasts`' origin blocks
+against one `roll` over every origin, the im2col conv, shifted-max pool
 and one-GEMM matmul against the einsum, argmax and batched kernels,
 `nn.train_minibatch` against the two training loops it replaced (and
 its 32-row passes of a batch-256 step against one pass over the batch),
@@ -227,7 +227,7 @@ class _PredictOnly:
 
 
 def _lstm_sweep_inputs(units, origins):
-    data = generate_series(GeneratorSpec(family="trend_seasonal", length=72 + 40, period=24,
+    data = generate_series(GeneratorSpec(family="trend_seasonal", length=72 + 769, period=24,
                                          trend_slope=0.001, noise_std=0.05, seed=len(units)))
     train = data.slice(0, 72)
     model = harness.fit_case_model("lstm", train, 3, hyperparams={"lstm_units": units, "epochs": 2})
@@ -259,6 +259,36 @@ def test_lstm_roll_matches_the_predict_recursion_at_one_origin(units):
             harness.roll_forecasts(_PredictOnly(model), view, 72, h_max, normalizer),
             rtol=0, atol=1e-15,
         )
+
+
+def _roll_block_inputs(model_id, origins):
+    """A model with its own `roll`, a 72-point training slice followed by
+    `origins` test points, and the training slice's normalizer."""
+    if model_id != "tsfm":
+        return _lstm_sweep_inputs(ROLL_BLOCK_LSTMS[model_id], origins)
+    view = generate_series(GeneratorSpec(family="seasonal", length=72 + origins, period=24,
+                                         noise_std=0.05, seed=origins))
+    normalizer = fit_normalizer(view.slice(0, 72))
+    model = TransformerForecaster(TransformerConfig(), init_seed=4)
+    model.set_normalizer(normalizer)
+    return model, view, normalizer
+
+
+ROLL_BLOCK_LSTMS = {"lstm-16-8": (16, 8), "lstm-6-5-3": (6, 5, 3)}
+# (ROLL_ROWS, origins): one-row tails (33 over 16 and 32, 257 and 769 over
+# 256), a longer tail and whole blocks; the transformer also sweeps 768
+# origins in 16-, 100- and 384-row blocks.
+ROLL_BLOCK_CASES = [(model_id, rows, origins) for model_id in ("tsfm", *ROLL_BLOCK_LSTMS)
+                    for rows, origins in [(16, 33), (16, 40), (16, 48), (32, 33), (32, 40), (32, 48),
+                                          (256, 257), (256, 769)]]
+ROLL_BLOCK_CASES += [("tsfm", rows, 768) for rows in (16, 100, 384)]
+
+
+@pytest.mark.parametrize("model_id,rows,origins", ROLL_BLOCK_CASES)
+def test_roll_forecasts_in_origin_blocks_is_bitwise_one_pass(monkeypatch, model_id, rows, origins):
+    model, view, normalizer = _roll_block_inputs(model_id, origins)
+    monkeypatch.setattr(harness, "ROLL_ROWS", rows)
+    _assert_bitwise(harness.roll_forecasts(model, view, 72, 24, normalizer), model.roll(view, 72, 24, normalizer))
 
 
 def _per_row_walk(tree, features):
@@ -396,21 +426,6 @@ def test_cached_generation_matches_prefix_recompute(config):
         with no_grad():
             replayed = model._forward_teacher(contexts, generated).value
         np.testing.assert_allclose(replayed, generated, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("rows", [16, 100, 384])
-def test_forecast_batch_in_row_blocks_is_bitwise_one_pass(monkeypatch, rows):
-    rng = np.random.default_rng(rows)
-    model = TransformerForecaster(TransformerConfig(), init_seed=4)
-    model.set_normalizer(NormalizationParams(10.0, 30.0))
-    histories = rng.uniform(5.0, 45.0, size=(768, 40))
-    blocks = [model.forecast_batch(histories, 24)]  # FORECAST_ROWS blocks
-    monkeypatch.setattr(transformer, "FORECAST_ROWS", rows)
-    blocks.append(model.forecast_batch(histories, 24))
-    monkeypatch.setattr(transformer, "FORECAST_ROWS", len(histories))
-    one_pass = model.forecast_batch(histories, 24)
-    for result in blocks:
-        _assert_bitwise(result, one_pass)
 
 
 def test_cached_forecast_batch_matches_prefix_recompute():

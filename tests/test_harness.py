@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import loadcast.nn.autodiff as ad
 from loadcast import harness
 from loadcast.baselines import MODEL_ORDER
 from loadcast.cli import main as cli_main
@@ -472,6 +473,36 @@ def test_transformer_roll_is_one_batch_of_raw_contexts(sweep_models):
     contexts = np.stack([series.values[72 + o - width : 72 + o] for o in range(len(series) - 72)])
     expected = normalizer.apply(tsfm.forecast_batch(contexts, 5))
     np.testing.assert_array_equal(roll_forecasts(tsfm, series, 72, 5, normalizer), expected)
+
+
+def test_roll_forecasts_sweeps_in_bounded_origin_blocks(tiny_artifact, monkeypatch):
+    """A 600-origin sweep reaches no kernel in batches over ROLL_ROWS + 1
+    rows; the LSTM's prefix pass adds up to h_max - 1 starts to its block."""
+    series = seasonal_series(length=72 + 600, seed=34)
+    train = split_case(series, "case1").train
+    normalizer = fit_normalizer(train)
+    base = TransformerForecaster.load(tiny_artifact)
+    models = {model_id: harness.fit_case_model(model_id, train, 4, base_transformer=base, fine_tune=False,
+                                               hyperparams={"epochs": 1} if model_id == "lstm" else None)
+              for model_id in ("tsfm", "lstm")}
+    batches = {"tsfm": [], "lstm": []}
+    forecast_batch, recurrence = TransformerForecaster.forecast_batch, ad.lstm_recurrence
+
+    def spy_forecast_batch(self, histories, horizon_hours):
+        batches["tsfm"].append(len(histories))
+        return forecast_batch(self, histories, horizon_hours)
+
+    def spy_recurrence(projected, *args, **kwargs):
+        batches["lstm"].append(projected.shape[1])
+        return recurrence(projected, *args, **kwargs)
+
+    monkeypatch.setattr(TransformerForecaster, "forecast_batch", spy_forecast_batch)
+    monkeypatch.setattr(ad, "lstm_recurrence", spy_recurrence)
+    for model in models.values():
+        assert roll_forecasts(model, series, 72, 24, normalizer).shape == (600, 24)
+    assert harness.ROLL_ROWS % 8 == 0
+    assert sum(batches["tsfm"]) == 600 and max(batches["tsfm"]) <= harness.ROLL_ROWS + 1
+    assert batches["lstm"] and max(batches["lstm"]) <= harness.ROLL_ROWS + 1 + 24 - 1
 
 
 @pytest.mark.parametrize("fine_tune", [True, False])
