@@ -3,12 +3,9 @@ every trained model in the package runs on it."""
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 from ..errors import ConfigError, NumericError
-from .autodiff import workspace
 from .params import ParamStore
 
 BETA1 = 0.9
@@ -78,16 +75,12 @@ def train_minibatch(params: ParamStore, loss_fn, sample_count: int, epochs: int,
     over rows (weight gradients, the loss) change order. Without
     `pass_rows` a step is one pass over the whole batch.
 
-    The call holds one tape at a time: a pass's loss, and with it every
-    array its tape keeps, is released before the next pass's forward run.
-    A call of more than one pass opens an `autodiff.workspace()` for its
-    duration: the taped ops and `Tensor.backward` take their arrays from
-    it, so each pass gets the previous pass's buffers back, and the memory
-    goes when the call returns. A first step that took no array from it
-    (every one was under `autodiff.WORKSPACE_FLOOR_BYTES`) closes it, so
-    later steps skip its bookkeeping. `loss_fn` must keep nothing a pass
-    allocates past that pass, not even a value it reads after backward;
-    gradients reach the store through its parameter tensors.
+    The call holds one tape at a time: `Tensor.backward` spends each
+    pass's tape as it goes, and the pass's loss is released before the
+    next pass's forward run, so a pass's arrays are freed before the next
+    pass allocates its own (glibc keeps that memory for it; see
+    `autodiff._keep_freed_memory`). Gradients reach the store through its
+    parameter tensors.
     """
     if batch < 1 or epochs < 0:
         raise ConfigError(f"training needs batch >= 1 and epochs >= 0, got batch {batch}, epochs {epochs}")
@@ -99,44 +92,36 @@ def train_minibatch(params: ParamStore, loss_fn, sample_count: int, epochs: int,
     curve: list[float] = []
     best_val, best_state, stale, step = np.inf, None, 0, 0
     rows = batch if pass_rows is None else min(batch, pass_rows)
-    with contextlib.ExitStack() as scope:
-        # A one-pass call has no later pass to hand buffers to, so it allocates as numpy does.
-        steps = scope.enter_context(workspace()) if epochs * -(-sample_count // rows) > 1 else None
-        for _ in range(epochs):
-            order = rng.permutation(sample_count)
-            total = 0.0
-            for lo in range(0, sample_count, batch):
-                chosen = order[lo : lo + batch]
-                batch_loss = 0.0
-                for start in range(0, len(chosen), rows):
-                    if steps is not None:
-                        steps.rewind()
-                    if pass_rows is None:
-                        loss = loss_fn(chosen)
-                    else:
-                        loss = loss_fn(chosen[start : start + rows], len(chosen))
-                    if not np.isfinite(loss.value):
-                        params.zero_grads()  # drop what earlier passes of the batch added
-                        raise NumericError("training loss became non-finite")
-                    loss.backward()
-                    batch_loss += float(loss.value)
-                    del loss  # the tape reads this pass's buffers; the next pass reuses them
-                step += 1
-                adam_update(params, learning_rate, step)
-                total += batch_loss * len(chosen)
-                if step == 1 and steps is not None and steps.nbytes == 0:
-                    scope.close()
-                    steps = None
-            curve.append(total / sample_count)
-            if validation is None:
-                continue
-            val_loss = validation()
-            if val_loss < best_val - 1e-12:
-                best_val, best_state, stale = val_loss, params.snapshot(), 0
-            else:
-                stale += 1
-                if stale >= EARLY_STOP_PATIENCE:
-                    break
+    for _ in range(epochs):
+        order = rng.permutation(sample_count)
+        total = 0.0
+        for lo in range(0, sample_count, batch):
+            chosen = order[lo : lo + batch]
+            batch_loss = 0.0
+            for start in range(0, len(chosen), rows):
+                if pass_rows is None:
+                    loss = loss_fn(chosen)
+                else:
+                    loss = loss_fn(chosen[start : start + rows], len(chosen))
+                if not np.isfinite(loss.value):
+                    params.zero_grads()  # drop what earlier passes of the batch added
+                    raise NumericError("training loss became non-finite")
+                loss.backward()
+                batch_loss += float(loss.value)
+                del loss  # keep nothing of this pass while the next one runs
+            step += 1
+            adam_update(params, learning_rate, step)
+            total += batch_loss * len(chosen)
+        curve.append(total / sample_count)
+        if validation is None:
+            continue
+        val_loss = validation()
+        if val_loss < best_val - 1e-12:
+            best_val, best_state, stale = val_loss, params.snapshot(), 0
+        else:
+            stale += 1
+            if stale >= EARLY_STOP_PATIENCE:
+                break
     if best_state is not None:
         params.restore(best_state)
     return curve

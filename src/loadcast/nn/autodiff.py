@@ -17,26 +17,22 @@ Gradient ownership: a tensor adopts the first gradient array it is handed
 and adds later ones into it in place, so a handed-over array must not be
 written again. An op gives its incoming gradient, or a view of it, to one
 parent only; when the first parent of `add`, or the x of `add_layer_norm`,
-adopts the sum's gradient, the second parent (y) adopts a copy. A node's
-backward function returns whether a parent kept its incoming gradient or
-a view of it (concat hands each parent a disjoint slice).
+adopts the sum's gradient, the second parent (y) adopts a copy.
 ParamStore leaves keep their external `grad_buffer` and always add into it:
 that buffer is a view into the store's flat gradient array, which
 `adam_update` reads and zeroes as a whole.
 
-Inside a `workspace()` block, while gradients are on, the taped ops take
-their full-size outputs, saved temporaries and gradients from the
-block's `Workspace` instead of allocating them, with the same arithmetic
-into the same layouts, so every value and gradient keeps its bits.
-Arrays under WORKSPACE_FLOOR_BYTES are left to numpy. `Tensor.backward`
-then lets go of each node once its backward function has run, since every
-consumer of a node runs before it, and gives the node's own gradient and
-output back for the step's later requests.
+Memory: every op allocates as numpy does. `Tensor.backward` spends the
+tape as it goes, so Python frees each node's arrays once nothing reads
+them, and at import `_keep_freed_memory` has glibc keep freed memory in
+the heap, so the next pass reuses those pages instead of faulting in
+fresh ones.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 from typing import Callable
 
@@ -45,13 +41,39 @@ import numpy as np
 from ..errors import ConfigError, ShapeError
 
 _GRAD_ENABLED = True
-_WORKSPACE: "Workspace | None" = None
-_FLOAT, _BOOL = np.dtype(np.float64), np.dtype(bool)
-#: Requests smaller than this many bytes bypass the workspace: numpy's own
-#: allocator serves them faster than a workspace request's bookkeeping.
-WORKSPACE_FLOOR_BYTES = 16384
 
 LAYER_NORM_EPSILON = 1e-5
+
+#: glibc's mallopt parameter numbers (malloc.h) and the values set at import.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 256 << 20
+
+
+def _keep_freed_memory() -> bool:
+    """Have glibc keep freed memory for the next allocation; returns whether
+    both settings applied. A libc without `mallopt` is left as it is.
+
+    A training pass frees its tape and the next pass allocates the same
+    arrays again. Under glibc's defaults the freed heap top is trimmed and
+    large arrays get their own mappings, so every pass faults its pages
+    back in. With these settings, arrays under _MMAP_THRESHOLD_BYTES come
+    from the heap, and the heap is trimmed only when more than
+    _TRIM_THRESHOLD_BYTES at its top are free. Both are needed: setting
+    either one stops glibc raising the mmap threshold as large blocks are
+    freed, so the trim setting alone would leave every array over 128 KiB
+    to its own mapping.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no handle on the C library
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    applied = [mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES), mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)]
+    return all(applied)
+
+
+_keep_freed_memory()
 
 
 @contextlib.contextmanager
@@ -68,131 +90,6 @@ def no_grad():
 
 def grad_enabled() -> bool:
     return _GRAD_ENABLED
-
-
-class Workspace:
-    """The buffers one training step's arrays live in, handed back to the next step.
-
-    A request first takes memory of its exact size that the step has given
-    back (`give_back`), newest first. Otherwise it takes the next buffer in
-    call order since the last `rewind()`: the same array when shape and
-    dtype repeat, a view of it when it holds enough bytes, and a new buffer
-    in its place when it does not. A step that repeats the previous step's
-    calls, at the same or a smaller batch, so gets the same memory back
-    instead of faulting in fresh pages. Rewind only once nothing reads the
-    arrays handed out since the last rewind.
-    """
-
-    def __init__(self):
-        self._buffers: list[np.ndarray] = []
-        self._views: list[np.ndarray] = []
-        self._given: dict[int, list[np.ndarray]] = {}  # flat uint8 memory by byte count
-        self._next = 0
-
-    @property
-    def nbytes(self) -> int:
-        """The bytes its buffers hold."""
-        return sum(buffer.nbytes for buffer in self._buffers)
-
-    def rewind(self) -> None:
-        self._next = 0
-        self._given.clear()
-
-    def take(self, shape: tuple[int, ...], dtype: np.dtype = _FLOAT) -> np.ndarray:
-        """An uninitialised array of `shape` and `dtype` (an np.dtype)."""
-        if self._given:
-            nbytes = math.prod(shape) * dtype.itemsize
-            given = self._given.get(nbytes)
-            if given:
-                memory = given.pop()
-                if not given:
-                    del self._given[nbytes]
-                return memory.view(dtype).reshape(shape)
-        i = self._next
-        self._next += 1
-        if i < len(self._views) and self._views[i].shape == shape and self._views[i].dtype is dtype:
-            return self._views[i]
-        nbytes = math.prod(shape) * dtype.itemsize
-        if i == len(self._buffers):
-            self._buffers.append(np.empty(nbytes, np.uint8))
-            self._views.append(self._buffers[i])
-        elif self._buffers[i].size < nbytes:
-            self._buffers[i] = np.empty(nbytes, np.uint8)
-        self._views[i] = self._buffers[i][:nbytes].view(dtype).reshape(shape)
-        return self._views[i]
-
-    def give_back(self, array: np.ndarray) -> None:
-        """Let this step's later requests reuse the memory of `array`, a
-        C-contiguous array that nothing reads any more."""
-        self._given.setdefault(array.nbytes, []).append(array.reshape(-1).view(np.uint8))
-
-
-@contextlib.contextmanager
-def workspace():
-    """Serve the taped ops' arrays from one fresh Workspace inside the block,
-    and drop it, with every buffer, on leaving."""
-    global _WORKSPACE
-    previous, _WORKSPACE = _WORKSPACE, Workspace()
-    try:
-        yield _WORKSPACE
-    finally:
-        _WORKSPACE = previous
-
-
-def _buffer(shape: tuple[int, ...], other: tuple[int, ...] | None = None,
-            dtype: np.dtype = _FLOAT) -> np.ndarray | None:
-    """A workspace array of `shape`, broadcast against `other` if given,
-    while a workspace is active and gradients are on and it holds at least
-    WORKSPACE_FLOOR_BYTES; else None, so `out=_buffer(...)` leaves numpy to
-    allocate as it does without `out`."""
-    if _WORKSPACE is None or not _GRAD_ENABLED:
-        return None
-    if other is not None and other != shape:
-        shape = np.broadcast_shapes(shape, other)
-    if math.prod(shape) * dtype.itemsize < WORKSPACE_FLOOR_BYTES:
-        return None
-    return _WORKSPACE.take(shape, dtype)
-
-
-def _empty(shape: tuple[int, ...], dtype: np.dtype = _FLOAT) -> np.ndarray:
-    out = _buffer(shape, dtype=dtype)
-    return np.empty(shape, dtype) if out is None else out
-
-
-def _zeros(shape: tuple[int, ...]) -> np.ndarray:
-    out = _buffer(shape)
-    if out is None:
-        return np.zeros(shape)
-    out.fill(0.0)
-    return out
-
-
-def _copy(x: np.ndarray) -> np.ndarray:
-    """A C-ordered copy of x."""
-    out = _buffer(x.shape)
-    if out is None:
-        return x.copy()
-    np.copyto(out, x)
-    return out
-
-
-def _release(*arrays: np.ndarray) -> None:
-    """Give arrays that nothing reads any more back to the active workspace
-    for the step's later requests; without one, a no-op. Arrays under
-    WORKSPACE_FLOOR_BYTES, or not C-contiguous, are not given back."""
-    if _WORKSPACE is not None and _GRAD_ENABLED:
-        for array in arrays:
-            if array.nbytes >= WORKSPACE_FLOOR_BYTES and array.flags.c_contiguous:
-                _WORKSPACE.give_back(array)
-
-
-def _reshape(x: np.ndarray, shape) -> np.ndarray:
-    """x.reshape(shape), copying a non-contiguous x into a workspace array first."""
-    out = None if x.flags.c_contiguous else _buffer(x.shape)
-    if out is None:
-        return x.reshape(shape)
-    np.copyto(out, x)
-    return out.reshape(shape)
 
 
 class Tensor:
@@ -214,10 +111,12 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-accumulate d(self)/d(leaf) for every reachable leaf.
 
-        self must be scalar-valued (size 1). Inside a workspace this spends
-        the tape: every node but self drops its value, gradient and parents
-        once its backward function has run, and what it owns goes back to
-        the workspace, so only self's value and the leaves' gradients remain.
+        self must be scalar-valued (size 1). This spends the tape: once a
+        node's backward function has run, every consumer of the node has
+        run too, so the node drops its closure and parents, and Python
+        frees every array that no caller holds. A tensor the caller holds
+        keeps its value and gradient, but a second backward through a
+        spent tape reaches no leaf.
         """
         if self.value.size != 1:
             raise ShapeError("backward() requires a scalar output")
@@ -239,30 +138,13 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         if self.grad is None:
-            self.grad = _zeros(self.value.shape)
+            self.grad = np.zeros(self.value.shape)
         self.grad += 1.0
-        for node in reversed(order):
-            if node._backward is None or node.grad is None:
-                continue
-            kept = node._backward(node.grad)
-            if _WORKSPACE is None or node is self:
-                continue
-            # Every consumer of node ran before it, so nothing reads its
-            # arrays again; the root's value is the caller's loss.
-            if not kept:
-                _release(node.grad)
-            if _owns_value(node):
-                _release(node.value)
-            node.value = node.grad = node._backward = None
-            node._parents = ()
-
-
-def _owns_value(node: Tensor) -> bool:
-    """Whether node's value is no view of memory a parent's value lives in
-    (as a reshape's or an index's can be). numpy gives every view the
-    array that owns the memory as its base."""
-    base = node.value.base
-    return base is None or not any(base is p.value or base is p.value.base for p in node._parents)
+        while order:
+            node = order.pop()
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
+            node._backward, node._parents = None, ()
 
 
 def astensor(x) -> Tensor:
@@ -291,36 +173,32 @@ def _make(value: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def _accumulate(tensor: Tensor, grad: np.ndarray, shared: bool = False) -> bool:
+def _accumulate(tensor: Tensor, grad: np.ndarray, shared: bool = False) -> None:
     """Add `grad` into tensor.grad, adopting it on the first write unless it is
-    `shared` with another tensor, which gets a copy (see the module docstring).
-    Returns whether the tensor kept `grad`'s memory."""
+    `shared` with another tensor, which gets a copy (see the module docstring)."""
     if not tensor.requires_grad:
-        return False
+        return
     reduced = _unbroadcast(grad, tensor.value.shape)
     if tensor.grad is not None:
         tensor.grad += reduced
-        return False
-    if shared and reduced is grad:
-        tensor.grad = _copy(reduced)
-        return False
-    tensor.grad = reduced
-    return reduced is grad
+    elif shared and reduced is grad:
+        tensor.grad = reduced.copy()
+    else:
+        tensor.grad = reduced
 
 
-def _unary(a: Tensor, value: np.ndarray, grad, views: bool = False) -> Tensor:
-    """A node with the one parent `a`, whose gradient is `grad(g)`: a view
-    of g if `views`, else a new array."""
-    return _make(value, (a,), lambda g: _accumulate(a, grad(g)) and views)
+def _unary(a: Tensor, value: np.ndarray, grad) -> Tensor:
+    """A node with the one parent `a`, whose gradient is `grad(g)`."""
+    return _make(value, (a,), lambda g: _accumulate(a, grad(g)))
 
 
 def add(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
-    value = np.add(a.value, b.value, out=_buffer(a.value.shape, b.value.shape))
+    value = a.value + b.value
 
     def backward(g):
-        kept = _accumulate(a, g)
-        return _accumulate(b, g, shared=kept) or kept
+        _accumulate(a, g)
+        _accumulate(b, g, shared=a.grad is g)
 
     return _make(value, (a, b), backward)
 
@@ -330,9 +208,8 @@ def sub(a, b) -> Tensor:
     value = a.value - b.value
 
     def backward(g):
-        kept = _accumulate(a, g)
+        _accumulate(a, g)
         _accumulate(b, -g)
-        return kept
 
     return _make(value, (a, b), backward)
 
@@ -359,19 +236,18 @@ def matmul(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
     fold = b.value.ndim == 2
     if fold:
-        left = _reshape(a.value, (-1, a.value.shape[-1]))
-        product = np.matmul(left, b.value, out=_buffer((left.shape[0], b.value.shape[1])))
-        value = product.reshape(a.value.shape[:-1] + b.value.shape[1:])
+        left = a.value.reshape(-1, a.value.shape[-1])
+        value = (left @ b.value).reshape(a.value.shape[:-1] + b.value.shape[1:])
     else:
         left = a.value
         value = left @ b.value
 
     def backward(g):
         if fold:
-            g = _reshape(g, (-1, g.shape[-1]))
+            g = g.reshape(-1, g.shape[-1])
         if a.requires_grad:
             if fold:
-                da = np.matmul(g, b.value.T, out=_buffer((g.shape[0], b.value.shape[0]))).reshape(a.value.shape)
+                da = (g @ b.value.T).reshape(a.value.shape)
             else:
                 da = g @ np.swapaxes(b.value, -1, -2)
             _accumulate(a, da)
@@ -447,14 +323,14 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = astensor(a)
-    return _unary(a, _reshape(a.value, shape), lambda g: _reshape(g, a.value.shape), views=True)
+    return _unary(a, a.value.reshape(shape), lambda g: g.reshape(a.value.shape))
 
 
 def transpose(a, axes) -> Tensor:
     a = astensor(a)
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    return _unary(a, a.value.transpose(axes), lambda g: g.transpose(inverse), views=True)
+    return _unary(a, a.value.transpose(axes), lambda g: g.transpose(inverse))
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -462,16 +338,14 @@ def concat(tensors, axis: int = -1) -> Tensor:
     sizes = [t.value.shape[axis] for t in tensors]
     shape = list(tensors[0].value.shape)
     shape[axis] = sum(sizes)
-    value = np.concatenate([t.value for t in tensors], axis=axis, out=_buffer(tuple(shape)))
+    value = np.concatenate([t.value for t in tensors], axis=axis)
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
-        kept = False
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             index = [slice(None)] * g.ndim
             index[axis] = slice(lo, hi)
-            kept = _accumulate(t, g[tuple(index)]) or kept
-        return kept
+            _accumulate(t, g[tuple(index)])
 
     return _make(value, tuple(tensors), backward)
 
@@ -482,7 +356,7 @@ def index(a, key) -> Tensor:
     value = a.value[key]
 
     def backward(g):
-        full = _zeros(a.value.shape)
+        full = np.zeros(a.value.shape)
         np.add.at(full, key, g)
         _accumulate(a, full)
 
@@ -496,7 +370,7 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     exact, so either order gives the same bits."""
     if math.prod(x.shape[:-1]) < 32 * x.shape[-1]:
         return x.max(axis=-1, keepdims=True)
-    m = _copy(x[..., :1])
+    m = x[..., :1].copy()
     for j in range(1, x.shape[-1]):
         np.maximum(m, x[..., j : j + 1], out=m)
     return m
@@ -509,20 +383,16 @@ def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.copyto(m, 0.0, where=~np.isfinite(m))
     value = np.subtract(logits, m, out=out)
     np.exp(value, out=value)
-    denom = value.sum(axis=-1, keepdims=True, out=_buffer(m.shape))
+    denom = value.sum(axis=-1, keepdims=True)
     np.copyto(denom, 1.0, where=denom == 0.0)
     value /= denom
-    _release(m, denom)
     return value
 
 
 def _softmax_grad(p: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The gradient g of softmax output p taken back to its logits, into `out` (which may be g)."""
-    gp = np.multiply(g, p, out=_buffer(g.shape, p.shape))
-    inner = gp.sum(axis=-1, keepdims=True, out=_buffer(gp.shape[:-1] + (1,)))
-    _release(gp)
+    inner = (g * p).sum(axis=-1, keepdims=True)
     out = np.subtract(g, inner, out=out)
-    _release(inner)
     out *= p
     return out
 
@@ -552,8 +422,7 @@ def attention_probabilities(q: np.ndarray, k: np.ndarray, mask: np.ndarray | Non
     left gets all-zero weights."""
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"Q/K feature dims differ: {q.shape[-1]} vs {k.shape[-1]}")
-    out = _buffer(q.shape[:-1] + k.shape[-2:-1]) if q.shape[:-2] == k.shape[:-2] else None
-    probs = np.matmul(q, np.swapaxes(k, -1, -2), out=out)
+    probs = q @ np.swapaxes(k, -1, -2)
     probs *= 1.0 / np.sqrt(q.shape[-1])
     if mask is not None:
         np.copyto(probs, -np.inf, where=~mask)
@@ -586,25 +455,24 @@ def attention(q, k, v, head_count: int = 1, mask: np.ndarray | None = None) -> T
                           f"not divisible by head_count {head_count}")
     qh, kh, vh = (_heads(t.value, head_count) for t in (q, k, v))
     probs = attention_probabilities(qh, kh, mask)
-    value = _empty(q.value.shape[:-1] + v.value.shape[-1:])
+    value = np.empty(q.value.shape[:-1] + v.value.shape[-1:])
     np.matmul(probs, vh, out=_heads(value, head_count))
     factor = 1.0 / np.sqrt(qh.shape[-1])
 
     def product_into(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
         if t.requires_grad:
-            grad = _empty(t.value.shape)
+            grad = np.empty(t.value.shape)
             np.matmul(a, b, out=_heads(grad, head_count))
             _accumulate(t, grad)
 
     def backward(g):
         gh = _heads(g, head_count)
-        dscores = np.matmul(gh, np.swapaxes(vh, -1, -2), out=_buffer(probs.shape))
+        dscores = gh @ np.swapaxes(vh, -1, -2)
         product_into(v, np.swapaxes(probs, -1, -2), gh)
         _softmax_grad(probs, dscores, out=dscores)
         dscores *= factor
         product_into(q, dscores, kh)
         product_into(k, np.swapaxes(dscores, -1, -2), qh)
-        _release(dscores, probs)
 
     return _make(value, (q, k, v), backward)
 
@@ -615,45 +483,37 @@ def _layer_norm(s: np.ndarray, out: np.ndarray | None, inputs: tuple[Tensor, ...
     `s - mu` is written to `out` (s itself when the caller made s) and
     scaled in place into xhat; `route` takes the gradient with respect to s
     to `inputs`. Each mean is a sum over the last axis divided by n, as
-    np.mean computes it, and full-size temporaries are reused in place:
-    above glibc's mmap threshold every fresh one costs page faults."""
+    np.mean computes it, and full-size temporaries are reused in place."""
     gamma, beta = astensor(gamma), astensor(beta)
     if gamma.value.shape[-1] != s.shape[-1] or beta.value.shape[-1] != s.shape[-1]:
         raise ShapeError("gamma/beta must match the normalized axis length")
     n = s.shape[-1]
     rows = s.shape[:-1] + (1,)
-    mu = s.sum(axis=-1, keepdims=True, out=_buffer(rows))
+    mu = s.sum(axis=-1, keepdims=True)
     mu /= n
     xhat = np.subtract(s, mu, out=out)
-    squares = np.square(xhat, out=_buffer(xhat.shape))
-    var = squares.sum(axis=-1, keepdims=True, out=_buffer(rows))
-    _release(mu, squares)
+    var = np.square(xhat).sum(axis=-1, keepdims=True)
     var /= n
     var += LAYER_NORM_EPSILON
     np.sqrt(var, out=var)
     inv = np.divide(1.0, var, out=var)
     xhat *= inv
-    value = np.multiply(gamma.value, xhat, out=_buffer(gamma.value.shape, xhat.shape))
+    value = gamma.value * xhat
     value += beta.value
 
     def backward(g):
-        scaled = np.multiply(g, xhat, out=_buffer(g.shape, xhat.shape))
-        if not _accumulate(gamma, scaled):
-            _release(scaled)
-        dxhat = np.multiply(g, gamma.value, out=_buffer(g.shape, gamma.value.shape))
-        s1 = dxhat.sum(axis=-1, keepdims=True, out=_buffer(rows))
-        work = np.multiply(dxhat, xhat, out=_buffer(dxhat.shape))
-        s2 = work.sum(axis=-1, keepdims=True, out=_buffer(rows))
+        _accumulate(gamma, g * xhat)
+        dxhat = g * gamma.value
+        s1 = dxhat.sum(axis=-1, keepdims=True)
+        work = dxhat * xhat
+        s2 = work.sum(axis=-1, keepdims=True)
         # (inv / n) * (n * dxhat - s1 - xhat * s2), evaluated in that order
         dx = np.multiply(dxhat, n, out=dxhat)
         dx -= s1
         dx -= np.multiply(xhat, s2, out=work)
         dx *= np.divide(inv, n, out=s1)
-        _release(s1, s2, work)
         route(dx)
-        kept = _accumulate(beta, g)
-        _release(xhat, inv)
-        return kept
+        _accumulate(beta, g)
 
     return _make(value, inputs + (gamma, beta), backward)
 
@@ -662,7 +522,7 @@ def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize x over its last axis (population variance), then scale by
     gamma and shift by beta."""
     x = astensor(x)
-    return _layer_norm(x.value, _buffer(x.value.shape), (x,), gamma, beta, lambda dx: _accumulate(x, dx))
+    return _layer_norm(x.value, None, (x,), gamma, beta, lambda dx: _accumulate(x, dx))
 
 
 def add_layer_norm(x, y, gamma, beta) -> Tensor:
@@ -670,10 +530,11 @@ def add_layer_norm(x, y, gamma, beta) -> Tensor:
     output. The sum's gradient goes to x and y as `add` hands it over: when
     x adopts it, y adopts a copy."""
     x, y = astensor(x), astensor(y)
-    s = np.add(x.value, y.value, out=_buffer(x.value.shape, y.value.shape))
+    s = x.value + y.value
 
     def route(ds):
-        _accumulate(y, ds, shared=_accumulate(x, ds))
+        _accumulate(x, ds)
+        _accumulate(y, ds, shared=x.grad is ds)
 
     return _layer_norm(s, s, (x, y), gamma, beta, route)
 
@@ -684,7 +545,7 @@ def _pad_time(x: np.ndarray, width: int, causal: bool, fill: float) -> tuple[np.
     about 190 us a call at the transformer's shapes."""
     left = width - 1 if causal else width // 2
     t = x.shape[-2]
-    xpad = _empty(x.shape[:-2] + (t + width - 1, x.shape[-1]))
+    xpad = np.empty(x.shape[:-2] + (t + width - 1, x.shape[-1]))
     xpad[..., :left, :] = fill
     xpad[..., left : left + t, :] = x
     xpad[..., left + t :, :] = fill
@@ -693,8 +554,7 @@ def _pad_time(x: np.ndarray, width: int, causal: bool, fill: float) -> tuple[np.
 
 def _conv(x: Tensor, weights: Tensor, bias: Tensor, causal: bool):
     """conv1d_same's value and the backward function that takes its output
-    gradient to x, weights and bias and returns whether bias kept the
-    gradient's memory."""
+    gradient to x, weights and bias."""
     k, cin, cout = weights.value.shape
     if k % 2 == 0:
         raise ConfigError(f"convolution kernel width must be odd, got {k}")
@@ -704,25 +564,21 @@ def _conv(x: Tensor, weights: Tensor, bias: Tensor, causal: bool):
     xpad, left = _pad_time(x.value, k, causal, 0.0)
     # (..., T, Cin, K) windows -> rows of [x[t], x[t + 1], ..., x[t + K - 1]]
     windows = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=-2)
-    cols = _copy(np.swapaxes(windows, -1, -2)).reshape(-1, k * cin)
-    padded = xpad.shape
-    _release(xpad)  # the backward pass reads cols
+    cols = np.swapaxes(windows, -1, -2).copy().reshape(-1, k * cin)
+    padded = xpad.shape  # the backward pass reads cols, not xpad
     kernel = weights.value.reshape(k * cin, cout)
-    value = np.matmul(cols, kernel, out=_buffer((cols.shape[0], cout))).reshape(x.value.shape[:-1] + (cout,))
+    value = (cols @ kernel).reshape(x.value.shape[:-1] + (cout,))
     value += bias.value
 
     def backward(g):
-        g2 = _reshape(g, (-1, cout))
+        g2 = g.reshape(-1, cout)
         _accumulate(weights, (cols.T @ g2).reshape(k, cin, cout))
-        dcols = np.matmul(g2, kernel.T, out=_buffer((g2.shape[0], k * cin))).reshape(x.value.shape[:-1] + (k, cin))
-        dxpad = _zeros(padded)
+        dcols = (g2 @ kernel.T).reshape(x.value.shape[:-1] + (k, cin))
+        dxpad = np.zeros(padded)
         for j in range(k):
             dxpad[..., j : j + t, :] += dcols[..., j, :]
-        _release(dcols)
-        if not _accumulate(x, dxpad[..., left : left + t, :]):
-            _release(dxpad)
-        _release(cols)
-        return _accumulate(bias, g)
+        _accumulate(x, dxpad[..., left : left + t, :])
+        _accumulate(bias, g)
 
     return value, backward
 
@@ -743,28 +599,26 @@ def conv1d_same(x, weights, bias, causal: bool = False) -> Tensor:
 
 def _pool(x: np.ndarray, pool_range: int, causal: bool):
     """maxpool1d_same's value over x and the function that takes its output
-    gradient to x's: it returns the time-padded gradient and x's view of it."""
+    gradient to x's."""
     if pool_range % 2 == 0 or pool_range < 1:
         raise ConfigError(f"pool range must be odd and positive, got {pool_range}")
     t = x.shape[-2]
     xpad, left = _pad_time(x, pool_range, causal, -np.inf)
-    value = _copy(xpad[..., :t, :])
+    value = xpad[..., :t, :].copy()
     for j in range(1, pool_range):
         np.maximum(value, xpad[..., j : j + t, :], out=value)
 
     def backward(g):
-        dxpad = _zeros(xpad.shape)
-        unclaimed = _empty(value.shape, _BOOL)
-        unclaimed.fill(True)
-        first = _empty(value.shape, _BOOL)
-        routed = _empty(value.shape)
+        dxpad = np.zeros(xpad.shape)
+        unclaimed = np.full(value.shape, True)
+        first = np.empty(value.shape, bool)
+        routed = np.empty(value.shape)
         for j in range(pool_range):
             np.equal(xpad[..., j : j + t, :], value, out=first)
             first &= unclaimed
             unclaimed ^= first
             dxpad[..., j : j + t, :] += np.multiply(g, first, out=routed)
-        _release(unclaimed, first, routed, xpad)
-        return dxpad, dxpad[..., left : left + t, :]
+        return dxpad[..., left : left + t, :]
 
     return value, backward
 
@@ -781,7 +635,7 @@ def maxpool1d_same(x, pool_range: int, causal: bool = False) -> Tensor:
     if pool_range == 1:
         return x
     value, backward = _pool(x.value, pool_range, causal)
-    return _unary(x, value, lambda g: backward(g)[1])
+    return _unary(x, value, backward)
 
 
 def conv_relu_pool(x, weights, bias, pool_range: int, causal: bool = False) -> Tensor:
@@ -795,17 +649,9 @@ def conv_relu_pool(x, weights, bias, pool_range: int, causal: bool = False) -> T
     value, pool_backward = (activated, None) if pool_range == 1 else _pool(activated, pool_range, causal)
 
     def backward(g):
-        spent = []
         if pool_backward is not None:
-            padded, g = pool_backward(g)
-            spent.append(padded)
-        on = np.greater(activated, 0.0, out=_buffer(activated.shape, dtype=_BOOL))
-        if pool_backward is not None:  # else activated is this node's value
-            spent.append(activated)
-        masked = np.multiply(g, on, out=_buffer(g.shape, on.shape))
-        _release(on, *spent)
-        if not conv_backward(masked):
-            _release(masked)
+            g = pool_backward(g)
+        conv_backward(g * (activated > 0.0))
 
     return _make(value, (x, weights, bias), backward)
 
@@ -827,13 +673,13 @@ def lstm_recurrence(projected: np.ndarray, u: np.ndarray, b: np.ndarray, h0: np.
     steps, batch, _ = projected.shape
     n = u.shape[0]
     keep = steps if record else 1
-    gates = _empty((keep, batch, 4 * n))
-    squashed = _empty((keep, batch, n))
-    hidden = _empty((steps + 1, batch, n))
-    cells = _empty((steps + 1, batch, n))
+    gates = np.empty((keep, batch, 4 * n))
+    squashed = np.empty((keep, batch, n))
+    hidden = np.empty((steps + 1, batch, n))
+    cells = np.empty((steps + 1, batch, n))
     hidden[0], cells[0] = h0, c0
-    ig = _empty((batch, n))
-    work = _empty((batch, 3 * n))
+    ig = np.empty((batch, n))
+    work = np.empty((batch, 3 * n))
     for t in range(steps):
         z, tc, c = gates[t if record else 0], squashed[t if record else 0], cells[t + 1]
         np.matmul(hidden[t], u, out=z)
@@ -873,9 +719,9 @@ def lstm_layer(x, w, u, b) -> Tensor:
             f"b {b.value.shape} do not fit (B, T, in), (in, 4n), (n, 4n), (1, 4n)"
         )
     tracked = _GRAD_ENABLED and any(t.requires_grad for t in (x, w, u, b))
-    inputs = _reshape(x.value.transpose(1, 0, 2), (-1, width))
-    projected = np.matmul(inputs, w.value, out=_buffer((inputs.shape[0], 4 * n))).reshape(steps, batch, 4 * n)
-    zero = _zeros((batch, n))
+    inputs = x.value.transpose(1, 0, 2).reshape(-1, width)
+    projected = (inputs @ w.value).reshape(steps, batch, 4 * n)
+    zero = np.zeros((batch, n))
     hidden, cells, gates, squashed = lstm_recurrence(projected, u.value, b.value, zero, zero, record=tracked)
 
     def backward(grad):
@@ -884,20 +730,20 @@ def lstm_layer(x, w, u, b) -> Tensor:
         # Per gate, d(pre-activation) / d(carried gradient), each evaluated
         # left to right as written: g i (1 - i), c f (1 - f), tanh(c) o (1 - o)
         # and i (1 - g g); and dh -> dc, o (1 - tanh(c) tanh(c)).
-        mult = _empty(gates.shape)
+        mult = np.empty(gates.shape)
         blocks = [mult[..., k * n : (k + 1) * n] for k in range(4)]
-        work = _empty(squashed.shape)
+        work = np.empty(squashed.shape)
         for out, left, gate in ((blocks[0], g, i), (blocks[1], cells[:-1], f), (blocks[2], squashed, o)):
             np.multiply(left, gate, out=out)
             out *= np.subtract(1.0, gate, out=work)
         np.subtract(1.0, np.multiply(g, g, out=work), out=work)
         np.multiply(i, work, out=blocks[3])
-        through = np.multiply(squashed, squashed, out=_buffer(squashed.shape))
+        through = squashed * squashed
         np.subtract(1.0, through, out=through)
         np.multiply(o, through, out=through)
         u_t = u.value.T
-        d_z = _empty(gates.shape)
-        dh_next, dc, dh, carried = _zeros((batch, n)), _zeros((batch, n)), _empty((batch, n)), _empty((batch, n))
+        d_z = np.empty(gates.shape)
+        dh_next, dc, dh, carried = np.zeros((batch, n)), np.zeros((batch, n)), np.empty((batch, n)), np.empty((batch, n))
         for t in range(steps - 1, -1, -1):
             np.add(grad[t], dh_next, out=dh)
             dc += np.multiply(dh, through[t], out=carried)
@@ -913,8 +759,7 @@ def lstm_layer(x, w, u, b) -> Tensor:
         _accumulate(u, hidden[:-1].reshape(-1, n).T @ flat)
         _accumulate(b, flat.sum(axis=0, keepdims=True))
         if x.requires_grad:
-            dx = np.matmul(flat, w.value.T, out=_buffer((flat.shape[0], width)))
-            _accumulate(x, dx.reshape(steps, batch, width).transpose(1, 0, 2))
+            _accumulate(x, (flat @ w.value.T).reshape(steps, batch, width).transpose(1, 0, 2))
 
     return _make(hidden[1:].transpose(1, 0, 2), (x, w, u, b), backward)
 
@@ -935,24 +780,23 @@ def dense_stack(x, weights, biases) -> Tensor:
         raise ShapeError(f"dense_stack needs one bias per weight, got {len(weights)} and {len(biases)}")
     outputs = [x.value]  # each layer's input, then the stack's output
     for k, (w, b) in enumerate(zip(weights, biases)):
-        z = np.matmul(outputs[-1], w.value, out=_buffer((outputs[-1].shape[0], w.value.shape[1])))
+        z = outputs[-1] @ w.value
         z += b.value
-        outputs.append(_sigmoid(z, out=z, work=_buffer(z.shape)) if k == len(weights) - 1
-                       else np.maximum(z, 0.0, out=z))
+        outputs.append(_sigmoid(z, out=z) if k == len(weights) - 1 else np.maximum(z, 0.0, out=z))
 
     def backward(g):
         s = outputs[-1]
-        g = np.multiply(g, s, out=_buffer(g.shape, s.shape))
-        g *= np.subtract(1.0, s, out=_buffer(s.shape))
+        g = g * s
+        g *= 1.0 - s
         for k in range(len(weights) - 1, -1, -1):
             w, h = weights[k], outputs[k]
             _accumulate(biases[k], g)
             if w.requires_grad:
                 _accumulate(w, h.T @ g)
             if k > 0 or x.requires_grad:
-                dh = np.matmul(g, w.value.T, out=_buffer((g.shape[0], w.value.shape[0])))
+                dh = g @ w.value.T
             if k > 0:  # h is a ReLU output, positive exactly where its input was
-                g = np.multiply(dh, np.greater(h, 0.0, out=_buffer(h.shape, dtype=_BOOL)), out=dh)
+                g = np.multiply(dh, h > 0.0, out=dh)
             elif x.requires_grad:
                 _accumulate(x, dh)
 
@@ -973,12 +817,12 @@ def mse(prediction, target, count: int | None = None) -> Tensor:
     target = np.asarray(target, dtype=np.float64)
     if prediction.value.shape != target.shape:
         raise ShapeError(f"prediction {prediction.value.shape} vs target {target.shape}")
-    diff = np.subtract(prediction.value, target, out=_buffer(target.shape))
+    diff = prediction.value - target
     factor = 1.0 / (diff.size if count is None else count)
-    value = np.multiply(diff, diff, out=_buffer(diff.shape)).sum() * factor
+    value = (diff * diff).sum() * factor
 
     def backward(g):
-        grad = np.multiply(np.broadcast_to(g * factor, diff.shape), diff, out=_buffer(diff.shape))
+        grad = np.broadcast_to(g * factor, diff.shape) * diff
         grad += grad
         _accumulate(prediction, grad)
 

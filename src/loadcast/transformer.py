@@ -31,9 +31,9 @@ PE_BASE = 10000.0
 FINE_TUNE_LR_FACTOR = 0.1
 FINE_TUNE_BATCH = 32
 #: Rows per forward/backward pass of a larger training batch (see
-#: `train_minibatch`): a batch-256 pretraining step runs as 8 passes in a
-#: workspace of about one 32-row tape (13 MB, where one pass's tape is
-#: about 100 MiB), and fine-tune batches stay one pass.
+#: `train_minibatch`): a batch-256 pretraining step runs as 8 passes, so it
+#: holds one 32-row tape at a time instead of one batch-256 tape eight
+#: times its size, and fine-tune batches stay one pass.
 TRAIN_PASS_ROWS = FINE_TUNE_BATCH
 
 

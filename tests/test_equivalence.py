@@ -16,8 +16,8 @@ attention, add_layer_norm and conv_relu_pool nodes against the tape of
 small ops each replaced (down to a whole teacher-forced pass).
 """
 
-import contextlib
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -706,33 +706,14 @@ def _three_step_setup(case):
 
 
 @pytest.mark.parametrize("case", ["pretrain", "fine_tune", "mlp", "lstm"])
-def test_workspace_steps_match_a_loop_that_allocates_fresh_arrays(case):
+def test_training_steps_match_a_plain_step_loop(case):
     params, loss_fn, count, batch, rate = _three_step_setup(case)
     assert -(-count // batch) == 3 and count % batch
     curve = train_minibatch(params, loss_fn, count, 2, batch, rate, np.random.default_rng(5))
     fresh_params, fresh_loss, *_ = _three_step_setup(case)
-    # _reference_minibatch_train runs outside any workspace, so every array is new.
     expected = _reference_minibatch_train(fresh_params, fresh_loss, count, 2, batch, rate, np.random.default_rng(5))
     np.testing.assert_array_equal(curve, expected)
     assert params.state_hash() == fresh_params.state_hash()
-
-
-@pytest.fixture
-def poisoned_give_back(monkeypatch):
-    """Every array given back to a workspace is overwritten with 0xFF bytes
-    (NaN as float64) first, so a reader of given-back memory sees NaN."""
-    give_back = ad.Workspace.give_back
-
-    def poison_then_give_back(self, array):
-        array.reshape(-1).view(np.uint8).fill(0xFF)
-        give_back(self, array)
-
-    monkeypatch.setattr(ad.Workspace, "give_back", poison_then_give_back)
-
-
-@pytest.mark.parametrize("case", ["pretrain", "fine_tune", "mlp", "lstm"])
-def test_workspace_steps_match_fresh_arrays_when_given_back_memory_is_poisoned(case, poisoned_give_back):
-    test_workspace_steps_match_a_loop_that_allocates_fresh_arrays(case)
 
 
 def _shared_parent_value(op):
@@ -746,7 +727,9 @@ def _shared_parent_value(op):
     return build
 
 
-_POISON_CASES = {
+#: Graphs whose nodes share memory: a gradient handed to two parents, views
+#: of a gradient, and views of a value that a later backward function reads.
+_SHARED_MEMORY_CASES = {
     # add hands its gradient to the first parent and a copy to the second
     "add_shared_gradient": lambda x, w: ad.add(ad.scale(x, 2.0), ad.scale(x, 3.0)),
     "add_layer_norm_y_copy": lambda x, w: ad.add_layer_norm(
@@ -758,21 +741,36 @@ _POISON_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_POISON_CASES))
-def test_tape_gives_back_only_memory_nothing_reads(case, poisoned_give_back):
+@pytest.mark.parametrize("case", sorted(_SHARED_MEMORY_CASES))
+def test_tape_gives_back_only_memory_nothing_reads(case, monkeypatch):
+    """Backward spends the tape, so Python frees each node's arrays once its
+    backward function has run. The gradients are bitwise those of a tape
+    whose every intermediate the caller still holds."""
     rng = np.random.default_rng(11)
-    x0, w0 = rng.normal(size=(64, 64)), rng.normal(size=(64, 64)) / 8.0  # above the workspace floor
+    x0, w0 = rng.normal(size=(64, 64)), rng.normal(size=(64, 64)) / 8.0
+    make = ad._make
     results = []
-    for steps in (contextlib.nullcontext(), ad.workspace()):
-        with steps:
+    for hold in (True, False):
+        made = []  # every node the ops make, or only a weak reference to its value
+
+        def recorded_make(value, parents, backward):
+            out = make(value, parents, backward)
+            made.append(out if hold else weakref.ref(out.value))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "_make", recorded_make)
             x, w = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
-            out = _POISON_CASES[case](x, w)
+            out = _SHARED_MEMORY_CASES[case](x, w)
             loss = ad.mse(out, np.zeros(out.shape))
-            loss.backward()
-            results.append((np.asarray(loss.value), x.grad, w.grad))
-    for fresh, reused in zip(*results):
-        if fresh is not None:
-            _assert_bitwise(reused, fresh)
+        loss.backward()
+        if not hold:  # only what the caller holds outlives the spent tape
+            alive = [ref() for ref in made if ref() is not None]
+            assert all(value is out.value or value is loss.value for value in alive), len(alive)
+        results.append((np.asarray(loss.value), x.grad, w.grad))
+    for held, spent in zip(*results):
+        if held is not None:
+            _assert_bitwise(spent, held)
 
 
 @pytest.mark.parametrize("make", [lambda: MLPModel(epochs=12), lambda: LSTMModel(epochs=3)])
@@ -851,7 +849,7 @@ def _one_batch_256_step(monkeypatch, passes):
 
     def recorded_forward(c, t):
         out = forward(c, t)
-        outputs.append(out.value.copy())  # the next pass reuses the workspace array
+        outputs.append(out.value)
         return out
 
     def recorded_update(params, learning_rate, step):

@@ -1,13 +1,20 @@
 """Tests for the autodiff substrate: tensors, layers, Adam, and gradient checks."""
 
-import contextlib
+import ctypes
+import os
+import platform
 import struct
+import subprocess
+import sys
 import tracemalloc
+import types
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
+import loadcast
 import loadcast.nn.autodiff as ad
 from loadcast.corpus import GeneratorSpec, generate_series
 from loadcast.errors import ConfigError, NumericError, ShapeError, StateError
@@ -476,40 +483,17 @@ def test_adam_scratch_is_kept_until_the_store_grows():
     assert store.scratch().shape == store.value.shape
 
 
-def test_workspace_serves_each_step_the_previous_steps_memory():
-    floats, flags = np.dtype(np.float64), np.dtype(bool)
-    steps = ad.Workspace()
-    a, b = steps.take((4, 3)), steps.take((2, 5), flags)
-    assert a.shape == (4, 3) and a.dtype == floats and b.shape == (2, 5) and b.dtype == flags
-    assert not np.shares_memory(a, b)
-    steps.rewind()
-    assert steps.take((4, 3)) is a  # same call, same shape: the same array
-    smaller = steps.take((2, 2))  # 32 bytes do not fit in the second buffer's 10
-    assert not np.shares_memory(smaller, a) and not np.shares_memory(smaller, b)
-    steps.rewind()
-    view = steps.take((3,))  # fewer bytes than buffer 0 holds: a view of it
-    assert np.shares_memory(view, a) and view.shape == (3,)
-    bigger = steps.take((3, 3))  # more than buffer 1 now holds: new memory
-    assert not np.shares_memory(bigger, smaller)
-    steps.give_back(view)
-    assert np.shares_memory(steps.take((1, 3)), a)  # same byte count as the given-back array
-    assert not np.shares_memory(steps.take((1, 3)), a)  # given back once, reused once
+def test_the_allocator_setting_applies_on_glibc():
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("mallopt is glibc's")
+    assert ad._keep_freed_memory() is True
 
 
-def test_taped_ops_use_the_workspace_only_with_gradients_on():
-    rows = ad.WORKSPACE_FLOOR_BYTES // 8  # (rows, 3) float64 arrays are above the floor
-    x = Tensor(np.arange(3.0 * rows).reshape(rows, 3), requires_grad=True)
-    with ad.workspace() as steps:
-        first = ad.add(x, 1.0).value
-        steps.rewind()
-        again = ad.add(x, 1.0).value
-        assert again is first
-        np.testing.assert_array_equal(again, np.arange(3.0 * rows).reshape(rows, 3) + 1.0)
-        with no_grad():
-            inference = ad.add(x, 1.0).value
-        steps.rewind()
-        assert not np.shares_memory(inference, ad.add(x, 2.0).value)
-    assert not np.shares_memory(ad.add(x, 3.0).value, first)
+def test_the_allocator_setting_is_a_silent_no_op_without_mallopt(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ad._keep_freed_memory() is False
 
 
 def test_each_step_releases_the_previous_tape_before_the_next_forward():
@@ -530,25 +514,6 @@ def test_each_step_releases_the_previous_tape_before_the_next_forward():
     assert len(roots) == 6
 
 
-def test_training_steps_reuse_the_previous_steps_buffers():
-    batch = ad.WORKSPACE_FLOOR_BYTES // 8  # (batch, 3) float64 arrays are above the floor
-    store = ParamStore()
-    store.add("w", np.ones((1, 3)))
-    x, y = np.arange(6.0 * batch).reshape(2 * batch, 3), np.ones((2 * batch, 3))
-    outputs = []
-
-    def loss_fn(chosen):
-        out = ad.add(Tensor(x[chosen]), store.tensor("w"))
-        outputs.append(out.value)
-        return ad.mse(out, y[chosen])
-
-    train_minibatch(store, loss_fn, 2 * batch, 1, batch, 0.01, np.random.default_rng(0))
-    assert outputs[1] is outputs[0]  # same call, same shape: the same workspace array
-    outputs.clear()
-    train_minibatch(store, loss_fn, batch, 1, batch, 0.01, np.random.default_rng(0))
-    assert ad._WORKSPACE is None and len(outputs) == 1  # a one-step call opens no workspace
-
-
 def _pretrain_peak_bytes(epochs):
     """tracemalloc's peak over one batch-64 pretrain call on 64 windows."""
     corpus = [generate_series(GeneratorSpec(family="seasonal", length=93, period=24, noise_std=0.05, seed=1))]
@@ -567,49 +532,72 @@ def test_three_training_steps_peak_no_higher_than_one():
     assert three <= 1.1 * one, (three, one)
 
 
-def _pretrain_workspace_and_pass_tape(monkeypatch, length, epochs, batch):
-    """The workspace bytes of one pretrain call on a `length`-point series,
-    and the `tracemalloc` bytes of one forward pass's tape at its shape."""
-    spaces, tapes = [], []
-    open_workspace, train = adam.workspace, transformer.train_minibatch
-
-    @contextlib.contextmanager
-    def recorded_workspace():
-        with open_workspace() as steps:
-            spaces.append(steps)
-            yield steps
+def _pretrain_peak_and_pass_tape(monkeypatch, length, epochs, batch):
+    """tracemalloc's peak over one pretrain call on a `length`-point series,
+    and the bytes one forward pass's tape holds at its shape."""
+    tapes = []
+    train = transformer.train_minibatch
 
     def measured_train(params, loss_fn, sample_count, epochs, batch, *rest, **options):
         rows = min(batch, sample_count, options.get("pass_rows") or batch)
-        tracemalloc.start()
-        try:
-            loss = loss_fn(np.arange(rows))  # outside any workspace
-            tapes.append(tracemalloc.get_traced_memory()[0])
-        finally:
-            tracemalloc.stop()
+        held = tracemalloc.get_traced_memory()[0]
+        loss = loss_fn(np.arange(rows))
+        tapes.append(tracemalloc.get_traced_memory()[0] - held)
         del loss
         return train(params, loss_fn, sample_count, epochs, batch, *rest, **options)
 
-    monkeypatch.setattr(adam, "workspace", recorded_workspace)
     monkeypatch.setattr(transformer, "train_minibatch", measured_train)
     corpus = [generate_series(GeneratorSpec(family="seasonal", length=length, period=24, noise_std=0.05, seed=1))]
-    TransformerForecaster(TransformerConfig(), init_seed=0).pretrain(corpus, epochs=epochs, batch_size=batch)
-    assert len(spaces) == 1 and len(tapes) == 1
-    return spaces[0].nbytes, tapes[0]
+    model = TransformerForecaster(TransformerConfig(), init_seed=0)
+    tracemalloc.start()
+    try:
+        model.pretrain(corpus, epochs=epochs, batch_size=batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tapes) == 1
+    return peak, tapes[0]
 
 
-def test_step_workspace_holds_little_more_than_one_forward_tape(monkeypatch):
-    # Backward gives each node's spent gradient and output back, so the
-    # step's later requests reuse them: the workspace holds about the live
-    # set, not every array the step made.
-    space, tape = _pretrain_workspace_and_pass_tape(monkeypatch, 93, epochs=3, batch=64)
-    assert space <= 1.3 * tape, (space, tape)
+def test_pretrain_call_peaks_at_little_more_than_one_forward_tape(monkeypatch):
+    # Backward spends each pass's tape, and each pass's loss goes before the
+    # next forward run: a call holds about one tape, whatever its steps.
+    peak, tape = _pretrain_peak_and_pass_tape(monkeypatch, 93, epochs=3, batch=64)
+    assert peak <= 1.3 * tape, (peak, tape)
 
 
-def test_one_batch_256_pretrain_step_runs_in_a_workspace_of_one_pass_tape(monkeypatch):
-    # 256 windows, one step: eight 32-row passes, each reusing the last one's buffers.
-    space, tape = _pretrain_workspace_and_pass_tape(monkeypatch, 285, epochs=1, batch=256)
-    assert space <= 1.3 * tape, (space, tape)
+def test_one_batch_256_pretrain_step_peaks_at_little_more_than_one_pass_tape(monkeypatch):
+    # 256 windows, one step: eight 32-row passes, one tape at a time.
+    peak, tape = _pretrain_peak_and_pass_tape(monkeypatch, 285, epochs=1, batch=256)
+    assert peak <= 1.3 * tape, (peak, tape)
+
+
+#: One warm batch-256 pretrain step, then the minor page faults of the next
+#: one, in a fresh process: the heap then holds only what that work left.
+_FAULTS_OF_A_WARM_STEP = """
+import resource
+from loadcast.corpus import GeneratorSpec, generate_series
+from loadcast.transformer import TransformerConfig, TransformerForecaster
+corpus = [generate_series(GeneratorSpec(family="seasonal", length=285, period=24, noise_std=0.05, seed=1))]
+model = TransformerForecaster(TransformerConfig(), init_seed=0)
+model.pretrain(corpus, epochs=1, batch_size=256)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+model.pretrain(corpus, epochs=1, batch_size=256)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_a_warm_batch_256_pretrain_step_faults_few_pages():
+    # glibc keeps each pass's freed tape in its heap, so once a step has run,
+    # the next one reuses those pages instead of faulting in fresh ones
+    # (about 25,000 a step under glibc's defaults).
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the allocator setting is glibc's")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(loadcast.__file__)))
+    run = subprocess.run([sys.executable, "-c", _FAULTS_OF_A_WARM_STEP], env=env, capture_output=True,
+                         text=True, check=True)
+    faults = int(run.stdout)
+    assert faults <= 200, faults
 
 
 def _save_per_param(store, path):
