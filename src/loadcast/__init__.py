@@ -25,7 +25,7 @@ from .harness import (
     run_experiment,
     select_model,
 )
-from .hyperopt import BOResult, Dimension, SearchSpace, bo_optimize, default_space, to_hyperparams
+from .hyperopt import BOResult, Dimension, SearchSpace, bo_optimize
 from .metrics import MetricReport, MetricTriple, aggregate_runs, mae, mape, percent_reduction, rmse
 from .report import emit_plot, emit_report
 from .series import (
@@ -73,7 +73,6 @@ __all__ = [
     "build_corpus",
     "compare_models",
     "create_baseline",
-    "default_space",
     "emit_plot",
     "emit_report",
     "fit_normalizer",
@@ -87,6 +86,5 @@ __all__ = [
     "run_experiment",
     "select_model",
     "split_case",
-    "to_hyperparams",
     "__version__",
 ]

@@ -74,7 +74,7 @@ def _fit(model, windows: SupervisedWindowSet, seed: int, build):
     rng = np.random.default_rng(seed)
     model.params = build(rng)
     model.curve = train_minibatch(
-        model.params, lambda chosen: ad.mse(model._forward(x[chosen]), y[chosen]),
+        model.params, lambda rows, batch_rows: ad.mse(model._forward(x[rows]), y[rows], batch_rows),
         len(y), model.epochs, model.batch, model.learning_rate, rng,
     )
     return model

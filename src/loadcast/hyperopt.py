@@ -67,16 +67,6 @@ class SearchSpace:
     def realize(self, unit: np.ndarray) -> dict:
         return {d.name: d.from_unit(float(u)) for d, u in zip(self.dimensions, unit)}
 
-    def contains(self, point: dict) -> bool:
-        for d in self.dimensions:
-            v = point.get(d.name)
-            if d.kind == "int":
-                if not (int(d.low) <= v <= int(d.high)):
-                    return False
-            elif not (d.low <= v <= d.high):
-                return False
-        return True
-
     def point_count(self) -> int | None:
         """Total distinct points, or None if any dimension is continuous."""
         total = 1
@@ -232,63 +222,3 @@ def bo_optimize(objective, space: SearchSpace, budget: int, seed: int = 0) -> BO
     best = min(trials, key=lambda t: t.objective)  # the earliest of equal objectives
     return BOResult(best=best, trials=trials, failures=failures)
 
-
-def default_space(model_id: str) -> SearchSpace:
-    """Tuning ranges bracketing each benchmark default by a factor of four.
-
-    Pass a realized point through `to_hyperparams` before `create_baseline`.
-    """
-    if model_id == "rt":
-        return SearchSpace(
-            (
-                Dimension("max_depth", "int", 1, 16),
-                Dimension("max_leaves", "int", 6, 100),
-            )
-        )
-    if model_id == "gbt":
-        return SearchSpace(
-            (
-                Dimension("estimators", "int", 125, 2000),
-                Dimension("learning_rate", "log", 0.0025, 0.04),
-                Dimension("subsample", "linear", 0.2, 1.0),
-                Dimension("min_child_samples", "int", 22, 360),
-            )
-        )
-    if model_id == "mlp":
-        return SearchSpace(
-            (
-                Dimension("hidden1", "int", 4, 64),
-                Dimension("hidden2", "int", 4, 64),
-                Dimension("learning_rate", "log", 0.00025, 0.004),
-                Dimension("batch", "int", 2, 32),
-                Dimension("epochs", "int", 50, 800),
-            )
-        )
-    if model_id == "lstm":
-        return SearchSpace(
-            (
-                Dimension("lstm1", "int", 4, 64),
-                Dimension("lstm2", "int", 2, 32),
-                Dimension("dense1", "int", 2, 32),
-                Dimension("learning_rate", "log", 0.00025, 0.004),
-                Dimension("batch", "int", 2, 32),
-                Dimension("epochs", "int", 50, 800),
-            )
-        )
-    raise ConfigError(f"model {model_id!r} has no tunable hyper-parameters")
-
-
-def to_hyperparams(model_id: str, point: dict) -> dict:
-    """`create_baseline` keyword arguments for a `default_space(model_id)` point.
-
-    The neural spaces search layer widths one dimension each; the models
-    take them as tuples, so those dimensions are folded into `layers`,
-    `lstm_units` and `dense_units`. Every other dimension passes through.
-    """
-    rest = dict(point)
-    if model_id == "mlp":
-        return {"layers": (rest.pop("hidden1"), rest.pop("hidden2"), 1), **rest}
-    if model_id == "lstm":
-        units = (rest.pop("lstm1"), rest.pop("lstm2"))
-        return {"lstm_units": units, "dense_units": (rest.pop("dense1"), 1), **rest}
-    return rest

@@ -12,6 +12,10 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
 EARLY_STOP_PATIENCE = 5
+#: Rows per forward/backward pass: `train_minibatch` runs a larger batch as
+#: consecutive passes of at most this many rows, so a batch-256 pretraining
+#: step holds one 32-row tape at a time instead of one eight times its size.
+PASS_ROWS = 32
 
 
 def adam_update(params: ParamStore, learning_rate: float, step: int) -> None:
@@ -35,7 +39,7 @@ def adam_update(params: ParamStore, learning_rate: float, step: int) -> None:
     # In place, in the order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g
     # and value -= lr (m / c1) / (sqrt(v / c2) + eps), so every rounding
     # matches that formula; grad is spent once the moments hold it.
-    work = np.multiply(grad, 1.0 - BETA2, out=params.scratch())
+    work = np.multiply(grad, 1.0 - BETA2)
     work *= grad
     v *= BETA2
     v += work
@@ -53,27 +57,23 @@ def adam_update(params: ParamStore, learning_rate: float, step: int) -> None:
 
 
 def train_minibatch(params: ParamStore, loss_fn, sample_count: int, epochs: int, batch: int,
-                    learning_rate: float, rng: np.random.Generator, validation=None,
-                    pass_rows: int | None = None) -> list[float]:
+                    learning_rate: float, rng: np.random.Generator, validation=None) -> list[float]:
     """Shuffled minibatch Adam training from fresh optimizer state.
 
     Each epoch draws one `rng.permutation(sample_count)` and walks it in
-    slices of `batch`; `loss_fn(chosen)` returns the scalar loss Tensor of
-    those sample indices. Returns the per-epoch sample-weighted mean loss.
+    slices of `batch`. Returns the per-epoch sample-weighted mean loss.
     With `validation`, a zero-argument callable giving the held-out loss
     after each epoch, training stops after EARLY_STOP_PATIENCE epochs
     without a new best, and the weights of the best epoch are restored.
 
-    A step is one Adam update per batch. With `pass_rows`, a step runs its
-    batch as forward/backward passes over consecutive slices of `chosen`
-    of at most `pass_rows` rows, and `loss_fn(rows, batch_rows)` returns the
-    loss of `rows` as its share of the mean over all `batch_rows` rows of
+    A step is one Adam update per batch, run as forward/backward passes
+    over consecutive slices of the batch of at most PASS_ROWS rows.
+    `loss_fn(rows, batch_rows)` returns the loss Tensor of the sample
+    indices `rows` as their share of the mean over all `batch_rows` rows of
     the batch, so the passes' losses sum to the batch's. Each backward pass
     adds into the store's gradient buffer, and the update reads their sum.
-    Passes bound a step's tape, and so the memory it touches, by
-    `pass_rows` rows; on a model whose rows are independent only the sums
-    over rows (weight gradients, the loss) change order. Without
-    `pass_rows` a step is one pass over the whole batch.
+    A batch of at most PASS_ROWS rows is one pass; in a larger one only the
+    sums over rows (weight gradients, the loss) change order.
 
     The call holds one tape at a time: `Tensor.backward` spends each
     pass's tape as it goes, and the pass's loss is released before the
@@ -84,25 +84,19 @@ def train_minibatch(params: ParamStore, loss_fn, sample_count: int, epochs: int,
     """
     if batch < 1 or epochs < 0:
         raise ConfigError(f"training needs batch >= 1 and epochs >= 0, got batch {batch}, epochs {epochs}")
-    if pass_rows is not None and pass_rows < 1:
-        raise ConfigError(f"training needs pass_rows >= 1, got {pass_rows}")
     params.m.fill(0.0)
     params.v.fill(0.0)
     params.zero_grads()
     curve: list[float] = []
     best_val, best_state, stale, step = np.inf, None, 0, 0
-    rows = batch if pass_rows is None else min(batch, pass_rows)
     for _ in range(epochs):
         order = rng.permutation(sample_count)
         total = 0.0
         for lo in range(0, sample_count, batch):
             chosen = order[lo : lo + batch]
             batch_loss = 0.0
-            for start in range(0, len(chosen), rows):
-                if pass_rows is None:
-                    loss = loss_fn(chosen)
-                else:
-                    loss = loss_fn(chosen[start : start + rows], len(chosen))
+            for start in range(0, len(chosen), PASS_ROWS):
+                loss = loss_fn(chosen[start : start + PASS_ROWS], len(chosen))
                 if not np.isfinite(loss.value):
                     params.zero_grads()  # drop what earlier passes of the batch added
                     raise NumericError("training loss became non-finite")

@@ -23,19 +23,15 @@ FORMAT_VERSION = 1
 class Param:
     """One named weight matrix plus its gradient and Adam moment buffers.
 
-    The four buffers are the planes of one (4, rows, cols) array: its own,
-    or, when a ParamStore passes `planes`, a view into the store's flat
-    arrays. Either way `value` is copied in and the rest start at zero.
+    The four buffers are the planes of `planes`, a (4, rows, cols) view into
+    the flat arrays of the ParamStore that builds the Param; `value` is
+    copied in and the rest start at zero.
     """
 
     __slots__ = ("name", "value", "grad", "m", "v")
 
-    def __init__(self, name: str, value: np.ndarray, planes: np.ndarray | None = None):
-        value = np.asarray(value, dtype=np.float64)
-        if value.ndim != 2:
-            raise ShapeError(f"parameter {name!r} must be 2-D, got shape {value.shape}")
+    def __init__(self, name: str, value: np.ndarray, planes: np.ndarray):
         self.name = name
-        planes = np.empty((4,) + value.shape) if planes is None else planes
         planes[0] = value
         planes[1:] = 0.0
         self.value, self.grad, self.m, self.v = planes
@@ -56,7 +52,8 @@ class ParamStore:
     parameter's buffer of that kind end to end in insertion order; each
     Param's buffers are 2-D views into them. `add` may reallocate the flat
     arrays and rebind every view, so take Tensors and array references
-    only once the store is fully built.
+    only once the store is fully built. The optimizer's state is these
+    arrays and nothing else.
     """
 
     def __init__(self):
@@ -65,7 +62,6 @@ class ParamStore:
         # so most adds append in place.
         self._buffer = np.empty((4, 0))
         self.value, self.grad, self.m, self.v = self._buffer
-        self._scratch: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._params)
@@ -80,6 +76,8 @@ class ParamStore:
         if name in self._params:
             raise StateError(f"duplicate parameter name {name!r}")
         value = np.asarray(value, dtype=np.float64)
+        if value.ndim != 2:
+            raise ShapeError(f"parameter {name!r} must be 2-D, got shape {value.shape}")
         used = self.value.size
         end = used + value.size
         if end > self._buffer.shape[1]:  # doubling keeps building a store of n parameters linear
@@ -99,13 +97,6 @@ class ParamStore:
         for param in self:
             yield param, flat[..., offset : offset + param.value.size]
             offset += param.value.size
-
-    def scratch(self) -> np.ndarray:
-        """A work array the size of `value` for the optimizer, allocated on
-        first use and then kept, so an update allocates nothing model-sized."""
-        if self._scratch is None or self._scratch.size != self.value.size:
-            self._scratch = np.empty_like(self.value)
-        return self._scratch
 
     def get(self, name: str) -> Param:
         try:
@@ -164,7 +155,10 @@ class ParamStore:
             offset += 4
             if offset + name_len + 8 > len(blob):
                 raise DataError(f"{path}: truncated record")
-            name = blob[offset : offset + name_len].decode("utf-8")
+            try:
+                name = blob[offset : offset + name_len].decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: parameter name at byte {offset} is not UTF-8") from None
             offset += name_len
             rows, cols = struct.unpack_from("<II", blob, offset)
             offset += 8

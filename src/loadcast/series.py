@@ -185,33 +185,37 @@ def load_csv(path) -> TimeSeries:
 
     Gaps of up to MAX_FILL_GAP consecutive missing hours are forward-filled
     with the last observed value; longer gaps and non-monotone timestamps are
-    rejected.
+    rejected. A leading byte-order mark is skipped; bytes that are not
+    UTF-8 are a DataError.
     """
     rows: list[tuple[datetime, float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if [c.strip().lower() for c in header[:2]] != ["timestamp", "load"]:
-            raise DataError(f"{path}: expected header 'timestamp,load', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            reader = csv.reader(handle)
             try:
-                ts = datetime.fromisoformat(row[0].strip())
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from None
-            try:
-                load = float(row[1])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad load value {row[1]!r}") from None
-            if not math.isfinite(load):
-                raise DataError(f"{path}:{lineno}: non-finite load value")
-            rows.append((ts, load))
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            if [c.strip().lower() for c in header[:2]] != ["timestamp", "load"]:
+                raise DataError(f"{path}: expected header 'timestamp,load', got {header!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) < 2:
+                    raise DataError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+                try:
+                    ts = datetime.fromisoformat(row[0].strip())
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from None
+                try:
+                    load = float(row[1])
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: bad load value {row[1]!r}") from None
+                if not math.isfinite(load):
+                    raise DataError(f"{path}:{lineno}: non-finite load value")
+                rows.append((ts, load))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     if not rows:
         raise DataError(f"{path}: no data rows")

@@ -21,8 +21,8 @@ from .errors import ConfigError, InsufficientDataError, ShapeError, StateError
 # because the benchmark's tracer patches the name on it.
 from .nn import adam_update, conv_pool_forward, glorot_init, train_minibatch  # noqa: F401
 from .nn import autodiff as ad
+from .nn.adam import PASS_ROWS
 from .nn.autodiff import Tensor, no_grad
-from .nn.ops import _materialize
 from .nn.params import ParamStore
 from .series import (NormalizationParams, TimeSeries, fit_normalizer, holdout_count, origin_windows,
                      read_json, write_json)
@@ -30,11 +30,6 @@ from .series import (NormalizationParams, TimeSeries, fit_normalizer, holdout_co
 PE_BASE = 10000.0
 FINE_TUNE_LR_FACTOR = 0.1
 FINE_TUNE_BATCH = 32
-#: Rows per forward/backward pass of a larger training batch (see
-#: `train_minibatch`): a batch-256 pretraining step runs as 8 passes, so it
-#: holds one 32-row tape at a time instead of one batch-256 tape eight
-#: times its size, and fine-tune batches stay one pass.
-TRAIN_PASS_ROWS = FINE_TUNE_BATCH
 
 
 @functools.lru_cache(maxsize=64)
@@ -77,18 +72,6 @@ def attention_weights(q, k, causal: bool = False) -> np.ndarray:
     return ad.attention_probabilities(q, k, _causal_mask(q.shape[-2], k.shape[-2]) if causal else None)
 
 
-def scaled_dot_attention(q, k, v, causal: bool = False):
-    """softmax(QK^T/sqrt(d))V with an optional causal mask.
-
-    Accepts 2-D (T, d) or batched (..., T, d) arrays/Tensors with the same
-    leading axes (they do not broadcast); returns a Tensor when any input is
-    one, else an ndarray.
-    """
-    qt, kt, vt = ad.astensor(q), ad.astensor(k), ad.astensor(v)
-    mask = _causal_mask(qt.value.shape[-2], kt.value.shape[-2]) if causal else None
-    return _materialize(ad.attention(qt, kt, vt, 1, mask), q, k, v)
-
-
 ATTENTION_WEIGHT_NAMES = ("wq", "wk", "wv", "wo")
 
 
@@ -98,7 +81,7 @@ def multi_head_attention(x, params: ParamStore, head_count: int, causal: bool = 
 
     Expects square projection matrices named {prefix}wq/wk/wv/wo in `params`.
     `kv` switches the key/value source for cross-attention. Takes (B, T, d)
-    input; returns a Tensor when given one, else an ndarray.
+    input, an array or a Tensor; returns a Tensor.
 
     `cache` is a dict that keeps the projected (B, T, d) keys and values
     between calls for incremental decoding. In self-attention the rows of
@@ -126,7 +109,7 @@ def multi_head_attention(x, params: ParamStore, head_count: int, causal: bool = 
             cache.update(k=k, v=v)
     mask = _causal_mask(q.value.shape[1], k.value.shape[1]) if causal else None
     heads = ad.attention(q, k, v, head_count, mask)
-    return _materialize(ad.matmul(heads, params.tensor(prefix + "wo")), x, kv)
+    return ad.matmul(heads, params.tensor(prefix + "wo"))
 
 
 @dataclass(frozen=True)
@@ -419,20 +402,20 @@ class TransformerForecaster:
 
     def _teacher_losses(self, contexts: np.ndarray, targets: np.ndarray):
         """The closure pair train_minibatch takes over these windows: the
-        taped MSE of the chosen rows (with `batch_rows`, as their share of
-        the mean over a batch of that many rows), and the MSE of all rows
-        without a tape, predicted in passes of TRAIN_PASS_ROWS rows, which
-        give one pass's bits and keep its arrays as small as a step's."""
+        taped MSE of the chosen rows as their share of the mean over a
+        batch of `batch_rows` rows, and the MSE of all rows without a tape,
+        predicted in passes of PASS_ROWS rows, which give one pass's bits
+        and keep its arrays as small as a training pass's."""
 
-        def batch_loss(chosen, batch_rows=None):
-            count = None if batch_rows is None else batch_rows * targets.shape[1]
-            return ad.mse(self._forward_teacher(contexts[chosen], targets[chosen]), targets[chosen], count)
+        def batch_loss(chosen, batch_rows):
+            return ad.mse(self._forward_teacher(contexts[chosen], targets[chosen]), targets[chosen],
+                          batch_rows * targets.shape[1])
 
         def full_loss() -> float:
             with no_grad():
                 predicted = np.concatenate([
-                    self._forward_teacher(contexts[lo : lo + TRAIN_PASS_ROWS], targets[lo : lo + TRAIN_PASS_ROWS]).value
-                    for lo in range(0, len(contexts), TRAIN_PASS_ROWS)])
+                    self._forward_teacher(contexts[lo : lo + PASS_ROWS], targets[lo : lo + PASS_ROWS]).value
+                    for lo in range(0, len(contexts), PASS_ROWS)])
             return float(np.mean((predicted - targets) ** 2))
 
         return batch_loss, full_loss
@@ -448,10 +431,10 @@ class TransformerForecaster:
         """Train on a corpus of series (each min-max squeezed on its own range).
 
         Windows from every series are pooled and shuffled each epoch; the
-        loss is MSE on normalized values. A batch of more than
-        TRAIN_PASS_ROWS windows is one Adam step over the summed gradients
-        of TRAIN_PASS_ROWS-row passes. Returns the per-epoch training
-        curve. With epochs=0 this is a no-op that leaves the model untrained.
+        loss is MSE on normalized values; `train_minibatch` runs a batch of
+        more than PASS_ROWS windows as passes, one Adam step per batch.
+        Returns the per-epoch training curve. With epochs=0 this is a no-op
+        that leaves the model untrained.
         """
         if not corpus:
             raise InsufficientDataError("pretraining corpus is empty")
@@ -471,7 +454,7 @@ class TransformerForecaster:
         targets = np.concatenate(all_targets, axis=0)
         curve = train_minibatch(
             self.params, self._teacher_losses(contexts, targets)[0], len(contexts),
-            epochs, batch_size, learning_rate, np.random.default_rng(seed), pass_rows=TRAIN_PASS_ROWS,
+            epochs, batch_size, learning_rate, np.random.default_rng(seed),
         )
         if epochs > 0:
             self.trained = "pretrained"
@@ -522,7 +505,6 @@ class TransformerForecaster:
         curve = train_minibatch(
             self.params, self._teacher_losses(contexts, targets)[0], len(contexts),
             epochs, FINE_TUNE_BATCH, learning_rate, np.random.default_rng(seed), validation,
-            pass_rows=TRAIN_PASS_ROWS,
         )
         if epochs > 0:
             self.trained = "fine_tuned"

@@ -619,7 +619,7 @@ def _reference_minibatch_train(params, forward_loss, sample_count, epochs, batch
         total = 0.0
         for lo in range(0, sample_count, batch):
             chosen = order[lo : lo + batch]
-            loss = forward_loss(chosen)
+            loss = forward_loss(chosen, len(chosen))
             if not np.isfinite(loss.value):
                 raise NumericError("training loss became non-finite")
             loss.backward()
@@ -702,7 +702,8 @@ def _three_step_setup(case):
     model = MLPModel() if case == "mlp" else LSTMModel()
     model.window_length = windows.window_length
     model.params = model._build(x.shape[1], rng) if case == "mlp" else model._build(rng)
-    return model.params, lambda chosen: ad.mse(model._forward(x[chosen]), y[chosen]), len(y), model.batch, 1e-3
+    return (model.params, lambda rows, batch_rows: ad.mse(model._forward(x[rows]), y[rows], batch_rows),
+            len(y), model.batch, 1e-3)
 
 
 @pytest.mark.parametrize("case", ["pretrain", "fine_tune", "mlp", "lstm"])
@@ -786,7 +787,7 @@ def test_neural_baselines_train_bitwise_like_the_old_loop(make):
     else:
         reference.params = reference._build(rng)
     curve = _reference_minibatch_train(
-        reference.params, lambda chosen: ad.mse(reference._forward(x[chosen]), y[chosen]),
+        reference.params, lambda chosen, batch_rows: ad.mse(reference._forward(x[chosen]), y[chosen]),
         len(y), reference.epochs, reference.batch, reference.learning_rate, rng,
     )
     np.testing.assert_allclose(model.curve, curve, rtol=0, atol=0)
@@ -839,7 +840,8 @@ def _batch_256_windows():
 
 def _one_batch_256_step(monkeypatch, passes):
     """One default-config batch-256 step: `pretrain` itself with passes,
-    else `train_minibatch` on the same windows and seed in one pass.
+    else `train_minibatch` on the same windows and seed in one pass
+    (PASS_ROWS raised to the batch).
     Returns each forward pass's teacher-forced outputs, the gradient Adam
     reads and the step's loss."""
     series, contexts, targets = _batch_256_windows()
@@ -861,8 +863,10 @@ def _one_batch_256_step(monkeypatch, passes):
     if passes:
         curve = model.pretrain([series], epochs=1, seed=0, batch_size=256)
     else:
-        curve = train_minibatch(model.params, model._teacher_losses(contexts, targets)[0], len(contexts),
-                                1, 256, 1e-3, np.random.default_rng(0))
+        with monkeypatch.context() as patch:
+            patch.setattr(adam, "PASS_ROWS", 256)
+            curve = train_minibatch(model.params, model._teacher_losses(contexts, targets)[0], len(contexts),
+                                    1, 256, 1e-3, np.random.default_rng(0))
     assert len(grads) == 1
     return outputs, grads[0], curve[0]
 
@@ -875,7 +879,7 @@ PASS_GRAD_RTOL = 1e-13
 def test_batch_256_pretrain_step_in_32_row_passes_matches_one_pass(monkeypatch):
     outputs, grad, loss = _one_batch_256_step(monkeypatch, passes=True)
     one_outputs, one_grad, one_loss = _one_batch_256_step(monkeypatch, passes=False)
-    assert [len(o) for o in outputs] == [transformer.TRAIN_PASS_ROWS] * 8 and len(one_outputs) == 1
+    assert [len(o) for o in outputs] == [adam.PASS_ROWS] * 8 and len(one_outputs) == 1
     _assert_bitwise(np.concatenate(outputs), one_outputs[0])  # every op is row-independent
     scale = np.abs(one_grad).max()
     assert np.abs(grad - one_grad).max() <= PASS_GRAD_RTOL * scale, np.abs(grad - one_grad).max() / scale
@@ -895,7 +899,7 @@ def test_pass_weighted_loss_passes_grad_check():
     _, contexts, targets = _batch_256_windows()
     model = TransformerForecaster(TransformerConfig(), init_seed=3)
     batch_loss = model._teacher_losses(contexts, targets)[0]
-    n, rows = 80, transformer.TRAIN_PASS_ROWS
+    n, rows = 80, adam.PASS_ROWS
     starts = range(0, n, rows)  # passes of 32, 32 and 16 rows
 
     def forward():
@@ -910,7 +914,7 @@ def test_pass_weighted_loss_passes_grad_check():
         return ad.add(batch_loss(np.arange(starts[-1], n), n), earlier)
 
     with no_grad():
-        whole = float(batch_loss(np.arange(n)).value)
+        whole = float(batch_loss(np.arange(n), n).value)
     np.testing.assert_allclose(float(forward().value), whole, rtol=1e-14)
     assert grad_check(forward, model.params, probe_count=30, rng=np.random.default_rng(2)) < 1e-4
 
@@ -923,8 +927,9 @@ def _tape_dense(h, weights, biases):
     return h
 
 
-def _tape_mse(prediction, target):
-    """The sub/mul/mean chain the one-node mse replaced."""
+def _tape_mse(prediction, target, count=None):
+    """The sub/mul/mean chain the one-node mse replaced (a mean over the whole target only)."""
+    assert count in (None, np.size(target))
     diff = ad.sub(prediction, Tensor(np.asarray(target, dtype=np.float64)))
     return ad.mean(ad.mul(diff, diff))
 
@@ -1259,7 +1264,7 @@ def test_cached_cross_attention_is_bitwise_the_tape():
     cache = {}
     for t in range(4):
         row = x[:, t : t + 1]
-        step = multi_head_attention(row, params, 2, kv=source, cache=cache)
+        step = multi_head_attention(row, params, 2, kv=source, cache=cache).value
         _assert_bitwise(step, _tape_multi_head_attention(row, params, 2, kv=source).value)
         assert cache["k"].value.shape == (3, 7, 8)
 

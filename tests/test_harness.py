@@ -770,6 +770,16 @@ def test_cli_select_prints_verdict(tmp_path, capsys):
     assert "rmse" in out
 
 
+def test_cli_select_reports_a_csv_that_is_not_utf8_as_one_error_line(tmp_path, capsys):
+    csv_path = tmp_path / "history.csv"
+    write_csv(seasonal_series(length=64, seed=22), str(csv_path))
+    csv_path.write_bytes(csv_path.read_bytes().replace(b"load", b"lo\xffad", 1))
+    code = cli_main(["select", "--data", str(csv_path), "--candidates", "pm,lr"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("loadcast: error: ") and err.count("\n") == 1 and "history.csv" in err
+
+
 def test_cli_select_zero_shot_transformer(tmp_path, capsys, tiny_artifact):
     csv_path = tmp_path / "history.csv"
     write_csv(seasonal_series(length=100, seed=33), str(csv_path))

@@ -13,8 +13,6 @@ from loadcast.hyperopt import (
     SearchSpace,
     Trial,
     bo_optimize,
-    default_space,
-    to_hyperparams,
 )
 from loadcast.series import SupervisedWindowSet
 
@@ -69,18 +67,6 @@ def test_search_space_validation_and_counting():
     finite = SearchSpace((Dimension("a", "int", 1, 3), Dimension("b", "int", 0, 1)))
     assert finite.point_count() == 6
     assert QUADRATIC_SPACE.point_count() is None
-
-
-def test_search_space_contains():
-    space = SearchSpace(
-        (
-            Dimension("depth", "int", 1, 8),
-            Dimension("rate", "log", 1e-3, 1e-1),
-        )
-    )
-    assert space.contains({"depth": 4, "rate": 0.01})
-    assert not space.contains({"depth": 9, "rate": 0.01})
-    assert not space.contains({"depth": 4, "rate": 0.5})
 
 
 def test_bo_optimize_converges_on_quadratic():
@@ -155,49 +141,30 @@ def test_bo_optimize_best_is_the_earliest_minimum():
     assert result.best is result.trials[objectives.index(0.0)]
 
 
-def test_default_space_brackets_benchmark_defaults():
-    tree_space = default_space("rt")
-    assert tree_space.contains({"max_depth": 4, "max_leaves": 25})
-    gbt_space = default_space("gbt")
-    assert gbt_space.contains(
-        {"estimators": 500, "learning_rate": 0.01, "subsample": 0.8, "min_child_samples": 90}
-    )
-    mlp_space = default_space("mlp")
-    assert mlp_space.contains(
-        {"hidden1": 16, "hidden2": 16, "learning_rate": 1e-3, "batch": 8, "epochs": 200}
-    )
-    lstm_space = default_space("lstm")
-    assert lstm_space.contains(
-        {
-            "lstm1": 16,
-            "lstm2": 8,
-            "dense1": 8,
-            "learning_rate": 1e-3,
-            "batch": 8,
-            "epochs": 200,
-        }
-    )
+#: The low and high corners of each tunable baseline's tuning ranges, which
+#: bracket its benchmark defaults by a factor of four, as keyword arguments.
+TUNING_CORNERS = {
+    "rt": ({"max_depth": 1, "max_leaves": 6}, {"max_depth": 16, "max_leaves": 100}),
+    "gbt": ({"estimators": 125, "learning_rate": 0.0025, "subsample": 0.2, "min_child_samples": 22},
+            {"estimators": 2000, "learning_rate": 0.04, "subsample": 1.0, "min_child_samples": 360}),
+    "mlp": ({"layers": (4, 4, 1), "learning_rate": 0.00025, "batch": 2, "epochs": 50},
+            {"layers": (64, 64, 1), "learning_rate": 0.004, "batch": 32, "epochs": 800}),
+    "lstm": ({"lstm_units": (4, 2), "dense_units": (2, 1), "learning_rate": 0.00025, "batch": 2, "epochs": 50},
+             {"lstm_units": (64, 32), "dense_units": (32, 1), "learning_rate": 0.004, "batch": 32, "epochs": 800}),
+}
 
 
-def test_default_space_rejects_untunable_models():
-    for model_id in ("pm", "lr", "tsfm", "nope"):
-        with pytest.raises(ConfigError):
-            default_space(model_id)
-
-
-@pytest.mark.parametrize("model_id", ["rt", "gbt", "mlp", "lstm"])
+@pytest.mark.parametrize("model_id", sorted(TUNING_CORNERS))
 def test_default_space_corners_build_and_fit(model_id):
-    """Both corners of every search space map to kwargs a baseline accepts and can fit."""
+    """Both corners of every tuning range are kwargs a baseline accepts and can fit."""
     rng = np.random.default_rng(21)
     lags = rng.uniform(size=(40, 8))
     windows = SupervisedWindowSet(
         np.hstack([lags, rng.uniform(-1.0, 1.0, size=(40, 2))]), lags.mean(axis=1),
         window_length=8, horizon_step=1,
     )
-    space = default_space(model_id)
-    for corner in (0.0, 1.0):
-        point = space.realize(np.full(len(space.dimensions), corner))
-        kwargs = to_hyperparams(model_id, point)
+    for corner in TUNING_CORNERS[model_id]:
+        kwargs = dict(corner)
         if "epochs" in kwargs:
             kwargs["epochs"] = 1
         model = create_baseline(model_id, kwargs)
@@ -206,11 +173,3 @@ def test_default_space_corners_build_and_fit(model_id):
             model.fit(windows, seed=0)
         out = model.predict(windows.inputs)
         assert out.shape == (40,) and np.all(np.isfinite(out))
-
-
-def test_to_hyperparams_folds_layer_widths():
-    assert to_hyperparams("mlp", {"hidden1": 5, "hidden2": 6, "batch": 4}) == {"layers": (5, 6, 1), "batch": 4}
-    assert to_hyperparams("lstm", {"lstm1": 9, "lstm2": 3, "dense1": 2, "epochs": 7}) == {
-        "lstm_units": (9, 3), "dense_units": (2, 1), "epochs": 7,
-    }
-    assert to_hyperparams("rt", {"max_depth": 3}) == {"max_depth": 3}

@@ -16,10 +16,10 @@ import pytest
 
 import loadcast
 import loadcast.nn.autodiff as ad
+from loadcast.baselines import MLPModel
 from loadcast.corpus import GeneratorSpec, generate_series
-from loadcast.errors import ConfigError, NumericError, ShapeError, StateError
+from loadcast.errors import ConfigError, DataError, NumericError, ShapeError, StateError
 from loadcast.nn import (
-    Param,
     ParamStore,
     Tensor,
     adam_update,
@@ -34,6 +34,7 @@ from loadcast.nn import (
 from loadcast.nn import adam
 from loadcast.nn.adam import BETA1, BETA2, EPSILON, EARLY_STOP_PATIENCE
 from loadcast import transformer
+from loadcast.series import SupervisedWindowSet
 from loadcast.transformer import TransformerConfig, TransformerForecaster
 
 
@@ -290,6 +291,13 @@ def test_param_store_round_trip_and_hash(tmp_path):
     assert store.state_hash() != digest
 
 
+def test_param_store_load_rejects_a_name_that_is_not_utf8(tmp_path):
+    path = tmp_path / "weights.bin"
+    path.write_bytes(b"SLNN" + struct.pack("<II", 1, 1) + b"\xff" + struct.pack("<II", 1, 1) + bytes(8))
+    with pytest.raises(DataError, match="not UTF-8"):
+        ParamStore.load(str(path))
+
+
 def test_param_store_rejects_shape_mismatch_on_load():
     a = ParamStore()
     a.add("w", np.zeros((2, 2)))
@@ -469,20 +477,6 @@ def test_tensor_from_store_sees_the_next_adam_step():
     assert np.shares_memory(w.value, store.value)
 
 
-def test_adam_scratch_is_kept_until_the_store_grows():
-    store = ParamStore()
-    store.add("w", np.ones((2, 3)))
-    store.get("w").grad[...] = 0.5
-    adam_update(store, learning_rate=0.1, step=1)
-    work = store.scratch()
-    assert work.shape == store.value.shape and not np.shares_memory(work, store.value)
-    store.get("w").grad[...] = 0.25
-    adam_update(store, learning_rate=0.1, step=2)
-    assert store.scratch() is work
-    store.add("b", np.zeros((1, 3)))
-    assert store.scratch().shape == store.value.shape
-
-
 def test_the_allocator_setting_applies_on_glibc():
     if platform.libc_ver()[0] != "glibc":
         pytest.skip("mallopt is glibc's")
@@ -503,10 +497,10 @@ def test_each_step_releases_the_previous_tape_before_the_next_forward():
     x, y = rng.normal(size=(12, 3)), rng.normal(size=(12, 1))
     roots = []
 
-    def loss_fn(chosen):
+    def loss_fn(chosen, batch_rows):
         # The root's value is created by its node and held only by the tape.
         assert all(root() is None for root in roots)
-        loss = ad.mse(ad.matmul(Tensor(x[chosen]), store.tensor("w")), y[chosen])
+        loss = ad.mse(ad.matmul(Tensor(x[chosen]), store.tensor("w")), y[chosen], batch_rows)
         roots.append(weakref.ref(loss.value))
         return loss
 
@@ -539,9 +533,9 @@ def _pretrain_peak_and_pass_tape(monkeypatch, length, epochs, batch):
     train = transformer.train_minibatch
 
     def measured_train(params, loss_fn, sample_count, epochs, batch, *rest, **options):
-        rows = min(batch, sample_count, options.get("pass_rows") or batch)
+        rows = min(batch, sample_count, adam.PASS_ROWS)
         held = tracemalloc.get_traced_memory()[0]
-        loss = loss_fn(np.arange(rows))
+        loss = loss_fn(np.arange(rows), rows)
         tapes.append(tracemalloc.get_traced_memory()[0] - held)
         del loss
         return train(params, loss_fn, sample_count, epochs, batch, *rest, **options)
@@ -635,7 +629,7 @@ def _line_problem(seed=0, n=10):
     store.add("w", np.array([[0.5]]))
     store.add("b", np.array([[0.0]]))
 
-    def loss_fn(chosen, batch_rows=None):
+    def loss_fn(chosen, batch_rows):
         pred = ad.add(ad.matmul(Tensor(x[chosen]), store.tensor("w")), store.tensor("b"))
         return ad.mse(ad.reshape(pred, (len(chosen),)), y[chosen], batch_rows)
 
@@ -684,13 +678,14 @@ def test_train_minibatch_runs_a_batch_as_passes_with_one_update(monkeypatch):
         adam_update(params, learning_rate, step)
 
     monkeypatch.setattr(adam, "adam_update", recorded_update)
-    curve = train_minibatch(store, recorded_loss, n, 2, 8, 0.05, np.random.default_rng(1), pass_rows=3)
+    monkeypatch.setattr(adam, "PASS_ROWS", 3)
+    curve = train_minibatch(store, recorded_loss, n, 2, 8, 0.05, np.random.default_rng(1))
     assert passes == [(3, 8), (3, 8), (2, 8), (2, 2)] * 2 and steps == [1, 2, 3, 4]
-    expected = train_minibatch(whole, whole_loss, n, 2, 8, 0.05, np.random.default_rng(1))
+    with monkeypatch.context() as patch:
+        patch.setattr(adam, "PASS_ROWS", 8)  # the reference: every batch in one pass
+        expected = train_minibatch(whole, whole_loss, n, 2, 8, 0.05, np.random.default_rng(1))
     np.testing.assert_allclose(curve, expected, rtol=1e-14)
     np.testing.assert_allclose(store.value, whole.value, rtol=1e-12)
-    with pytest.raises(ConfigError, match="pass_rows >= 1"):
-        train_minibatch(store, recorded_loss, n, 1, 8, 0.05, np.random.default_rng(1), pass_rows=0)
     passes.clear()
 
     def second_pass_nan(chosen, batch_rows):
@@ -698,8 +693,28 @@ def test_train_minibatch_runs_a_batch_as_passes_with_one_update(monkeypatch):
         return ad.scale(loss, np.nan) if len(passes) == 2 else loss
 
     with pytest.raises(NumericError):  # after the first pass added its gradients
-        train_minibatch(store, second_pass_nan, n, 1, 8, 0.05, np.random.default_rng(1), pass_rows=3)
+        train_minibatch(store, second_pass_nan, n, 1, 8, 0.05, np.random.default_rng(1))
     assert len(passes) == 2 and not store.grad.any()
+
+
+def test_a_baseline_batch_over_pass_rows_runs_as_passes_with_one_update(monkeypatch):
+    # 80 windows at batch 40: each batch is a 32-row and an 8-row pass, each
+    # weighted by the batch's 40 rows, then one Adam step.
+    rng = np.random.default_rng(9)
+    lags = rng.uniform(size=(80, 6))
+    windows = SupervisedWindowSet(np.hstack([lags, rng.uniform(-1.0, 1.0, size=(80, 2))]), lags.mean(axis=1),
+                                  window_length=6, horizon_step=1)
+    passes, steps = [], []
+    mse = ad.mse
+
+    def recorded_mse(prediction, target, count=None):
+        passes.append((len(target), count))
+        return mse(prediction, target, count)
+
+    monkeypatch.setattr(ad, "mse", recorded_mse)
+    monkeypatch.setattr(adam, "adam_update", lambda params, lr, step: steps.append(step))
+    MLPModel(epochs=2, batch=40).fit(windows, seed=0)
+    assert passes == [(32, 40), (8, 40)] * 4 and steps == [1, 2, 3, 4]
 
 
 def test_train_minibatch_rejects_a_non_finite_loss_before_any_step(monkeypatch):
@@ -707,8 +722,8 @@ def test_train_minibatch_rejects_a_non_finite_loss_before_any_step(monkeypatch):
     before = store.state_hash()
     monkeypatch.setattr(adam, "adam_update", lambda *args: pytest.fail("Adam stepped"))
     with pytest.raises(NumericError):
-        train_minibatch(store, lambda chosen: ad.scale(loss_fn(chosen), np.nan), n, 3, 4, 0.05,
-                        np.random.default_rng(1))
+        train_minibatch(store, lambda chosen, batch_rows: ad.scale(loss_fn(chosen, batch_rows), np.nan), n, 3, 4,
+                        0.05, np.random.default_rng(1))
     assert store.state_hash() == before
     for param in store:
         assert not param.grad.any() and not param.m.any() and not param.v.any()
@@ -761,9 +776,9 @@ def test_grad_check_flags_an_inconsistent_model():
 
 
 def test_param_requires_two_dimensional_values():
-    with pytest.raises(ShapeError):
-        Param("w", np.zeros(3))
     store = ParamStore()
+    with pytest.raises(ShapeError):
+        store.add("w", np.zeros(3))
     store.add("a", np.zeros((2, 2)))
     with pytest.raises(StateError):
         store.add("a", np.zeros((2, 2)))

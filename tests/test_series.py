@@ -164,6 +164,19 @@ def test_load_csv_rejects_long_gaps_and_disorder(tmp_path):
         load_csv(path)  # no rows
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbftimestamp,load\n2021-01-01T00:00:00,1.0\n2021-01-01T01:00:00,2.0\n")
+    np.testing.assert_array_equal(load_csv(path).values, [1.0, 2.0])
+
+
+def test_load_csv_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"timestamp,load\n2021-01-01T00:00:00,1.0\xff\n")
+    with pytest.raises(DataError, match="latin1.csv: not UTF-8"):
+        load_csv(path)
+
+
 def test_normalizer_maps_train_range_to_unit_interval():
     for seed in range(5):
         values = np.random.default_rng(seed).uniform(10.0, 50.0, size=100)

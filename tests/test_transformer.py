@@ -9,14 +9,15 @@ import pytest
 from loadcast.corpus import GeneratorSpec, build_corpus, generate_series
 from loadcast.errors import ConfigError, InsufficientDataError, ShapeError, StateError
 from loadcast.nn import ParamStore, Tensor, no_grad
+from loadcast.nn import autodiff as ad
 from loadcast.series import NormalizationParams, TimeSeries, fit_normalizer
 from loadcast.transformer import (
     TransformerConfig,
     TransformerForecaster,
+    _causal_mask,
     attention_weights,
     multi_head_attention,
     positional_encoding,
-    scaled_dot_attention,
 )
 
 TINY = TransformerConfig(
@@ -98,33 +99,23 @@ def test_scaled_dot_attention_matches_direct_computation():
         shifted = np.exp(scores - scores.max(axis=-1, keepdims=True))
         weights = shifted / shifted.sum(axis=-1, keepdims=True)
         expected = weights @ v
-        np.testing.assert_allclose(scaled_dot_attention(q, k, v), expected, rtol=1e-12)
+        np.testing.assert_allclose(ad.attention(q, k, v, 1, None).value, expected, rtol=1e-12)
 
 
 def test_scaled_dot_attention_uniform_when_queries_are_zero():
     rng = np.random.default_rng(14)
     k = rng.normal(size=(5, 4))
     v = rng.normal(size=(5, 2))
-    out = scaled_dot_attention(np.zeros((3, 4)), k, v)
+    out = ad.attention(np.zeros((3, 4)), k, v, 1, None).value
     np.testing.assert_allclose(out, np.broadcast_to(v.mean(axis=0), (3, 2)), rtol=1e-12)
-
-
-def test_scaled_dot_attention_type_polymorphism():
-    rng = np.random.default_rng(15)
-    q = rng.normal(size=(3, 4))
-    plain = scaled_dot_attention(q, q, q)
-    assert isinstance(plain, np.ndarray)
-    wrapped = scaled_dot_attention(Tensor(q), q, q)
-    assert isinstance(wrapped, Tensor)
-    np.testing.assert_allclose(wrapped.value, plain, rtol=1e-15)
 
 
 def test_scaled_dot_attention_shape_guards():
     rng = np.random.default_rng(16)
     with pytest.raises(ShapeError):
-        scaled_dot_attention(rng.normal(size=(3, 4)), rng.normal(size=(3, 5)), rng.normal(size=(3, 2)))
+        ad.attention(rng.normal(size=(3, 4)), rng.normal(size=(3, 5)), rng.normal(size=(3, 2)), 1, None)
     with pytest.raises(ShapeError):
-        scaled_dot_attention(rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=(4, 2)))
+        ad.attention(rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=(4, 2)), 1, None)
 
 
 def test_causal_suffix_queries_match_rows_of_the_square_case():
@@ -132,10 +123,11 @@ def test_causal_suffix_queries_match_rows_of_the_square_case():
     rng = np.random.default_rng(31)
     q, k, v = (rng.normal(size=(2, 6, 4)) for _ in range(3))
     weights = attention_weights(q, k, causal=True)
-    out = scaled_dot_attention(q, k, v, causal=True)
+    out = ad.attention(q, k, v, 1, _causal_mask(6, 6)).value
     for tq in range(1, 7):
         np.testing.assert_allclose(attention_weights(q[:, -tq:], k, causal=True), weights[:, -tq:], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(scaled_dot_attention(q[:, -tq:], k, v, causal=True), out[:, -tq:], rtol=0, atol=1e-14)
+        suffix = ad.attention(q[:, -tq:], k, v, 1, _causal_mask(tq, 6)).value
+        np.testing.assert_allclose(suffix, out[:, -tq:], rtol=0, atol=1e-14)
 
 
 def _attention_store(rng, d, prefix=""):
@@ -152,7 +144,8 @@ def test_multi_head_attention_single_head_identity_projections():
         store.add(name, np.eye(8))
     x = rng.normal(size=(2, 5, 8))
     out = multi_head_attention(x, store, head_count=1)
-    np.testing.assert_allclose(out, scaled_dot_attention(x, x, x), rtol=1e-13)
+    assert isinstance(out, Tensor)  # array input, Tensor output
+    np.testing.assert_allclose(out.value, ad.attention(x, x, x, 1, None).value, rtol=1e-13)
 
 
 def test_multi_head_attention_is_permutation_equivariant():
@@ -160,8 +153,8 @@ def test_multi_head_attention_is_permutation_equivariant():
     store = _attention_store(rng, 8)
     x = rng.normal(size=(1, 6, 8))
     perm = rng.permutation(6)
-    out = multi_head_attention(x, store, head_count=2)
-    permuted = multi_head_attention(x[:, perm], store, head_count=2)
+    out = multi_head_attention(x, store, head_count=2).value
+    permuted = multi_head_attention(x[:, perm], store, head_count=2).value
     np.testing.assert_allclose(permuted, out[:, perm], rtol=1e-10, atol=1e-12)
 
 
@@ -170,16 +163,16 @@ def test_multi_head_attention_cache_extends_self_attention_and_reuses_cross_keys
     store = _attention_store(rng, 8)
     x = rng.normal(size=(3, 5, 8))
     source = rng.normal(size=(3, 7, 8))
-    full = multi_head_attention(x, store, head_count=2, causal=True)
-    cross = multi_head_attention(x, store, head_count=2, kv=source)
+    full = multi_head_attention(x, store, head_count=2, causal=True).value
+    cross = multi_head_attention(x, store, head_count=2, kv=source).value
     self_cache, cross_cache = {}, {}
     for t in range(5):
         row = x[:, t : t + 1]
-        step = multi_head_attention(row, store, head_count=2, causal=True, cache=self_cache)
+        step = multi_head_attention(row, store, head_count=2, causal=True, cache=self_cache).value
         np.testing.assert_allclose(step, full[:, t : t + 1], rtol=0, atol=1e-14)
         assert self_cache["k"].shape == (3, t + 1, 8)  # projected keys, heads not split
         keys = cross_cache.get("k")
-        step = multi_head_attention(row, store, head_count=2, kv=source, cache=cross_cache)
+        step = multi_head_attention(row, store, head_count=2, kv=source, cache=cross_cache).value
         np.testing.assert_allclose(step, cross[:, t : t + 1], rtol=0, atol=1e-14)
         assert keys is None or cross_cache["k"] is keys
 
