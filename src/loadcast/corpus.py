@@ -14,7 +14,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_integer
 from .series import TimeSeries
 
 FAMILIES = ("trend", "seasonal", "trend_seasonal", "noisy", "outlier_spiked", "random_walk")
@@ -45,12 +45,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        for name in ("length", "period", "seed"):
-            value = getattr(self, name)
-            if value is None and name == "period":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("length", "seed") + (("period",) if self.period is not None else ()):
+            require_integer(name, getattr(self, name))
         for name in ("trend_slope", "noise_std", "outlier_rate"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):

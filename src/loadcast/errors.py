@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+import numbers
 
 
 class LoadcastError(Exception):
@@ -39,3 +41,9 @@ class OptimizationError(LoadcastError):
 
 class ConfigWarning(UserWarning):
     """A configuration that runs but cannot do what its values suggest."""
+
+
+def require_integer(name: str, value) -> None:
+    """Raise ConfigError naming `name` unless `value` is an integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")

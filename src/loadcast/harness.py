@@ -22,7 +22,7 @@ import numpy as np
 
 from .baselines import MODEL_ORDER, create_baseline
 from .corpus import GeneratorSpec, generate_series
-from .errors import ConfigError, DomainError, InsufficientDataError
+from .errors import ConfigError, DomainError, InsufficientDataError, require_integer
 from .metrics import METRICS, CellKey, MetricReport, MetricTriple, aggregate_runs, percent_reduction
 from .series import (
     CaseId,
@@ -115,9 +115,7 @@ class ExperimentSpec:
         if not isinstance(self.fine_tune, bool):
             raise ConfigError(f"fine_tune must be true or false, got {self.fine_tune!r}")
         for name in ("runs_per_model", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            require_integer(name, getattr(self, name))
         if self.runs_per_model < 1:
             raise ConfigError(f"runs_per_model must be >= 1, got {self.runs_per_model}")
         if self.master_seed < 0:

@@ -143,12 +143,22 @@ class MetricReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricReport":
-        entries: dict[CellKey, MetricTriple] = {}
-        for key, t in d.get("entries", {}).items():
-            m, c, h = key.split("|")
-            entries[(m, c, int(h))] = MetricTriple(**t)
-        errors: dict[CellKey, str] = {}
-        for key, msg in d.get("errors", {}).items():
-            m, c, h = key.split("|")
-            errors[(m, c, int(h))] = msg
-        return cls(entries=entries, run_count=int(d.get("run_count", 1)), errors=errors)
+        """The report `to_dict` wrote; a payload of another shape is a
+        DataError that names the bad key or field."""
+        run_count = d.get("run_count", 1)
+        if isinstance(run_count, bool) or not isinstance(run_count, int):
+            raise DataError(f"report run_count must be an integer, got {run_count!r}")
+        cells: dict[str, dict] = {"entries": {}, "errors": {}}
+        for name, parsed in cells.items():
+            table = d.get(name, {})
+            if not isinstance(table, dict):
+                raise DataError(f"report {name} must be an object, got {type(table).__name__}")
+            for key, value in table.items():
+                parts = key.split("|")
+                if len(parts) != 3 or not parts[2].isdecimal():
+                    raise DataError(f"report {name} key {key!r} is not model|case|horizon")
+                try:
+                    parsed[(parts[0], parts[1], int(parts[2]))] = MetricTriple(**value) if name == "entries" else value
+                except (DataError, TypeError) as exc:
+                    raise DataError(f"report {name} {key!r}: {exc}") from None
+        return cls(entries=cells["entries"], run_count=run_count, errors=cells["errors"])

@@ -263,8 +263,9 @@ def write_csv(series: TimeSeries, path) -> None:
 
 
 def read_json(path) -> dict:
-    """Read a JSON object from `path`: a spec, report, forecast or model sidecar."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a JSON object from `path`: a spec, report, forecast or model sidecar.
+    A leading byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
@@ -298,6 +299,16 @@ def holdout_count(n: int) -> int:
     return int(round(VALIDATION_TAIL * n)) if n >= 5 else 0
 
 
+def sequence_windows(values: np.ndarray, context: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (context, next-horizon) pair of a 1-D array, oldest first, as
+    contiguous (n, context) and (n, horizon) arrays: the windows of
+    pretraining, fine-tuning and (at horizon 1) `make_windows`."""
+    if len(values) < context + horizon:
+        raise InsufficientDataError(f"need at least {context + horizon} points, got {len(values)}")
+    pairs = np.lib.stride_tricks.sliding_window_view(values, context + horizon)
+    return np.ascontiguousarray(pairs[:, :context]), np.ascontiguousarray(pairs[:, context:])
+
+
 def make_windows(series: TimeSeries, window: int) -> SupervisedWindowSet:
     """Slide one-step supervised pairs over an already-normalized series.
 
@@ -306,16 +317,10 @@ def make_windows(series: TimeSeries, window: int) -> SupervisedWindowSet:
     """
     if window < 1:
         raise ConfigError("window must be positive")
-    n = len(series) - window
-    if n < 1:
-        raise InsufficientDataError(f"series of length {len(series)} is too short for window={window}")
-    values = series.values
-    lags = np.lib.stride_tricks.sliding_window_view(values, window)[:n]
-    target_idx = np.arange(n) + window
-    targets = values[target_idx]
-    sin_h, cos_h = hour_features(series.hour_of_day(target_idx))
+    lags, targets = sequence_windows(series.values, window, 1)
+    sin_h, cos_h = hour_features(series.hour_of_day(np.arange(window, len(series))))
     inputs = np.column_stack([lags, sin_h, cos_h])
-    return SupervisedWindowSet(inputs=inputs, targets=targets, window_length=window, horizon_step=1)
+    return SupervisedWindowSet(inputs=inputs, targets=targets[:, 0], window_length=window, horizon_step=1)
 
 
 def origin_windows(values: np.ndarray, train_len: int, width: int) -> np.ndarray:

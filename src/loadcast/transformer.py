@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError, ShapeError, StateError
+from .errors import ConfigError, InsufficientDataError, ShapeError, StateError, require_integer
 # adam_update is not called here; it stays importable from this module
 # because the benchmark's tracer patches the name on it.
 from .nn import adam_update, conv_pool_forward, glorot_init, train_minibatch  # noqa: F401
@@ -25,7 +25,7 @@ from .nn.adam import PASS_ROWS
 from .nn.autodiff import Tensor, no_grad
 from .nn.params import ParamStore
 from .series import (NormalizationParams, TimeSeries, fit_normalizer, holdout_count, origin_windows,
-                     read_json, write_json)
+                     read_json, sequence_windows, write_json)
 
 PE_BASE = 10000.0
 FINE_TUNE_LR_FACTOR = 0.1
@@ -92,9 +92,6 @@ def multi_head_attention(x, params: ParamStore, head_count: int, causal: bool = 
     xt = ad.astensor(x)
     if xt.value.ndim != 3:
         raise ShapeError(f"attention input must be (B, T, d), got shape {xt.value.shape}")
-    d = xt.value.shape[-1]
-    if d % head_count != 0:
-        raise ConfigError(f"d_model {d} not divisible by head_count {head_count}")
     q = ad.matmul(xt, params.tensor(prefix + "wq"))
     if cache and kv is not None:
         k, v = cache["k"], cache["v"]
@@ -126,10 +123,10 @@ class TransformerConfig:
     horizon_length: int = 6
 
     def __post_init__(self):
-        for field in ("d_model", "head_count", "encoder_layers", "decoder_layers",
-                      "context_length", "horizon_length"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"{field} must be positive")
+        for field in fields(self):
+            require_integer(field.name, getattr(self, field.name))
+            if getattr(self, field.name) < 1:
+                raise ConfigError(f"{field.name} must be positive")
         if self.d_model % self.head_count != 0:
             raise ConfigError(
                 f"d_model {self.d_model} must be divisible by head_count {self.head_count}"
@@ -166,18 +163,6 @@ class _LayerCache:
         self.cross_attn: dict = {}
         self.conv_in = np.zeros((batch, config.conv_kernel_width - 1, config.d_model))
         self.activated = np.full((batch, config.pool_range - 1, config.d_model), -np.inf)
-
-
-def _sequence_windows(values: np.ndarray, context: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """All (context, next-horizon) pairs from a 1-D array, oldest first."""
-    n = len(values) - context - horizon + 1
-    if n < 1:
-        raise InsufficientDataError(
-            f"need at least {context + horizon} points, got {len(values)}"
-        )
-    contexts = np.lib.stride_tricks.sliding_window_view(values, context)[:n]
-    targets = np.lib.stride_tricks.sliding_window_view(values[context:], horizon)[:n]
-    return np.ascontiguousarray(contexts), np.ascontiguousarray(targets)
 
 
 def _guarded_normalize(values: np.ndarray) -> np.ndarray:
@@ -271,17 +256,17 @@ class TransformerForecaster:
         """Conv, ReLU and max-pool over every position of `x`; with a cache,
         the causal block at the one new position `x` (B, 1, d) holds."""
         cfg = self.config
-        weights, bias = self.params.tensor(prefix + "w"), self.params.tensor(prefix + "b")
+        weights, bias = self.params.get(prefix + "w"), self.params.get(prefix + "b")
         if cache is None:
-            kernel = ad.reshape(weights, (cfg.conv_kernel_width, cfg.d_model, cfg.d_model))
-            return conv_pool_forward(x, kernel, bias, cfg.pool_range, causal=causal)
-        # The (k * d, d) weight matrix applied to the flattened window of the
-        # new input and the k - 1 before it is the causal conv at that position.
+            kernel = ad.reshape(weights.tensor(), (cfg.conv_kernel_width, cfg.d_model, cfg.d_model))
+            return conv_pool_forward(x, kernel, bias.tensor(), cfg.pool_range, causal=causal)
+        # The (k * d, d) weight matrix applied to the flattened window of the new input and
+        # the k - 1 before it is the causal conv at that position (on arrays: decoding is no_grad).
         window = np.concatenate([cache.conv_in, x.value], axis=1)
         cache.conv_in = window[:, 1:]
-        b = window.shape[0]
-        activated = ad.relu(ad.add(ad.matmul(Tensor(window.reshape(b, -1)), weights), bias))
-        pooled = np.concatenate([cache.activated, activated.value[:, None]], axis=1)
+        activated = window.reshape(window.shape[0], -1) @ weights.value
+        activated += bias.value
+        pooled = np.concatenate([cache.activated, np.maximum(activated, 0.0)[:, None]], axis=1)
         cache.activated = pooled[:, 1:]
         return Tensor(pooled.max(axis=1, keepdims=True))
 
@@ -381,15 +366,10 @@ class TransformerForecaster:
                 f"history has {histories.shape[1]} points, need >= {ctx}"
             )
         window = self.normalizer.apply(histories[:, -ctx:])
-        chunks = []
-        remaining = horizon_hours
-        while remaining > 0:
-            steps = min(self.config.horizon_length, remaining)
-            predictions = self._generate(window, steps)
-            chunks.append(predictions)
-            window = np.concatenate([window, predictions], axis=1)[:, -ctx:]
-            remaining -= steps
-        return self.normalizer.invert(np.concatenate(chunks, axis=1))
+        while window.shape[1] < ctx + horizon_hours:
+            steps = min(self.config.horizon_length, ctx + horizon_hours - window.shape[1])
+            window = np.concatenate([window, self._generate(window[:, -ctx:], steps)], axis=1)
+        return self.normalizer.invert(window[:, ctx:])
 
     def roll(self, series: TimeSeries, train_len: int, h_max: int, normalizer) -> np.ndarray:
         """The rolling sweep of `harness.roll_forecasts` over the origins
@@ -447,7 +427,7 @@ class TransformerForecaster:
                     f"series {series.name!r} has {len(series)} points, need >= {need}"
                 )
             values = _guarded_normalize(series.values)
-            c, t = _sequence_windows(values, cfg.context_length, cfg.horizon_length)
+            c, t = sequence_windows(values, cfg.context_length, cfg.horizon_length)
             all_contexts.append(c)
             all_targets.append(t)
         contexts = np.concatenate(all_contexts, axis=0)
@@ -494,7 +474,7 @@ class TransformerForecaster:
         self.normalizer = fit_normalizer(values)
         normalized = self.normalizer.apply(values)
         horizon = min(cfg.horizon_length, len(values) - cfg.context_length)
-        contexts, targets = _sequence_windows(normalized, cfg.context_length, horizon)
+        contexts, targets = sequence_windows(normalized, cfg.context_length, horizon)
         n = contexts.shape[0]
         val_count = holdout_count(n)
         validation = None

@@ -11,13 +11,16 @@ and one-GEMM matmul against the einsum, argmax and batched kernels,
 its 32-row passes of a batch-256 step against one pass over the batch),
 `dense_stack` and the one-node `mse` against the per-layer tape, the
 in-place softmax and layer_norm against their allocating forms, the
-all-columns `best_split` against the per-feature scan, and the fused
+all-columns `best_split` against the per-feature scan, the fused
 attention, add_layer_norm and conv_relu_pool nodes against the tape of
-small ops each replaced (down to a whole teacher-forced pass).
+small ops each replaced (down to a whole teacher-forced pass), and
+`series.sequence_windows`, `make_windows`, the one-window `forecast_batch`
+loop and the array-only cached conv step against the code each replaced.
 """
 
 import warnings
 import weakref
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -27,9 +30,10 @@ import loadcast.nn.autodiff as ad
 from loadcast.baselines import GradientBoostedTrees, LSTMModel, MLPModel, RegressionTree, lstm_cell_step, trees
 from loadcast.baselines.neural import LSTM_GATES, _add_dense
 from loadcast.corpus import GeneratorSpec, generate_series
-from loadcast.errors import ConfigError, NumericError, ShapeError
+from loadcast.errors import ConfigError, InsufficientDataError, NumericError, ShapeError
 from loadcast.nn import ParamStore, Tensor, adam_update, glorot_init, grad_check, no_grad, train_minibatch
-from loadcast.series import VALIDATION_TAIL, NormalizationParams, SupervisedWindowSet, fit_normalizer
+from loadcast.series import (VALIDATION_TAIL, NormalizationParams, SupervisedWindowSet, TimeSeries, fit_normalizer,
+                             hour_features, make_windows, sequence_windows)
 from loadcast import harness, transformer
 from loadcast.transformer import (
     ATTENTION_WEIGHT_NAMES,
@@ -37,7 +41,6 @@ from loadcast.transformer import (
     TransformerForecaster,
     _causal_mask,
     _guarded_normalize,
-    _sequence_windows,
     multi_head_attention,
 )
 
@@ -695,7 +698,7 @@ def _three_step_setup(case):
             model.params.v.fill(0.0)
             recipe = GeneratorSpec(family="trend_seasonal", length=109, period=24, noise_std=0.2, seed=9)
         values = _guarded_normalize(generate_series(recipe).values)
-        contexts, targets = _sequence_windows(values, 24, 6)
+        contexts, targets = sequence_windows(values, 24, 6)
         return model.params, model._teacher_losses(contexts, targets)[0], len(contexts), 32, 1e-3
     windows = _seasonal_windows(length=20)
     x, y = windows.inputs, windows.targets
@@ -807,7 +810,7 @@ def test_pretrain_and_early_stopping_fine_tune_match_the_old_loop():
     model = TransformerForecaster(TINY, init_seed=1)
     curve = model.pretrain(corpus, epochs=3, seed=2, batch_size=32)
     reference = TransformerForecaster(TINY, init_seed=1)
-    pooled = [_sequence_windows(_guarded_normalize(s.values), 12, 3) for s in corpus]
+    pooled = [sequence_windows(_guarded_normalize(s.values), 12, 3) for s in corpus]
     contexts = np.concatenate([c for c, _ in pooled])
     targets = np.concatenate([t for _, t in pooled])
     expected = _reference_run_epochs(reference, contexts, targets, 3, 1e-3, np.random.default_rng(2), 32)
@@ -821,7 +824,7 @@ def test_pretrain_and_early_stopping_fine_tune_match_the_old_loop():
     tuned = model.clone()
     curve = tuned.fine_tune(target, epochs=40, learning_rate=5e-3, seed=4)
     values = fit_normalizer(target.values).apply(target.values)
-    contexts, targets = _sequence_windows(values, 12, 3)
+    contexts, targets = sequence_windows(values, 12, 3)
     split = len(contexts) - int(round(VALIDATION_TAIL * len(contexts)))
     expected = _reference_run_epochs(
         reference, contexts[:split], targets[:split], 40, 5e-3, np.random.default_rng(4), 32,
@@ -835,7 +838,7 @@ def test_pretrain_and_early_stopping_fine_tune_match_the_old_loop():
 def _batch_256_windows():
     """256 default-config training windows: one pretrain batch."""
     series = generate_series(GeneratorSpec(family="seasonal", length=285, period=24, noise_std=0.05, seed=12))
-    return series, *_sequence_windows(_guarded_normalize(series.values), 24, 6)
+    return series, *sequence_windows(_guarded_normalize(series.values), 24, 6)
 
 
 def _one_batch_256_step(monkeypatch, passes):
@@ -1413,3 +1416,103 @@ def test_teacher_forced_pass_is_bitwise_the_unfused_tape(monkeypatch, config, ba
     assert len(fused) == len(tape)
     for a, b in zip(fused, tape):
         _assert_bitwise(a, b)
+
+
+def _two_view_windows(values, context, horizon):
+    """The transformer's window builder before `series.sequence_windows`: one view per array."""
+    n = len(values) - context - horizon + 1
+    contexts = np.lib.stride_tricks.sliding_window_view(values, context)[:n]
+    targets = np.lib.stride_tricks.sliding_window_view(values[context:], horizon)[:n]
+    return np.ascontiguousarray(contexts), np.ascontiguousarray(targets)
+
+
+@pytest.mark.parametrize("context, horizon", [(24, 6), (12, 3), (24, 1), (3, 1)])
+def test_sequence_windows_is_bitwise_the_two_view_builder(context, horizon):
+    values = np.random.default_rng(context * 10 + horizon).uniform(-1.0, 1.0, size=context + horizon + 40)
+    for length in (len(values), context + horizon):  # the minimum length gives one pair
+        pairs = sequence_windows(values[:length], context, horizon)
+        assert pairs[0].shape == (length - context - horizon + 1, context)
+        for got, expected in zip(pairs, _two_view_windows(values[:length], context, horizon)):
+            assert got.flags.c_contiguous
+            _assert_bitwise(got, expected)
+    with pytest.raises(InsufficientDataError):
+        sequence_windows(values[: context + horizon - 1], context, horizon)
+
+
+def _own_view_make_windows(series, window):
+    """make_windows' inputs and targets before it took them from `sequence_windows`."""
+    n = len(series) - window
+    lags = np.lib.stride_tricks.sliding_window_view(series.values, window)[:n]
+    target_idx = np.arange(n) + window
+    sin_h, cos_h = hour_features(series.hour_of_day(target_idx))
+    return np.column_stack([lags, sin_h, cos_h]), series.values[target_idx]
+
+
+@pytest.mark.parametrize("window", [1, 3, 24])
+def test_make_windows_is_bitwise_its_own_view_builder(window):
+    values = np.random.default_rng(window).uniform(0.0, 1.0, size=window + 30)
+    for length in (len(values), window + 1):
+        series = TimeSeries(datetime(2021, 3, 5, 13, 30), values[:length])
+        windows = make_windows(series, window)
+        inputs, targets = _own_view_make_windows(series, window)
+        _assert_bitwise(windows.inputs, inputs)
+        _assert_bitwise(windows.targets, targets)
+    with pytest.raises(InsufficientDataError):
+        make_windows(TimeSeries(datetime(2021, 3, 5), values[:window]), window)
+
+
+def _chunk_loop_forecast(model, histories, horizon_hours):
+    """forecast_batch's loop before it kept one window: a chunk list and a remaining counter."""
+    ctx = model.config.context_length
+    window = model.normalizer.apply(histories[:, -ctx:])
+    chunks = []
+    remaining = horizon_hours
+    while remaining > 0:
+        steps = min(model.config.horizon_length, remaining)
+        predictions = model._generate(window, steps)
+        chunks.append(predictions)
+        window = np.concatenate([window, predictions], axis=1)[:, -ctx:]
+        remaining -= steps
+    return model.normalizer.invert(np.concatenate(chunks, axis=1))
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("config", [TransformerConfig(), TINY], ids=["default", "tiny"])
+def test_one_window_forecast_loop_is_bitwise_the_chunk_loop(config, batch):
+    model = TransformerForecaster(config, init_seed=13)
+    model.set_normalizer(NormalizationParams(10.0, 14.0))
+    histories = np.random.default_rng(batch).uniform(10.0, 14.0, size=(batch, config.context_length + 7))
+    for horizon in (1, 5, 6, 7, 13, 24):
+        forecast = model.forecast_batch(histories, horizon)
+        assert forecast.shape == (batch, horizon)
+        _assert_bitwise(forecast, _chunk_loop_forecast(model, histories, horizon))
+
+
+def _tensor_op_conv_step(model, prefix, x, cache):
+    """The cached conv step as Tensor ops (matmul, add, relu), before it ran on arrays."""
+    weights, bias = model.params.tensor(prefix + "w"), model.params.tensor(prefix + "b")
+    window = np.concatenate([cache.conv_in, x.value], axis=1)
+    cache.conv_in = window[:, 1:]
+    activated = ad.relu(ad.add(ad.matmul(Tensor(window.reshape(window.shape[0], -1)), weights), bias))
+    pooled = np.concatenate([cache.activated, activated.value[:, None]], axis=1)
+    cache.activated = pooled[:, 1:]
+    return Tensor(pooled.max(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("pool_range", [1, 3, 5])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_cached_conv_step_on_arrays_is_bitwise_the_tensor_ops(k, pool_range):
+    config = TransformerConfig(d_model=8, head_count=2, context_length=12, horizon_length=4,
+                               conv_kernel_width=k, pool_range=pool_range)
+    model = TransformerForecaster(config, init_seed=k * 10 + pool_range)
+    rng = np.random.default_rng(k + 7 * pool_range)
+    model.params.get("dec0.conv.b").value[...] = rng.normal(size=(1, 8))  # a bias that is not zero
+    rows = rng.normal(size=(5, 7, 8))
+    arrays, tensors = transformer._LayerCache(config, 5), transformer._LayerCache(config, 5)
+    with no_grad():
+        for t in range(rows.shape[1]):
+            row = Tensor(rows[:, t : t + 1])
+            got = model._conv_block("dec0.conv.", row, causal=True, cache=arrays).value
+            _assert_bitwise(got, _tensor_op_conv_step(model, "dec0.conv.", row, tensors).value)
+            _assert_bitwise(arrays.conv_in, tensors.conv_in)
+            _assert_bitwise(arrays.activated, tensors.activated)

@@ -34,7 +34,7 @@ from loadcast.report import (
     render_text_table,
     write_forecasts,
 )
-from loadcast.series import fit_normalizer, read_json, split_case, write_csv
+from loadcast.series import fit_normalizer, read_json, split_case, write_csv, write_json
 from loadcast.transformer import TransformerConfig, TransformerForecaster
 
 #: A transformer small enough to pretrain inside the module suite.
@@ -168,6 +168,17 @@ def test_load_spec_reads_json(tmp_path):
     spec = load_spec(str(path))
     assert spec.models == ("pm", "lr")
     assert spec.runs_per_model == 2
+
+
+def test_load_spec_skips_a_byte_order_mark(tmp_path):
+    """A spec saved with a UTF-8 byte-order mark once failed as 'Unexpected UTF-8 BOM'."""
+    payload = {"cases": ["case1"], "horizons_hours": [1], "models": ["pm"]}
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(payload).encode("utf-8"))
+    assert load_spec(str(path)).cases == ("case1",)
+    write_json(str(path), payload)
+    assert path.read_bytes().startswith(b"{")  # no mark is written
+    assert read_json(str(path)) == payload
 
 
 def test_resolve_dataset_forms(tmp_path):
@@ -1013,3 +1024,31 @@ def test_every_exported_name_resolves():
     for module in (loadcast, loadcast.nn):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], f"{module.__name__}.__all__ names what it does not define: {missing}"
+
+
+def _one_error_line(err):
+    return err.startswith("loadcast: error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [True, 24.0])
+def test_cli_select_reports_a_sidecar_config_field_that_is_not_an_integer(tmp_path, capsys, value):
+    """A sidecar with "context_length": true or 24.0 once ended in a TypeError traceback."""
+    weights = str(tmp_path / "model.bin")
+    TransformerForecaster(TINY_TSFM, init_seed=0).save(weights)
+    sidecar = read_json(weights + ".json")
+    sidecar["config"]["context_length"] = value
+    write_json(weights + ".json", sidecar)
+    csv_path = tmp_path / "history.csv"
+    write_csv(seasonal_series(length=64, seed=23), str(csv_path))
+    assert cli_main(["select", "--data", str(csv_path), "--candidates", "tsfm,pm", "--artifact", weights]) == 1
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "context_length must be an integer" in err, err
+
+
+def test_cli_compare_reports_a_report_of_the_wrong_shape_in_one_line(tmp_path, capsys):
+    report_dir = tmp_path / "report"
+    report_dir.mkdir()
+    (report_dir / "report.json").write_text(json.dumps({"entries": {"x": 5}}))
+    assert cli_main(["compare", "--report", str(report_dir), "--reference", "tsfm"]) == 1
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "report entries key 'x'" in err, err

@@ -153,3 +153,24 @@ def test_metric_report_round_trip_and_views():
     assert set(back.models()) == {"pm", "lr", "rt"}
     assert back.cases() == ["case1", "case2"]
     assert back.horizons() == [1, 4]
+
+
+WRONG_SHAPE_REPORTS = {
+    "entry_key": ({"entries": {"x": 5}}, "report entries key 'x' is not model|case|horizon"),
+    "entry_value": ({"entries": {"tsfm|case1|1": 5}}, "report entries 'tsfm|case1|1'"),
+    "entry_text_rmse": ({"entries": {"tsfm|case1|1": {"rmse": "0.1", "mae": 0.1, "mape": None}}},
+                        "report entries 'tsfm|case1|1'"),
+    "run_count_text": ({"run_count": "x"}, "report run_count must be an integer, got 'x'"),
+    "error_horizon": ({"errors": {"tsfm|case1|zz": "NumericError: boom"}},
+                      "report errors key 'tsfm|case1|zz' is not model|case|horizon"),
+    "entries_list": ({"entries": []}, "report entries must be an object, got list"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRONG_SHAPE_REPORTS))
+def test_metric_report_from_dict_names_what_is_wrong(kind):
+    """Each payload once ended in a ValueError, TypeError or AttributeError."""
+    payload, message = WRONG_SHAPE_REPORTS[kind]
+    with pytest.raises(DataError) as exc:
+        MetricReport.from_dict(payload)
+    assert str(exc.value).startswith(message)

@@ -199,6 +199,15 @@ def test_config_validation():
         TransformerConfig(encoder_layers=0)
 
 
+@pytest.mark.parametrize("value", [True, 24.0, "2"], ids=["bool", "float", "text"])
+@pytest.mark.parametrize("field", ["d_model", "context_length", "horizon_length", "pool_range"])
+def test_config_fields_must_be_integers(field, value):
+    """`True` once loaded as a one-value context; 24.0 or "2" failed later, inside numpy."""
+    with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+        TransformerConfig(**{field: value})
+    assert TransformerConfig(**{field: np.int64(3 if field == "pool_range" else 4)})  # numpy integers pass
+
+
 def test_config_round_trip():
     cfg = TransformerConfig(d_model=16, head_count=2, context_length=18, horizon_length=4)
     assert TransformerConfig.from_dict(cfg.to_dict()) == cfg
@@ -415,4 +424,17 @@ def test_load_missing_sidecar_raises(tmp_path):
     model.save(path)
     (tmp_path / "model.bin.json").unlink()
     with pytest.raises(StateError):
+        TransformerForecaster.load(path)
+
+
+@pytest.mark.parametrize("field, value", [("context_length", True), ("context_length", 24.0), ("horizon_length", 6.5)])
+def test_load_rejects_a_sidecar_config_field_that_is_not_an_integer(tmp_path, field, value):
+    path = str(tmp_path / "model.bin")
+    TransformerForecaster(TINY, init_seed=0).save(path)
+    with open(path + ".json", encoding="utf-8") as fh:
+        sidecar = json.load(fh)
+    sidecar["config"][field] = value
+    with open(path + ".json", "w", encoding="utf-8") as fh:
+        json.dump(sidecar, fh)
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
         TransformerForecaster.load(path)
