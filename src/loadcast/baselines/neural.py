@@ -174,17 +174,19 @@ class LSTMModel:
         return self._head(ad.index(sequence, (slice(None), -1)), features[:, w:])
 
     def _zero_state(self, batch: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(np.zeros((batch, n)),) * 2 for n in self.lstm_units]
+        return [(np.zeros((n, batch)),) * 2 for n in self.lstm_units]
 
     def _resume(self, projected: np.ndarray, states) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each layer's (hidden, cells), both (T + 1, B, n), from layer 0's
-        time-major input projections (T, B, 4n), every layer starting from
-        its (h, c) in `states`."""
+        """Each layer's (hidden, cells), both feature-major (T + 1, n, B),
+        from layer 0's time-major input projections (T, B, 4n), every layer
+        starting from its (n, B) h and c in `states`. A layer above projects
+        the hidden states below in batch-major rows, one GEMM as
+        `lstm_layer` runs it."""
         layers = []
         for layer, (h0, c0) in enumerate(states):
             if layer:
                 w = self.params.get(f"lstm{layer}.w").value
-                below = layers[-1][0][1:]
+                below = layers[-1][0][1:].transpose(0, 2, 1)
                 projected = (below.reshape(-1, below.shape[-1]) @ w).reshape(below.shape[:2] + w.shape[1:])
             u, b = (self.params.get(f"lstm{layer}.{k}").value for k in "ub")
             layers.append(ad.lstm_recurrence(projected, u, b, h0, c0)[:2])
@@ -194,7 +196,10 @@ class LSTMModel:
         """The rolling sweep of `harness.roll_forecasts` over the origins from
         train_len to the end of `series`, from shared prefix states. The
         harness calls it once per block of at most `harness.ROLL_ROWS`
-        origins, so its (T + 1, B, n) state arrays stay that small.
+        origins, so its (T + 1, n, B) state arrays stay that small. States
+        are feature-major, as `lstm_recurrence` keeps them: each step's
+        gate and state updates run on contiguous (n, B) blocks, while every
+        product keeps its batch-major rows and so its bits.
 
         With W lags, origin o's step-s window is the W - s + 1 actual lags
         from test index o + s - 1 on, then its first s - 1 predictions, so
@@ -226,9 +231,9 @@ class LSTMModel:
         for step in range(1, h_max + 1):
             known = max(w - step + 1, 0)
             rows = slice(step - 1, step - 1 + origins)
-            states = ([(hidden[known, rows], cells[known, rows]) for hidden, cells in prefix]
+            states = ([(hidden[known, :, rows], cells[known, :, rows]) for hidden, cells in prefix]
                       if known else self._zero_state(origins))
-            last = self._resume(fed[step - 1 - (w - known) : step - 1], states)[-1][0][-1]
+            last = self._resume(fed[step - 1 - (w - known) : step - 1], states)[-1][0][-1].T
             hours = np.column_stack(hour_features(series.hour_of_day(target + step - 1)))
             with no_grad():
                 preds[:, step - 1] = self._head(Tensor(last), hours).value

@@ -73,7 +73,11 @@ class MetricTriple:
     def __post_init__(self):
         for name in METRICS:
             v = getattr(self, name)
-            if not (name == "mape" and v is None) and (not math.isfinite(v) or v < 0):
+            if name == "mape" and v is None:
+                continue
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise DataError(f"{name} must be a number, got {v!r}")
+            if not math.isfinite(v) or v < 0:
                 raise DataError(f"{name} must be finite and non-negative, got {v}")
 
     def as_dict(self) -> dict:
@@ -148,6 +152,8 @@ class MetricReport:
         run_count = d.get("run_count", 1)
         if isinstance(run_count, bool) or not isinstance(run_count, int):
             raise DataError(f"report run_count must be an integer, got {run_count!r}")
+        if run_count < 1:
+            raise DataError(f"report run_count must be positive, got {run_count}")
         cells: dict[str, dict] = {"entries": {}, "errors": {}}
         for name, parsed in cells.items():
             table = d.get(name, {})

@@ -661,36 +661,44 @@ def lstm_recurrence(projected: np.ndarray, u: np.ndarray, b: np.ndarray, h0: np.
     """The LSTM forward recurrence from a given state, without a tape.
 
     projected: (T, B, 4n), each step's input projection x_t @ w, time-major;
-    u: (n, 4n); b: (1, 4n); h0, c0: (B, n), the state before the first step.
-    Gate columns run input, forget, output (sigmoid) then the cell candidate
-    (tanh). Returns (hidden, cells, gates, squashed): hidden and cells are
-    (T + 1, B, n) with the initial state at index 0. With `record`, gates
-    (T, B, 4n) keeps every step's activated i, f, o, g and squashed
-    (T, B, n) every tanh(c_t), as backpropagation through time reads them;
-    without, both hold the last step only. Each step is one h @ u and
-    in-place elementwise work on contiguous blocks.
+    u: (n, 4n); b: (1, 4n); h0, c0: (n, B), the state before the first step,
+    feature-major. Gate rows run input, forget, output (sigmoid) then the
+    cell candidate (tanh). Returns (hidden, cells, gates, squashed): hidden
+    and cells are (T + 1, n, B) with the initial state at index 0. With
+    `record`, gates (T, 4n, B) keeps every step's activated i, f, o, g and
+    squashed (T, n, B) every tanh(c_t), as backpropagation through time
+    reads them; without, both hold the last step only.
+
+    States and gates are feature-major so that the sigmoid block, the tanh
+    block and the cell and hidden updates each run on one contiguous block
+    (Appleyard, Kocisky & Blunsom, arXiv:1604.01946). The step's product
+    keeps its batch-major orientation, h^T @ u into a (B, 4n) scratch, and
+    one transposed copy fills the gate block: written straight as u^T @ h
+    into (4n, B), the product loses bits on some OpenBLAS kernels.
     """
     steps, batch, _ = projected.shape
     n = u.shape[0]
     keep = steps if record else 1
-    gates = np.empty((keep, batch, 4 * n))
-    squashed = np.empty((keep, batch, n))
-    hidden = np.empty((steps + 1, batch, n))
-    cells = np.empty((steps + 1, batch, n))
+    gates = np.empty((keep, 4 * n, batch))
+    squashed = np.empty((keep, n, batch))
+    hidden = np.empty((steps + 1, n, batch))
+    cells = np.empty((steps + 1, n, batch))
     hidden[0], cells[0] = h0, c0
-    ig = np.empty((batch, n))
-    work = np.empty((batch, 3 * n))
+    rows = np.empty((batch, 4 * n))
+    ig = np.empty((n, batch))
+    work = np.empty((3 * n, batch))
     for t in range(steps):
         z, tc, c = gates[t if record else 0], squashed[t if record else 0], cells[t + 1]
-        np.matmul(hidden[t], u, out=z)
-        np.add(projected[t], z, out=z)
-        z += b
-        _sigmoid(z[:, : 3 * n], out=z[:, : 3 * n], work=work)
-        np.tanh(z[:, 3 * n :], out=z[:, 3 * n :])
-        np.multiply(z[:, n : 2 * n], cells[t], out=c)
-        c += np.multiply(z[:, :n], z[:, 3 * n :], out=ig)
+        np.matmul(hidden[t].T, u, out=rows)
+        np.add(projected[t], rows, out=rows)
+        rows += b
+        z[...] = rows.T
+        _sigmoid(z[: 3 * n], out=z[: 3 * n], work=work)
+        np.tanh(z[3 * n :], out=z[3 * n :])
+        np.multiply(z[n : 2 * n], cells[t], out=c)
+        c += np.multiply(z[:n], z[3 * n :], out=ig)
         np.tanh(c, out=tc)
-        np.multiply(z[:, 2 * n : 3 * n], tc, out=hidden[t + 1])
+        np.multiply(z[2 * n : 3 * n], tc, out=hidden[t + 1])
     return hidden, cells, gates, squashed
 
 
@@ -704,11 +712,16 @@ def lstm_layer(x, w, u, b) -> Tensor:
     steps and the recurrence, `lstm_recurrence`, one h @ u per step; the
     backward pass is an explicit backpropagation through time whose weight
     gradients are single GEMMs over all steps (Appleyard, Kocisky & Blunsom,
-    arXiv:1604.01946). Work arrays are time-major, so each step touches
-    contiguous blocks; without a tape, gates are kept for one step only.
-    `LSTMModel.roll` runs the same recurrence from saved states: a rolling
-    sweep computes each layer's (h, c) over the actual lags once per window
-    start and resumes every origin from there over its own predictions.
+    arXiv:1604.01946). States, gates and their gradients are feature-major,
+    (T, n, B) and (T, 4n, B), so each step's elementwise work runs on
+    contiguous blocks; every product keeps the batch-major orientation of
+    the (B, 4n) rows, whose bits would otherwise depend on the BLAS kernel:
+    each step writes its gate gradients transposed into a (T, B, 4n) slab
+    and takes dh from dz @ u^T. Without a tape, gates are kept for one step
+    only. `LSTMModel.roll` runs the same recurrence from saved states: a
+    rolling sweep computes each layer's (h, c) over the actual lags once per
+    window start and resumes every origin from there over its own
+    predictions.
     """
     x, w, u, b = astensor(x), astensor(w), astensor(u), astensor(b)
     batch, steps, width = x.value.shape
@@ -721,17 +734,17 @@ def lstm_layer(x, w, u, b) -> Tensor:
     tracked = _GRAD_ENABLED and any(t.requires_grad for t in (x, w, u, b))
     inputs = x.value.transpose(1, 0, 2).reshape(-1, width)
     projected = (inputs @ w.value).reshape(steps, batch, 4 * n)
-    zero = np.zeros((batch, n))
+    zero = np.zeros((n, batch))
     hidden, cells, gates, squashed = lstm_recurrence(projected, u.value, b.value, zero, zero, record=tracked)
 
     def backward(grad):
-        grad = grad.transpose(1, 0, 2)
-        i, f, o, g = (gates[..., k * n : (k + 1) * n] for k in range(4))
+        grad = np.ascontiguousarray(grad.transpose(1, 2, 0))
+        i, f, o, g = (gates[:, k * n : (k + 1) * n] for k in range(4))
         # Per gate, d(pre-activation) / d(carried gradient), each evaluated
         # left to right as written: g i (1 - i), c f (1 - f), tanh(c) o (1 - o)
         # and i (1 - g g); and dh -> dc, o (1 - tanh(c) tanh(c)).
         mult = np.empty(gates.shape)
-        blocks = [mult[..., k * n : (k + 1) * n] for k in range(4)]
+        blocks = [mult[:, k * n : (k + 1) * n] for k in range(4)]
         work = np.empty(squashed.shape)
         for out, left, gate in ((blocks[0], g, i), (blocks[1], cells[:-1], f), (blocks[2], squashed, o)):
             np.multiply(left, gate, out=out)
@@ -742,26 +755,29 @@ def lstm_layer(x, w, u, b) -> Tensor:
         np.subtract(1.0, through, out=through)
         np.multiply(o, through, out=through)
         u_t = u.value.T
-        d_z = np.empty(gates.shape)
-        dh_next, dc, dh, carried = np.zeros((batch, n)), np.zeros((batch, n)), np.empty((batch, n)), np.empty((batch, n))
+        d_z = np.empty((steps, batch, 4 * n))
+        dz = np.empty((4 * n, batch))
+        dh_next = np.zeros((batch, n))
+        dc, dh, carried = np.zeros((n, batch)), np.empty((n, batch)), np.empty((n, batch))
         for t in range(steps - 1, -1, -1):
-            np.add(grad[t], dh_next, out=dh)
+            np.add(grad[t], dh_next.T, out=dh)
             dc += np.multiply(dh, through[t], out=carried)
-            m, dz = mult[t], d_z[t]
-            np.multiply(dc, m[:, :n], out=dz[:, :n])
-            np.multiply(dc, m[:, n : 2 * n], out=dz[:, n : 2 * n])
-            np.multiply(dh, m[:, 2 * n : 3 * n], out=dz[:, 2 * n : 3 * n])
-            np.multiply(dc, m[:, 3 * n :], out=dz[:, 3 * n :])
+            m = mult[t]
+            np.multiply(dc, m[:n], out=dz[:n])
+            np.multiply(dc, m[n : 2 * n], out=dz[n : 2 * n])
+            np.multiply(dh, m[2 * n : 3 * n], out=dz[2 * n : 3 * n])
+            np.multiply(dc, m[3 * n :], out=dz[3 * n :])
             dc *= f[t]
-            np.matmul(dz, u_t, out=dh_next)
+            d_z[t] = dz.T
+            np.matmul(d_z[t], u_t, out=dh_next)
         flat = d_z.reshape(-1, 4 * n)
         _accumulate(w, inputs.T @ flat)
-        _accumulate(u, hidden[:-1].reshape(-1, n).T @ flat)
+        _accumulate(u, hidden[:-1].transpose(0, 2, 1).reshape(-1, n).T @ flat)
         _accumulate(b, flat.sum(axis=0, keepdims=True))
         if x.requires_grad:
             _accumulate(x, (flat @ w.value.T).reshape(steps, batch, width).transpose(1, 0, 2))
 
-    return _make(hidden[1:].transpose(1, 0, 2), (x, w, u, b), backward)
+    return _make(hidden[1:].transpose(2, 0, 1), (x, w, u, b), backward)
 
 
 def dense_stack(x, weights, biases) -> Tensor:

@@ -324,12 +324,20 @@ class TransformerForecaster:
     def _generate(self, contexts: np.ndarray, steps: int) -> np.ndarray:
         """Autoregressive decode of `steps` <= horizon_length normalized values.
 
-        Each step runs the decoder on the new position only, against a cache
-        of what the earlier positions left behind (see `_LayerCache`).
+        The encoder runs in passes of PASS_ROWS contexts, whose (B, heads,
+        T, T) attention scores stay small enough for a core's L2 cache (0.6
+        MB at 32 rows, 4.7 MB at 256). Every encoder op is row-wise and its
+        folded GEMMs see B * context_length rows, at the default 24 never
+        one row nor an odd count, where a row's product can depend on the
+        row count; so the passes give the one-pass bits. The decoder then
+        runs on the whole block: each step runs it on the new position
+        only, against a cache of what the earlier positions left behind
+        (see `_LayerCache`).
         """
         b = contexts.shape[0]
         with no_grad():
-            encoded = self._encode(contexts)
+            encoded = Tensor(np.concatenate([self._encode(contexts[lo : lo + PASS_ROWS]).value
+                                             for lo in range(0, b, PASS_ROWS)]))
             cache = [_LayerCache(self.config, b) for _ in range(self.config.decoder_layers)]
             generated = np.zeros((b, 0))
             for _ in range(steps):

@@ -1,8 +1,10 @@
 """Fast kernels against the plain code they replace.
 
 The fused LSTM layer is checked against `lstm_cell_step` unrolled on the
-tape, the LSTM's prefix-state rolling sweep against the per-step `predict`
-recursion, the array tree walks against a per-row walk and a per-tree sum, the
+tape, its feature-major recurrence and backpropagation through time bitwise
+against the batch-major ones they replaced, the LSTM's prefix-state rolling
+sweep against the per-step `predict` recursion, the transformer's encoder
+passes against one encode over the whole block, the array tree walks against a per-row walk and a per-tree sum, the
 transformer's cached decoding against re-running the decoder over the
 whole generated prefix at every step, `roll_forecasts`' origin blocks
 against one `roll` over every origin, the im2col conv, shifted-max pool
@@ -202,7 +204,8 @@ def test_lstm_model_stores_the_per_gate_draws_joined(units):
 
 def test_lstm_recurrence_resumes_from_a_saved_state():
     """A nonzero initial state through the shared kernel: against the cell
-    unrolled from that state, and bitwise against one uninterrupted pass."""
+    unrolled from that state, and bitwise against one uninterrupted pass.
+    The kernel's states are feature-major (n, B); the cell's are (B, n)."""
     rng = np.random.default_rng(7)
     params = _lstm_store(rng, (5,), width=3)
     w, u, b = (np.concatenate([params.get(f"lstm0.{gate}.{kind}").value for gate in LSTM_GATES], axis=1)
@@ -210,15 +213,137 @@ def test_lstm_recurrence_resumes_from_a_saved_state():
     x = rng.normal(size=(9, 4, 3))
     h0, c0 = rng.normal(scale=0.5, size=(2, 4, 5))
     projected = (x.reshape(-1, 3) @ w).reshape(9, 4, 20)
-    hidden, cells, _, _ = ad.lstm_recurrence(projected, u, b, h0, c0)
+    hidden, cells, _, _ = ad.lstm_recurrence(projected, u, b, h0.T, c0.T)
+    assert hidden.shape == cells.shape == (10, 5, 4)
     h, c = Tensor(h0), Tensor(c0)
     for t in range(9):
         h, c = lstm_cell_step(x[t], h, c, params, prefix="lstm0.")
-        np.testing.assert_allclose(hidden[t + 1], h.value, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(cells[t + 1], c.value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(hidden[t + 1].T, h.value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cells[t + 1].T, c.value, rtol=0, atol=1e-12)
     resumed_h, resumed_c, _, _ = ad.lstm_recurrence(projected[4:], u, b, hidden[4], cells[4])
     _assert_bitwise(resumed_h, hidden[4:])
     _assert_bitwise(resumed_c, cells[4:])
+
+
+def _batch_major_recurrence(projected, u, b, h0, c0, record=False):
+    """`ad.lstm_recurrence` before its states went feature-major: h0 and c0
+    (B, n), hidden and cells (T + 1, B, n), gates (T, B, 4n) and squashed
+    (T, B, n), each elementwise pass over strided (B, n) column blocks."""
+    steps, batch, _ = projected.shape
+    n = u.shape[0]
+    keep = steps if record else 1
+    gates = np.empty((keep, batch, 4 * n))
+    squashed = np.empty((keep, batch, n))
+    hidden = np.empty((steps + 1, batch, n))
+    cells = np.empty((steps + 1, batch, n))
+    hidden[0], cells[0] = h0, c0
+    ig = np.empty((batch, n))
+    work = np.empty((batch, 3 * n))
+    for t in range(steps):
+        z, tc, c = gates[t if record else 0], squashed[t if record else 0], cells[t + 1]
+        np.matmul(hidden[t], u, out=z)
+        np.add(projected[t], z, out=z)
+        z += b
+        ad._sigmoid(z[:, : 3 * n], out=z[:, : 3 * n], work=work)
+        np.tanh(z[:, 3 * n :], out=z[:, 3 * n :])
+        np.multiply(z[:, n : 2 * n], cells[t], out=c)
+        c += np.multiply(z[:, :n], z[:, 3 * n :], out=ig)
+        np.tanh(c, out=tc)
+        np.multiply(z[:, 2 * n : 3 * n], tc, out=hidden[t + 1])
+    return hidden, cells, gates, squashed
+
+
+def _batch_major_lstm_layer(x, w, u, b):
+    """`ad.lstm_layer` on the batch-major recurrence, with the batch-major
+    backpropagation through time it replaced."""
+    x, w, u, b = ad.astensor(x), ad.astensor(w), ad.astensor(u), ad.astensor(b)
+    batch, steps, width = x.value.shape
+    n = u.value.shape[0]
+    tracked = ad.grad_enabled() and any(t.requires_grad for t in (x, w, u, b))
+    inputs = x.value.transpose(1, 0, 2).reshape(-1, width)
+    projected = (inputs @ w.value).reshape(steps, batch, 4 * n)
+    zero = np.zeros((batch, n))
+    hidden, cells, gates, squashed = _batch_major_recurrence(projected, u.value, b.value, zero, zero, record=tracked)
+
+    def backward(grad):
+        grad = grad.transpose(1, 0, 2)
+        i, f, o, g = (gates[..., k * n : (k + 1) * n] for k in range(4))
+        mult = np.empty(gates.shape)
+        blocks = [mult[..., k * n : (k + 1) * n] for k in range(4)]
+        work = np.empty(squashed.shape)
+        for out, left, gate in ((blocks[0], g, i), (blocks[1], cells[:-1], f), (blocks[2], squashed, o)):
+            np.multiply(left, gate, out=out)
+            out *= np.subtract(1.0, gate, out=work)
+        np.subtract(1.0, np.multiply(g, g, out=work), out=work)
+        np.multiply(i, work, out=blocks[3])
+        through = squashed * squashed
+        np.subtract(1.0, through, out=through)
+        np.multiply(o, through, out=through)
+        u_t = u.value.T
+        d_z = np.empty(gates.shape)
+        dh_next, dc, dh, carried = np.zeros((batch, n)), np.zeros((batch, n)), np.empty((batch, n)), np.empty((batch, n))
+        for t in range(steps - 1, -1, -1):
+            np.add(grad[t], dh_next, out=dh)
+            dc += np.multiply(dh, through[t], out=carried)
+            m, dz = mult[t], d_z[t]
+            np.multiply(dc, m[:, :n], out=dz[:, :n])
+            np.multiply(dc, m[:, n : 2 * n], out=dz[:, n : 2 * n])
+            np.multiply(dh, m[:, 2 * n : 3 * n], out=dz[:, 2 * n : 3 * n])
+            np.multiply(dc, m[:, 3 * n :], out=dz[:, 3 * n :])
+            dc *= f[t]
+            np.matmul(dz, u_t, out=dh_next)
+        flat = d_z.reshape(-1, 4 * n)
+        ad._accumulate(w, inputs.T @ flat)
+        ad._accumulate(u, hidden[:-1].reshape(-1, n).T @ flat)
+        ad._accumulate(b, flat.sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            ad._accumulate(x, (flat @ w.value.T).reshape(steps, batch, width).transpose(1, 0, 2))
+
+    return ad._make(hidden[1:].transpose(1, 0, 2), (x, w, u, b), backward)
+
+
+FEATURE_MAJOR_BATCHES = [1, 3, 5, 8, 9, 33, 257, 279]
+
+
+@pytest.mark.parametrize("units", [16, 8, 4])
+@pytest.mark.parametrize("batch", FEATURE_MAJOR_BATCHES)
+def test_feature_major_recurrence_is_bitwise_the_batch_major_one(batch, units):
+    """Hidden, cells, gates and tanh(c) from a nonzero state, with and
+    without recording every step."""
+    rng = np.random.default_rng(batch * 100 + units)
+    projected = rng.normal(size=(24, batch, 4 * units))
+    u = rng.normal(scale=0.6, size=(units, 4 * units))
+    b = rng.normal(scale=0.3, size=(1, 4 * units))
+    h0, c0 = rng.normal(scale=0.5, size=(2, batch, units))
+    for record in (False, True):
+        got = ad.lstm_recurrence(projected, u, b, h0.T, c0.T, record=record)
+        for name, value, expected in zip(("hidden", "cells", "gates", "squashed"), got,
+                                         _batch_major_recurrence(projected, u, b, h0, c0, record=record)):
+            assert value.shape[1:] == expected.shape[:0:-1], name
+            _assert_bitwise(value.transpose(0, 2, 1), expected)
+
+
+@pytest.mark.parametrize("units", [16, 8, 4])
+@pytest.mark.parametrize("batch", FEATURE_MAJOR_BATCHES)
+def test_feature_major_lstm_layer_is_bitwise_the_batch_major_one(batch, units):
+    """A two-layer stack, so the lower layer's backward takes the upper
+    layer's input gradient: outputs and every w, u, b and x gradient."""
+    rng = np.random.default_rng(batch * 10 + units)
+    x_value = rng.normal(size=(batch, 7, 3))
+    layers = [[rng.normal(scale=0.6, size=(width, 4 * units)), rng.normal(scale=0.6, size=(units, 4 * units)),
+               rng.normal(scale=0.3, size=(1, 4 * units))] for width in (3, units)]
+    weights = rng.normal(size=(batch, 7, units))
+    runs = []
+    for layer_fn in (ad.lstm_layer, _batch_major_lstm_layer):
+        x = Tensor(x_value, requires_grad=True)
+        params = [[Tensor(value, requires_grad=True) for value in layer] for layer in layers]
+        out = x
+        for layer in params:
+            out = layer_fn(out, *layer)
+        ad.tsum(ad.mul(out, weights)).backward()
+        runs.append([out.value, x.grad] + [p.grad for layer in params for p in layer])
+    for got, expected in zip(*runs):
+        _assert_bitwise(got, expected)
 
 
 class _PredictOnly:
@@ -1486,6 +1611,36 @@ def test_one_window_forecast_loop_is_bitwise_the_chunk_loop(config, batch):
         forecast = model.forecast_batch(histories, horizon)
         assert forecast.shape == (batch, horizon)
         _assert_bitwise(forecast, _chunk_loop_forecast(model, histories, horizon))
+
+
+class _OnePassEncodeForecaster(TransformerForecaster):
+    """`_generate` before the encoder ran in passes of PASS_ROWS contexts:
+    one encode over the whole block."""
+
+    def _generate(self, contexts, steps):
+        with no_grad():
+            encoded = self._encode(contexts)
+            cache = [transformer._LayerCache(self.config, len(contexts)) for _ in range(self.config.decoder_layers)]
+            generated = np.zeros((len(contexts), 0))
+            for _ in range(steps):
+                hidden = self._head(self._decode(generated, encoded, cache)).value
+                generated = np.concatenate([generated, hidden], axis=1)
+        return generated
+
+
+@pytest.mark.parametrize("rows", [1, 31, 33, 257])
+def test_encoder_passes_forecast_bitwise_the_one_pass_encode(rows):
+    """Nine hours is two decoder chunks, so each row is encoded twice."""
+    model = TransformerForecaster(init_seed=14)
+    rng = np.random.default_rng(rows)
+    for param in model.params:  # gains and biases that are not ones and zeros
+        param.value[...] += rng.normal(scale=0.1, size=param.value.shape)
+    reference = _OnePassEncodeForecaster(init_seed=0)
+    reference.params.load_values_from(model.params)
+    for forecaster in (model, reference):
+        forecaster.set_normalizer(NormalizationParams(10.0, 14.0))
+    histories = rng.uniform(10.0, 14.0, size=(rows, 30))
+    _assert_bitwise(model.forecast_batch(histories, 9), reference.forecast_batch(histories, 9))
 
 
 def _tensor_op_conv_step(model, prefix, x, cache):

@@ -161,6 +161,9 @@ WRONG_SHAPE_REPORTS = {
     "entry_text_rmse": ({"entries": {"tsfm|case1|1": {"rmse": "0.1", "mae": 0.1, "mape": None}}},
                         "report entries 'tsfm|case1|1'"),
     "run_count_text": ({"run_count": "x"}, "report run_count must be an integer, got 'x'"),
+    "run_count_zero": ({"run_count": 0}, "report run_count must be positive, got 0"),
+    "entry_bool_rmse": ({"entries": {"pm|case1|1": {"rmse": True, "mae": 0.1, "mape": 1.0}}},
+                        "report entries 'pm|case1|1': rmse must be a number, got True"),
     "error_horizon": ({"errors": {"tsfm|case1|zz": "NumericError: boom"}},
                       "report errors key 'tsfm|case1|zz' is not model|case|horizon"),
     "entries_list": ({"entries": []}, "report entries must be an object, got list"),
