@@ -417,7 +417,7 @@ def _heads(x: np.ndarray, head_count: int) -> np.ndarray:
 
 def attention_probabilities(q: np.ndarray, k: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """softmax(Q K^T / sqrt(d)) over the keys for (..., Tq, d) queries and
-    (..., Tk, d) keys, with no tape: the forward kernel of `attention`.
+    (..., Tk, d) keys, with no tape: the first half of `attention_forward`.
     `mask` (True = attend) broadcasts to (..., Tq, Tk); a query with no key
     left gets all-zero weights."""
     if q.shape[-1] != k.shape[-1]:
@@ -429,21 +429,24 @@ def attention_probabilities(q: np.ndarray, k: np.ndarray, mask: np.ndarray | Non
     return _softmax(probs, out=probs)
 
 
+def attention_forward(q, k, v, head_count: int, mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """`attention`'s forward pass on arrays: the (..., Tq, dv) output and (..., H, Tq, Tk) probabilities."""
+    probs = attention_probabilities(_heads(q, head_count), _heads(k, head_count), mask)
+    value = np.empty(q.shape[:-1] + v.shape[-1:])
+    np.matmul(probs, _heads(v, head_count), out=_heads(value, head_count))
+    return value, probs
+
+
 def attention(q, k, v, head_count: int = 1, mask: np.ndarray | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention as one node.
+    """Multi-head scaled dot-product attention as one node on `attention_forward`.
 
     q: (..., Tq, d); k: (..., Tk, d); v: (..., Tk, dv), with the same
-    leading axes (they do not broadcast); `mask` (True =
-    attend) broadcasts to (..., head_count, Tq, Tk), so a (Tq, Tk) mask
-    serves every head. Each input splits into head_count heads along its
-    feature axis as a view, every head attends with
-    `attention_probabilities`, and the heads' outputs are written side by
-    side into one contiguous (..., Tq, dv) array. The backward pass writes
-    dQ, dK and dV the same way, each into a contiguous array of its input's
-    shape, so the projections that made q, k and v get contiguous
-    gradients. Every product and row sum repeats the matmul, scale, softmax
-    and transpose tape this node replaced, so its values and gradients are
-    bitwise that tape's.
+    leading axes (they do not broadcast); `mask` (True = attend) broadcasts
+    to (..., head_count, Tq, Tk). The backward pass writes dQ, dK and dV
+    into contiguous arrays of their inputs' shapes, so the projections get
+    contiguous gradients. Every product and row sum repeats the matmul,
+    scale, softmax and transpose tape this node replaced, so its values and
+    gradients are bitwise that tape's.
     """
     q, k, v = astensor(q), astensor(k), astensor(v)
     if (not q.value.shape[:-2] == k.value.shape[:-2] == v.value.shape[:-2]
@@ -453,10 +456,8 @@ def attention(q, k, v, head_count: int = 1, mask: np.ndarray | None = None) -> T
     if q.value.shape[-1] % head_count or v.value.shape[-1] % head_count:
         raise ConfigError(f"feature dims {q.value.shape[-1]}, {v.value.shape[-1]} "
                           f"not divisible by head_count {head_count}")
+    value, probs = attention_forward(q.value, k.value, v.value, head_count, mask)
     qh, kh, vh = (_heads(t.value, head_count) for t in (q, k, v))
-    probs = attention_probabilities(qh, kh, mask)
-    value = np.empty(q.value.shape[:-1] + v.value.shape[-1:])
-    np.matmul(probs, vh, out=_heads(value, head_count))
     factor = 1.0 / np.sqrt(qh.shape[-1])
 
     def product_into(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
@@ -477,18 +478,11 @@ def attention(q, k, v, head_count: int = 1, mask: np.ndarray | None = None) -> T
     return _make(value, (q, k, v), backward)
 
 
-def _layer_norm(s: np.ndarray, out: np.ndarray | None, inputs: tuple[Tensor, ...], gamma, beta, route) -> Tensor:
-    """The node both layer norms build: normalize `s` over the last axis
-    with population variance and LAYER_NORM_EPSILON, then scale and shift.
-    `s - mu` is written to `out` (s itself when the caller made s) and
-    scaled in place into xhat; `route` takes the gradient with respect to s
-    to `inputs`. Each mean is a sum over the last axis divided by n, as
-    np.mean computes it, and full-size temporaries are reused in place."""
-    gamma, beta = astensor(gamma), astensor(beta)
-    if gamma.value.shape[-1] != s.shape[-1] or beta.value.shape[-1] != s.shape[-1]:
-        raise ShapeError("gamma/beta must match the normalized axis length")
+def layer_norm_forward(s, gamma, beta, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both layer norms' forward pass on arrays: value, xhat and 1 / std of `s` over the last
+    axis (population variance, LAYER_NORM_EPSILON; a mean is a sum over n, as np.mean takes it).
+    `s - mu` is written to `out` (s itself when the caller made s) and scaled into xhat."""
     n = s.shape[-1]
-    rows = s.shape[:-1] + (1,)
     mu = s.sum(axis=-1, keepdims=True)
     mu /= n
     xhat = np.subtract(s, mu, out=out)
@@ -498,8 +492,19 @@ def _layer_norm(s: np.ndarray, out: np.ndarray | None, inputs: tuple[Tensor, ...
     np.sqrt(var, out=var)
     inv = np.divide(1.0, var, out=var)
     xhat *= inv
-    value = gamma.value * xhat
-    value += beta.value
+    value = gamma * xhat
+    value += beta
+    return value, xhat, inv
+
+
+def _layer_norm(s: np.ndarray, out: np.ndarray | None, inputs: tuple[Tensor, ...], gamma, beta, route) -> Tensor:
+    """The node both layer norms build; `route` takes the gradient with
+    respect to s to `inputs`. Full-size temporaries are reused in place."""
+    gamma, beta = astensor(gamma), astensor(beta)
+    if gamma.value.shape[-1] != s.shape[-1] or beta.value.shape[-1] != s.shape[-1]:
+        raise ShapeError("gamma/beta must match the normalized axis length")
+    n = s.shape[-1]
+    value, xhat, inv = layer_norm_forward(s, gamma.value, beta.value, out)
 
     def backward(g):
         _accumulate(gamma, g * xhat)

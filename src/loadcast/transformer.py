@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError, ShapeError, StateError, require_integer
+from .errors import ConfigError, DataError, InsufficientDataError, ShapeError, StateError, require_integer
 # adam_update is not called here; it stays importable from this module
 # because the benchmark's tracer patches the name on it.
 from .nn import adam_update, conv_pool_forward, glorot_init, train_minibatch  # noqa: F401
@@ -57,9 +57,8 @@ def positional_encoding(seq_length: int, d_model: int) -> np.ndarray:
 def _causal_mask(tq: int, tk: int) -> np.ndarray:
     """True where a query may attend a key: the tq queries are the last tq of tk positions.
 
-    With tq == tk this is the plain lower triangle; with fewer queries (a
-    decoding step against cached keys) row i still sees keys 0 .. tk - tq + i.
-    Returned array is read-only and cached.
+    With tq == tk this is the plain lower triangle; with fewer queries, row
+    i still sees keys 0 .. tk - tq + i. Returned array is read-only and cached.
     """
     mask = np.tril(np.ones((tq, tk), dtype=bool), k=tk - tq)
     mask.setflags(write=False)
@@ -75,35 +74,21 @@ def attention_weights(q, k, causal: bool = False) -> np.ndarray:
 ATTENTION_WEIGHT_NAMES = ("wq", "wk", "wv", "wo")
 
 
-def multi_head_attention(x, params: ParamStore, head_count: int, causal: bool = False, kv=None, prefix: str = "",
-                         cache: dict | None = None):
+def multi_head_attention(x, params: ParamStore, head_count: int, causal: bool = False, kv=None, prefix: str = ""):
     """Project to Q/K/V, attend with head_count heads in one node, project back.
 
     Expects square projection matrices named {prefix}wq/wk/wv/wo in `params`.
     `kv` switches the key/value source for cross-attention. Takes (B, T, d)
-    input, an array or a Tensor; returns a Tensor.
-
-    `cache` is a dict that keeps the projected (B, T, d) keys and values
-    between calls for incremental decoding. In self-attention the rows of
-    `x` are the positions after the cached ones: their keys and values are
-    appended and the queries attend to all of them. With `kv` the source is
-    projected on the first call only and reused after.
+    input, an array or a Tensor; returns a Tensor. The cached decode runs
+    it on arrays, a position at a time (see `_CachedLayer`).
     """
     xt = ad.astensor(x)
     if xt.value.ndim != 3:
         raise ShapeError(f"attention input must be (B, T, d), got shape {xt.value.shape}")
+    source = ad.astensor(kv) if kv is not None else xt
     q = ad.matmul(xt, params.tensor(prefix + "wq"))
-    if cache and kv is not None:
-        k, v = cache["k"], cache["v"]
-    else:
-        source = ad.astensor(kv) if kv is not None else xt
-        k = ad.matmul(source, params.tensor(prefix + "wk"))
-        v = ad.matmul(source, params.tensor(prefix + "wv"))
-        if cache:
-            k = ad.concat([cache["k"], k], axis=1)
-            v = ad.concat([cache["v"], v], axis=1)
-        if cache is not None:
-            cache.update(k=k, v=v)
+    k = ad.matmul(source, params.tensor(prefix + "wk"))
+    v = ad.matmul(source, params.tensor(prefix + "wv"))
     mask = _causal_mask(q.value.shape[1], k.value.shape[1]) if causal else None
     heads = ad.attention(q, k, v, head_count, mask)
     return ad.matmul(heads, params.tensor(prefix + "wo"))
@@ -146,23 +131,46 @@ class TransformerConfig:
         return cls(**payload)
 
 
-class _LayerCache:
-    """What one decoder layer keeps from the positions already decoded.
+class _CachedLayer:
+    """A decoder layer's sublayers on arrays, a position at a time, over a
+    chunk of `steps`. The decoder is causal, so a position needs only what
+    earlier ones left: self-attention keys and values in (B, steps, d)
+    buffers, cross-attention ones projected once, and the last k - 1 conv
+    inputs and pool_range - 1 ReLU outputs (zeros, -inf before position 0).
+    q, k and v are one GEMM against [wq | wk | wv], bitwise three (d, d) ones."""
 
-    The decoder is causal position by position, so an earlier position's
-    hidden state never changes and a new position needs only: the projected
-    (B, T, d) self-attention keys and values of every earlier position, the
-    encoder's cross-attention keys and values (projected on the first step),
-    the last conv_kernel_width - 1 conv inputs and the last pool_range - 1
-    post-ReLU conv outputs. Before position 0 the conv rows are zeros and
-    the pool rows -inf, the padding the full-sequence kernels use.
-    """
+    def __init__(self, params: ParamStore, prefix: str, config: TransformerConfig, encoded: np.ndarray, steps: int):
+        self.w = w = {name[len(prefix):]: params.get(name).value for name in params.names() if name.startswith(prefix)}
+        b, t, d = encoded.shape
+        self.head_count = config.head_count
+        self.qkv = np.concatenate([w["self.wq"], w["self.wk"], w["self.wv"]], axis=1)
+        self.cross_keys, self.cross_values = ((encoded.reshape(-1, d) @ w[n]).reshape(b, t, d) for n in ("cross.wk", "cross.wv"))
+        self.keys, self.values = np.empty((b, steps, d)), np.empty((b, steps, d))
+        self.conv_in = np.zeros((b, config.conv_kernel_width - 1, d))
+        self.activated = np.full((b, config.pool_range - 1, d), -np.inf)
 
-    def __init__(self, config: TransformerConfig, batch: int):
-        self.self_attn: dict = {}
-        self.cross_attn: dict = {}
-        self.conv_in = np.zeros((batch, config.conv_kernel_width - 1, config.d_model))
-        self.activated = np.full((batch, config.pool_range - 1, config.d_model), -np.inf)
+    def self_attention(self, h: np.ndarray, position: int) -> np.ndarray:
+        """Causal self-attention of the (B, d) rows at `position`."""
+        qkv, d = h @ self.qkv, h.shape[1]
+        self.keys[:, position], self.values[:, position] = qkv[:, d : 2 * d], qkv[:, 2 * d :]
+        heads, _ = ad.attention_forward(qkv[:, None, :d], self.keys[:, : position + 1],
+                                        self.values[:, : position + 1], self.head_count)
+        return heads.reshape(h.shape) @ self.w["self.wo"]
+
+    def cross_attention(self, h: np.ndarray, position: int) -> np.ndarray:
+        """Attention of the (B, d) rows over the encoder's positions, the same at every position."""
+        q = (h @ self.w["cross.wq"])[:, None]
+        heads, _ = ad.attention_forward(q, self.cross_keys, self.cross_values, self.head_count)
+        return heads.reshape(h.shape) @ self.w["cross.wo"]
+
+    def conv(self, h: np.ndarray, position: int) -> np.ndarray:
+        """Causal conv, ReLU and max-pool at `position`: one GEMM of the flattened window."""
+        window = np.concatenate([self.conv_in, h[:, None]], axis=1)
+        self.conv_in = window[:, 1:]
+        activated = np.maximum(window.reshape(h.shape[0], -1) @ self.w["conv.w"] + self.w["conv.b"], 0.0)
+        pooled = np.concatenate([self.activated, activated[:, None]], axis=1)
+        self.activated = pooled[:, 1:]
+        return pooled.max(axis=1)
 
 
 def _guarded_normalize(values: np.ndarray) -> np.ndarray:
@@ -252,23 +260,11 @@ class TransformerForecaster:
         return ad.add(ad.matmul(Tensor(values.reshape(b, t, 1)), self.params.tensor(prefix + "w")),
                       self.params.tensor(prefix + "b"))
 
-    def _conv_block(self, prefix: str, x: Tensor, causal: bool = False, cache: _LayerCache | None = None) -> Tensor:
-        """Conv, ReLU and max-pool over every position of `x`; with a cache,
-        the causal block at the one new position `x` (B, 1, d) holds."""
+    def _conv_block(self, prefix: str, x: Tensor, causal: bool = False) -> Tensor:
+        """Conv, ReLU and max-pool over every position of `x`."""
         cfg = self.config
-        weights, bias = self.params.get(prefix + "w"), self.params.get(prefix + "b")
-        if cache is None:
-            kernel = ad.reshape(weights.tensor(), (cfg.conv_kernel_width, cfg.d_model, cfg.d_model))
-            return conv_pool_forward(x, kernel, bias.tensor(), cfg.pool_range, causal=causal)
-        # The (k * d, d) weight matrix applied to the flattened window of the new input and
-        # the k - 1 before it is the causal conv at that position (on arrays: decoding is no_grad).
-        window = np.concatenate([cache.conv_in, x.value], axis=1)
-        cache.conv_in = window[:, 1:]
-        activated = window.reshape(window.shape[0], -1) @ weights.value
-        activated += bias.value
-        pooled = np.concatenate([cache.activated, np.maximum(activated, 0.0)[:, None]], axis=1)
-        cache.activated = pooled[:, 1:]
-        return Tensor(pooled.max(axis=1, keepdims=True))
+        kernel = ad.reshape(self.params.tensor(prefix + "w"), (cfg.conv_kernel_width, cfg.d_model, cfg.d_model))
+        return conv_pool_forward(x, kernel, self.params.tensor(prefix + "b"), cfg.pool_range, causal=causal)
 
     def _encode(self, contexts: np.ndarray) -> Tensor:
         cfg = self.config
@@ -280,36 +276,36 @@ class TransformerForecaster:
             h = self._add_norm(p + "ln2.", h, self._conv_block(p + "conv.", h))
         return h
 
-    def _decode(self, previous: np.ndarray, encoded: Tensor, cache: list[_LayerCache] | None = None) -> Tensor:
-        """Run the decoder on [start token, embedded previous values].
-
-        previous: (B, m) with m >= 0 already-known (or generated) outputs.
-        Without a cache, returns hidden states (B, m + 1, d_model) for all
-        positions; position j predicts output step j + 1. With a cache that
-        holds positions 0 .. m - 1, only position m runs, so the result is
-        (B, 1, d_model), and the cache then holds it too.
-        """
-        cfg = self.config
-        b = encoded.value.shape[0]
-        d = cfg.d_model
-        m = previous.shape[1]
-        first = 0 if cache is None else m
-        tokens = []
-        if first == 0:
-            tokens.append(ad.add(Tensor(np.zeros((b, 1, d))), ad.reshape(self.params.tensor("start"), (1, 1, d))))
-        embedded = previous[:, max(first - 1, 0):]  # position j >= 1 embeds output j - 1
-        if embedded.shape[1] > 0:
-            tokens.append(self._embed("embed.dec.", embedded))
-        h = ad.concat(tokens, axis=1) if len(tokens) > 1 else tokens[0]
-        h = ad.add(h, Tensor(positional_encoding(m + 1, d)[first:]))
+    def _decode(self, previous: np.ndarray, encoded: Tensor) -> Tensor:
+        """The teacher-forced decoder on [start token, the (B, m) `previous`
+        values embedded]: hidden states (B, m + 1, d_model), position j
+        predicting output step j + 1."""
+        cfg, d = self.config, self.config.d_model
+        b, m = previous.shape
+        h = ad.add(Tensor(np.zeros((b, 1, d))), ad.reshape(self.params.tensor("start"), (1, 1, d)))
+        if m > 0:  # position j >= 1 embeds output j - 1
+            h = ad.concat([h, self._embed("embed.dec.", previous)], axis=1)
+        h = ad.add(h, Tensor(positional_encoding(m + 1, d)))
         for i in range(cfg.decoder_layers):
             p = f"dec{i}."
-            layer = None if cache is None else cache[i]
-            self_kv, cross_kv = (None, None) if layer is None else (layer.self_attn, layer.cross_attn)
-            h = self._add_norm(p + "ln1.", h, multi_head_attention(h, self.params, cfg.head_count, causal=True, prefix=p + "self.", cache=self_kv))
-            h = self._add_norm(p + "ln2.", h, multi_head_attention(h, self.params, cfg.head_count, kv=encoded, prefix=p + "cross.", cache=cross_kv))
-            h = self._add_norm(p + "ln3.", h, self._conv_block(p + "conv.", h, causal=True, cache=layer))
+            h = self._add_norm(p + "ln1.", h, multi_head_attention(h, self.params, cfg.head_count, causal=True, prefix=p + "self."))
+            h = self._add_norm(p + "ln2.", h, multi_head_attention(h, self.params, cfg.head_count, kv=encoded, prefix=p + "cross."))
+            h = self._add_norm(p + "ln3.", h, self._conv_block(p + "conv.", h, causal=True))
         return h
+
+    def _decode_step(self, layers: list[_CachedLayer], generated: np.ndarray, position: int) -> np.ndarray:
+        """The (B, 1) prediction `_head(_decode(generated))` makes at `position`, on arrays, bitwise."""
+        d, get = self.config.d_model, self.params.get
+        if position == 0:
+            h = np.zeros((generated.shape[0], d)) + get("start").value
+        else:
+            h = generated[:, position - 1 : position] @ get("embed.dec.w").value + get("embed.dec.b").value
+        h += positional_encoding(position + 1, d)[position]
+        for layer in layers:
+            for norm, sublayer in (("ln1.", layer.self_attention), ("ln2.", layer.cross_attention), ("ln3.", layer.conv)):
+                s = h + sublayer(h, position)
+                h = ad.layer_norm_forward(s, layer.w[norm + "g"], layer.w[norm + "b"], out=s)[0]
+        return h @ get("head.w").value + get("head.b").value
 
     def _head(self, hidden: Tensor) -> Tensor:
         b, t, _ = hidden.value.shape
@@ -324,25 +320,20 @@ class TransformerForecaster:
     def _generate(self, contexts: np.ndarray, steps: int) -> np.ndarray:
         """Autoregressive decode of `steps` <= horizon_length normalized values.
 
-        The encoder runs in passes of PASS_ROWS contexts, whose (B, heads,
-        T, T) attention scores stay small enough for a core's L2 cache (0.6
-        MB at 32 rows, 4.7 MB at 256). Every encoder op is row-wise and its
-        folded GEMMs see B * context_length rows, at the default 24 never
-        one row nor an odd count, where a row's product can depend on the
-        row count; so the passes give the one-pass bits. The decoder then
-        runs on the whole block: each step runs it on the new position
-        only, against a cache of what the earlier positions left behind
-        (see `_LayerCache`).
+        The encoder runs on the tape in passes of PASS_ROWS contexts, whose
+        attention scores fit a core's L2 cache (0.6 MB; 4.7 MB at 256 rows).
+        Its ops are row-wise and its GEMMs see B * context_length rows, never
+        one nor odd at 24, so passes keep one pass's bits. The decoder runs
+        on the whole block, one `_decode_step` per position on arrays.
         """
         b = contexts.shape[0]
         with no_grad():
-            encoded = Tensor(np.concatenate([self._encode(contexts[lo : lo + PASS_ROWS]).value
-                                             for lo in range(0, b, PASS_ROWS)]))
-            cache = [_LayerCache(self.config, b) for _ in range(self.config.decoder_layers)]
-            generated = np.zeros((b, 0))
-            for _ in range(steps):
-                hidden = self._head(self._decode(generated, encoded, cache)).value
-                generated = np.concatenate([generated, hidden], axis=1)
+            encoded = np.concatenate([self._encode(contexts[lo : lo + PASS_ROWS]).value
+                                      for lo in range(0, b, PASS_ROWS)])
+        layers = [_CachedLayer(self.params, f"dec{i}.", self.config, encoded, steps) for i in range(self.config.decoder_layers)]
+        generated = np.empty((b, steps))
+        for position in range(steps):
+            generated[:, position : position + 1] = self._decode_step(layers, generated, position)
         return generated
 
     # ---- inference --------------------------------------------------------
@@ -361,6 +352,7 @@ class TransformerForecaster:
         """Vectorized forecast over (B, >= context_length) rows of raw values,
         all B rows decoded as one batch (a rolling sweep comes here in
         blocks of at most `harness.ROLL_ROWS` origins)."""
+        require_integer("horizon_hours", horizon_hours)
         if horizon_hours < 1:
             raise ConfigError(f"horizon must be >= 1, got {horizon_hours}")
         if self.normalizer is None:
@@ -370,9 +362,12 @@ class TransformerForecaster:
             raise ShapeError(f"histories must be 2-D (batch, time), got shape {histories.shape}")
         ctx = self.config.context_length
         if histories.shape[1] < ctx:
-            raise InsufficientDataError(
-                f"history has {histories.shape[1]} points, need >= {ctx}"
-            )
+            raise InsufficientDataError(f"history has {histories.shape[1]} points, need >= {ctx}")
+        bad = ~np.isfinite(histories[:, -ctx:]).all(axis=1)
+        if bad.any():
+            raise DataError(f"history row {int(bad.argmax())} holds a non-finite value in its last {ctx} points")
+        if histories.shape[0] == 0:
+            return np.empty((0, horizon_hours))
         window = self.normalizer.apply(histories[:, -ctx:])
         while window.shape[1] < ctx + horizon_hours:
             steps = min(self.config.horizon_length, ctx + horizon_hours - window.shape[1])

@@ -6,7 +6,9 @@ against the batch-major ones they replaced, the LSTM's prefix-state rolling
 sweep against the per-step `predict` recursion, the transformer's encoder
 passes against one encode over the whole block, the array tree walks against a per-row walk and a per-tree sum, the
 transformer's cached decoding against re-running the decoder over the
-whole generated prefix at every step, `roll_forecasts`' origin blocks
+whole generated prefix at every step, its array decode step against the
+Tensor-op cached decode it replaced and its joined q/k/v projection
+against three GEMMs, `roll_forecasts`' origin blocks
 against one `roll` over every origin, the im2col conv, shifted-max pool
 and one-GEMM matmul against the einsum, argmax and batched kernels,
 `nn.train_minibatch` against the two training loops it replaced (and
@@ -34,6 +36,7 @@ from loadcast.baselines.neural import LSTM_GATES, _add_dense
 from loadcast.corpus import GeneratorSpec, generate_series
 from loadcast.errors import ConfigError, InsufficientDataError, NumericError, ShapeError
 from loadcast.nn import ParamStore, Tensor, adam_update, glorot_init, grad_check, no_grad, train_minibatch
+from loadcast.nn.adam import PASS_ROWS
 from loadcast.series import (VALIDATION_TAIL, NormalizationParams, SupervisedWindowSet, TimeSeries, fit_normalizer,
                              hour_features, make_windows, sequence_windows)
 from loadcast import harness, transformer
@@ -41,9 +44,11 @@ from loadcast.transformer import (
     ATTENTION_WEIGHT_NAMES,
     TransformerConfig,
     TransformerForecaster,
+    _CachedLayer,
     _causal_mask,
     _guarded_normalize,
     multi_head_attention,
+    positional_encoding,
 )
 
 
@@ -1314,9 +1319,8 @@ def _tape_attention(q, k, v, head_count, mask):
     return ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (b, tq, v.value.shape[-1]))
 
 
-def _tape_multi_head_attention(x, params, head_count, causal=False, kv=None, prefix="", cache=None):
-    """multi_head_attention on the tape `ad.attention` replaced (no decoding cache)."""
-    assert cache is None
+def _tape_multi_head_attention(x, params, head_count, causal=False, kv=None, prefix=""):
+    """multi_head_attention on the tape `ad.attention` replaced."""
     x = ad.astensor(x)
     source = x if kv is None else ad.astensor(kv)
     q = ad.matmul(x, params.tensor(prefix + "wq"))
@@ -1338,8 +1342,7 @@ class _TapeForecaster(TransformerForecaster):
     def _add_norm(self, prefix, h, sublayer):
         return ad.layer_norm(ad.add(h, sublayer), self.params.tensor(prefix + "g"), self.params.tensor(prefix + "b"))
 
-    def _conv_block(self, prefix, x, causal=False, cache=None):
-        assert cache is None
+    def _conv_block(self, prefix, x, causal=False):
         cfg = self.config
         kernel = ad.reshape(self.params.tensor(prefix + "w"), (cfg.conv_kernel_width, cfg.d_model, cfg.d_model))
         return _tape_conv_pool(x, kernel, self.params.tensor(prefix + "b"), cfg.pool_range, causal=causal)
@@ -1387,14 +1390,15 @@ def test_attention_guards_its_shapes():
 def test_cached_cross_attention_is_bitwise_the_tape():
     """Keys and values projected once and reused give each step what projecting them again gives."""
     rng = np.random.default_rng(80)
-    params = _attention_store(rng, 8)
+    params = TransformerForecaster(TINY, init_seed=0).params
+    for name in ATTENTION_WEIGHT_NAMES:
+        params.get("dec0.cross." + name).value[...] = rng.normal(scale=0.4, size=(8, 8))
     x, source = rng.normal(size=(3, 4, 8)), rng.normal(size=(3, 7, 8))
-    cache = {}
+    layer = _CachedLayer(params, "dec0.", TINY, source, steps=4)
     for t in range(4):
-        row = x[:, t : t + 1]
-        step = multi_head_attention(row, params, 2, kv=source, cache=cache).value
-        _assert_bitwise(step, _tape_multi_head_attention(row, params, 2, kv=source).value)
-        assert cache["k"].value.shape == (3, 7, 8)
+        step = layer.cross_attention(x[:, t], t)
+        _assert_bitwise(step, _tape_multi_head_attention(x[:, t : t + 1], params, 2, kv=source, prefix="dec0.cross.").value[:, 0])
+        assert layer.cross_keys.shape == (3, 7, 8)
 
 
 def test_projection_matmuls_get_contiguous_gradients(monkeypatch):
@@ -1613,32 +1617,143 @@ def test_one_window_forecast_loop_is_bitwise_the_chunk_loop(config, batch):
         _assert_bitwise(forecast, _chunk_loop_forecast(model, histories, horizon))
 
 
-class _OnePassEncodeForecaster(TransformerForecaster):
-    """`_generate` before the encoder ran in passes of PASS_ROWS contexts:
-    one encode over the whole block."""
+def _tensor_multi_head_attention(x, params, head_count, causal=False, kv=None, prefix="", cache=None):
+    """multi_head_attention with the decoding cache it had before the decoder
+    step ran on arrays: a dict keeping the projected keys and values as
+    Tensors, extended by `ad.concat` each self-attention step and projected
+    from `kv` on the first cross-attention step only."""
+    xt = ad.astensor(x)
+    q = ad.matmul(xt, params.tensor(prefix + "wq"))
+    if cache and kv is not None:
+        k, v = cache["k"], cache["v"]
+    else:
+        source = ad.astensor(kv) if kv is not None else xt
+        k = ad.matmul(source, params.tensor(prefix + "wk"))
+        v = ad.matmul(source, params.tensor(prefix + "wv"))
+        if cache:
+            k = ad.concat([cache["k"], k], axis=1)
+            v = ad.concat([cache["v"], v], axis=1)
+        cache.update(k=k, v=v)
+    mask = _causal_mask(q.value.shape[1], k.value.shape[1]) if causal else None
+    return ad.matmul(ad.attention(q, k, v, head_count, mask), params.tensor(prefix + "wo"))
+
+
+class _TensorLayerCache:
+    """The per-layer decoding cache of the Tensor decode: attention dicts and
+    the last conv inputs and post-ReLU outputs (zeros and -inf before position 0)."""
+
+    def __init__(self, config, batch):
+        self.self_attn, self.cross_attn = {}, {}
+        self.conv_in = np.zeros((batch, config.conv_kernel_width - 1, config.d_model))
+        self.activated = np.full((batch, config.pool_range - 1, config.d_model), -np.inf)
+
+
+def _array_conv_step(model, prefix, x, cache):
+    """The Tensor decode's cached conv step, which ran on arrays."""
+    weights, bias = model.params.get(prefix + "w"), model.params.get(prefix + "b")
+    window = np.concatenate([cache.conv_in, x.value], axis=1)
+    cache.conv_in = window[:, 1:]
+    activated = window.reshape(window.shape[0], -1) @ weights.value
+    activated += bias.value
+    pooled = np.concatenate([cache.activated, np.maximum(activated, 0.0)[:, None]], axis=1)
+    cache.activated = pooled[:, 1:]
+    return Tensor(pooled.max(axis=1, keepdims=True))
+
+
+def _tensor_decode_position(model, previous, encoded, cache):
+    """`_decode` with a cache, on Tensor ops: the decoder at the one position
+    after the m = previous.shape[1] the cache holds, as (B, 1, d)."""
+    cfg = model.config
+    b, d, m = encoded.value.shape[0], cfg.d_model, previous.shape[1]
+    if m == 0:
+        h = ad.add(Tensor(np.zeros((b, 1, d))), ad.reshape(model.params.tensor("start"), (1, 1, d)))
+    else:
+        h = model._embed("embed.dec.", previous[:, m - 1 :])
+    h = ad.add(h, Tensor(positional_encoding(m + 1, d)[m:]))
+    for i, layer in enumerate(cache):
+        p = f"dec{i}."
+        h = model._add_norm(p + "ln1.", h, _tensor_multi_head_attention(
+            h, model.params, cfg.head_count, causal=True, prefix=p + "self.", cache=layer.self_attn))
+        h = model._add_norm(p + "ln2.", h, _tensor_multi_head_attention(
+            h, model.params, cfg.head_count, kv=encoded, prefix=p + "cross.", cache=layer.cross_attn))
+        h = model._add_norm(p + "ln3.", h, _array_conv_step(model, p + "conv.", h, layer))
+    return h
+
+
+def _tensor_cached_decode(model, encoded, steps):
+    """The Tensor cached decode loop `_generate` ran before `_decode_step`."""
+    cache = [_TensorLayerCache(model.config, encoded.value.shape[0]) for _ in range(model.config.decoder_layers)]
+    generated = np.zeros((encoded.value.shape[0], 0))
+    for _ in range(steps):
+        hidden = model._head(_tensor_decode_position(model, generated, encoded, cache)).value
+        generated = np.concatenate([generated, hidden], axis=1)
+    return generated
+
+
+class _TensorDecodeForecaster(TransformerForecaster):
+    """`_generate` before the decoder ran on arrays: the same encoder passes,
+    then the cached decode on Tensor ops."""
 
     def _generate(self, contexts, steps):
         with no_grad():
-            encoded = self._encode(contexts)
-            cache = [transformer._LayerCache(self.config, len(contexts)) for _ in range(self.config.decoder_layers)]
-            generated = np.zeros((len(contexts), 0))
-            for _ in range(steps):
-                hidden = self._head(self._decode(generated, encoded, cache)).value
-                generated = np.concatenate([generated, hidden], axis=1)
-        return generated
+            encoded = np.concatenate([self._encode(contexts[lo : lo + PASS_ROWS]).value
+                                      for lo in range(0, len(contexts), PASS_ROWS)])
+            return _tensor_cached_decode(self, Tensor(encoded), steps)
+
+
+class _OnePassEncodeForecaster(TransformerForecaster):
+    """`_generate` before the encoder ran in passes of PASS_ROWS contexts:
+    one encode over the whole block, then the Tensor cached decode."""
+
+    def _generate(self, contexts, steps):
+        with no_grad():
+            return _tensor_cached_decode(self, self._encode(contexts), steps)
+
+
+def _perturbed_pair(config, init_seed, rng, reference_class):
+    """A model whose gains and biases are not ones and zeros, and a copy of
+    it as `reference_class`, both with one normalizer."""
+    model = TransformerForecaster(config, init_seed=init_seed)
+    for param in model.params:
+        param.value[...] += rng.normal(scale=0.1, size=param.value.shape)
+    reference = reference_class(config, init_seed=0)
+    reference.params.load_values_from(model.params)
+    for forecaster in (model, reference):
+        forecaster.set_normalizer(NormalizationParams(10.0, 14.0))
+    return model, reference
+
+
+@pytest.mark.parametrize("batch", [1, 5, 33, 257])
+@pytest.mark.parametrize("config", DECODER_CONFIGS, ids=lambda c: f"d{c.d_model}-h{c.horizon_length}-k{c.conv_kernel_width}-p{c.pool_range}")
+def test_decode_step_forecast_is_bitwise_the_tensor_cached_decode(config, batch):
+    """Horizons of one chunk, a chunk and a bit, and several chunks."""
+    rng = np.random.default_rng(batch)
+    model, reference = _perturbed_pair(config, 15, rng, _TensorDecodeForecaster)
+    histories = rng.uniform(10.0, 14.0, size=(batch, config.context_length + 3))
+    for horizon in (1, 5, 6, 7, 13, 24):
+        _assert_bitwise(model.forecast_batch(histories, horizon), reference.forecast_batch(histories, horizon))
+
+
+@pytest.mark.parametrize("d", [8, 32])
+def test_joined_projection_is_bitwise_three_gemms(d):
+    """The decode step's (rows, d) @ (d, 3d) q/k/v GEMM against the three
+    (d, d) products the Tensor decode ran, at every row count a cached
+    step sees in a 256-origin block and a 768-origin sweep and more."""
+    rng = np.random.default_rng(d)
+    weights = [rng.normal(scale=0.3, size=(d, d)) for _ in range(3)]
+    joined = np.concatenate(weights, axis=1)
+    for rows in list(range(1, 70)) + [255, 256, 257, 768]:
+        h = rng.normal(size=(rows, d))
+        qkv = h @ joined
+        for j, w in enumerate(weights):
+            _assert_bitwise(qkv[:, j * d : (j + 1) * d], h @ w)
 
 
 @pytest.mark.parametrize("rows", [1, 31, 33, 257])
 def test_encoder_passes_forecast_bitwise_the_one_pass_encode(rows):
     """Nine hours is two decoder chunks, so each row is encoded twice."""
-    model = TransformerForecaster(init_seed=14)
     rng = np.random.default_rng(rows)
-    for param in model.params:  # gains and biases that are not ones and zeros
-        param.value[...] += rng.normal(scale=0.1, size=param.value.shape)
-    reference = _OnePassEncodeForecaster(init_seed=0)
-    reference.params.load_values_from(model.params)
-    for forecaster in (model, reference):
-        forecaster.set_normalizer(NormalizationParams(10.0, 14.0))
+    model, reference = _perturbed_pair(TransformerConfig(), 14, rng, _OnePassEncodeForecaster)
     histories = rng.uniform(10.0, 14.0, size=(rows, 30))
     _assert_bitwise(model.forecast_batch(histories, 9), reference.forecast_batch(histories, 9))
 
@@ -1663,11 +1778,11 @@ def test_cached_conv_step_on_arrays_is_bitwise_the_tensor_ops(k, pool_range):
     rng = np.random.default_rng(k + 7 * pool_range)
     model.params.get("dec0.conv.b").value[...] = rng.normal(size=(1, 8))  # a bias that is not zero
     rows = rng.normal(size=(5, 7, 8))
-    arrays, tensors = transformer._LayerCache(config, 5), transformer._LayerCache(config, 5)
+    arrays = _CachedLayer(model.params, "dec0.", config, rng.normal(size=(5, 12, 8)), steps=rows.shape[1])
+    tensors = _TensorLayerCache(config, 5)
     with no_grad():
         for t in range(rows.shape[1]):
-            row = Tensor(rows[:, t : t + 1])
-            got = model._conv_block("dec0.conv.", row, causal=True, cache=arrays).value
-            _assert_bitwise(got, _tensor_op_conv_step(model, "dec0.conv.", row, tensors).value)
+            got = arrays.conv(rows[:, t], t)
+            _assert_bitwise(got, _tensor_op_conv_step(model, "dec0.conv.", Tensor(rows[:, t : t + 1]), tensors).value[:, 0])
             _assert_bitwise(arrays.conv_in, tensors.conv_in)
             _assert_bitwise(arrays.activated, tensors.activated)

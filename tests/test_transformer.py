@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from loadcast.corpus import GeneratorSpec, build_corpus, generate_series
-from loadcast.errors import ConfigError, InsufficientDataError, ShapeError, StateError
+from loadcast.errors import ConfigError, DataError, InsufficientDataError, ShapeError, StateError
 from loadcast.nn import ParamStore, Tensor, no_grad
 from loadcast.nn import autodiff as ad
 from loadcast.series import NormalizationParams, TimeSeries, fit_normalizer
 from loadcast.transformer import (
     TransformerConfig,
     TransformerForecaster,
+    _CachedLayer,
     _causal_mask,
     attention_weights,
     multi_head_attention,
@@ -158,23 +159,32 @@ def test_multi_head_attention_is_permutation_equivariant():
     np.testing.assert_allclose(permuted, out[:, perm], rtol=1e-10, atol=1e-12)
 
 
-def test_multi_head_attention_cache_extends_self_attention_and_reuses_cross_keys():
+def test_cached_layer_extends_self_attention_and_reuses_cross_keys():
+    """The decoder's array step, one position at a time, against the taped
+    attention over every position; its keys and values go into buffers."""
     rng = np.random.default_rng(32)
-    store = _attention_store(rng, 8)
+    model = TransformerForecaster(TINY, init_seed=0)
+    store = model.params
+    for name in ("wq", "wk", "wv", "wo"):
+        for kind in ("self.", "cross."):
+            store.get("dec0." + kind + name).value[...] = rng.normal(scale=0.3, size=(8, 8))
     x = rng.normal(size=(3, 5, 8))
     source = rng.normal(size=(3, 7, 8))
-    full = multi_head_attention(x, store, head_count=2, causal=True).value
-    cross = multi_head_attention(x, store, head_count=2, kv=source).value
-    self_cache, cross_cache = {}, {}
+    full = multi_head_attention(x, store, head_count=2, causal=True, prefix="dec0.self.").value
+    cross = multi_head_attention(x, store, head_count=2, kv=source, prefix="dec0.cross.").value
+    layer = _CachedLayer(store, "dec0.", TINY, source, steps=5)
+    keys = layer.cross_keys
     for t in range(5):
-        row = x[:, t : t + 1]
-        step = multi_head_attention(row, store, head_count=2, causal=True, cache=self_cache).value
-        np.testing.assert_allclose(step, full[:, t : t + 1], rtol=0, atol=1e-14)
-        assert self_cache["k"].shape == (3, t + 1, 8)  # projected keys, heads not split
-        keys = cross_cache.get("k")
-        step = multi_head_attention(row, store, head_count=2, kv=source, cache=cross_cache).value
-        np.testing.assert_allclose(step, cross[:, t : t + 1], rtol=0, atol=1e-14)
-        assert keys is None or cross_cache["k"] is keys
+        step = layer.self_attention(x[:, t], t)
+        np.testing.assert_allclose(step, full[:, t], rtol=0, atol=1e-14)
+        assert layer.keys.shape == (3, 5, 8)  # projected keys, heads not split
+        np.testing.assert_allclose(layer.keys[:, : t + 1], x[:, : t + 1] @ store.get("dec0.self.wk").value,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(layer.values[:, : t + 1], x[:, : t + 1] @ store.get("dec0.self.wv").value,
+                                   rtol=0, atol=1e-14)
+        step = layer.cross_attention(x[:, t], t)
+        np.testing.assert_allclose(step, cross[:, t], rtol=0, atol=1e-14)
+        assert layer.cross_keys is keys
 
 
 def test_multi_head_attention_head_count_guard():
@@ -256,6 +266,44 @@ def test_forecast_guards():
     for rows in (history, history[None, None, :]):  # forecast_batch takes (B, T) only
         with pytest.raises(ShapeError):
             model.forecast_batch(rows, 3)
+
+
+@pytest.mark.parametrize("horizon", [2.5, True, "3", 3.0], ids=["fraction", "bool", "text", "whole_float"])
+def test_forecast_horizon_must_be_an_integer(horizon):
+    """2.5 failed inside `range` with a bare TypeError, and True forecast one hour."""
+    model = TransformerForecaster(TINY, init_seed=7)
+    model.set_normalizer(NormalizationParams(0.0, 1.0))
+    with pytest.raises(ConfigError, match=f"horizon_hours must be an integer, got {horizon!r}"):
+        model.forecast(np.linspace(0.0, 1.0, 20), horizon)
+    assert model.forecast_batch(np.zeros((2, 12)), np.int64(2)).shape == (2, 2)  # numpy integers pass
+
+
+def test_forecast_batch_of_no_rows_is_empty():
+    """The encoder passes once concatenated an empty list and raised numpy's ValueError."""
+    model = TransformerForecaster(TINY, init_seed=7)
+    model.set_normalizer(NormalizationParams(0.0, 1.0))
+    for horizon in (1, 5):
+        forecast = model.forecast_batch(np.zeros((0, 15)), horizon)
+        assert forecast.shape == (0, horizon) and forecast.dtype == np.float64
+    with pytest.raises(InsufficientDataError):
+        model.forecast_batch(np.zeros((0, 5)), 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg_inf"])
+def test_forecast_batch_rejects_non_finite_contexts(bad):
+    """A NaN in the context once came back as an all-NaN forecast with no warning."""
+    model = TransformerForecaster(TINY, init_seed=7)
+    model.set_normalizer(NormalizationParams(0.0, 1.0))
+    histories = np.random.default_rng(0).uniform(size=(4, 20))
+    histories[2, -3] = bad
+    histories[3, -1] = bad
+    with pytest.raises(DataError, match="history row 2 holds a non-finite value in its last 12 points"):
+        model.forecast_batch(histories, 3)
+    with pytest.raises(DataError, match="history row 0 "):
+        model.forecast(histories[3], 3)
+    histories[2:, -12:] = 0.5  # the columns before the context are not read
+    histories[:, 0] = bad
+    assert np.isfinite(model.forecast_batch(histories, 3)).all()
 
 
 def test_forecast_recursion_consistent_across_chunking():
