@@ -28,8 +28,8 @@ def adam_update(params: ParamStore, learning_rate: float, step: int) -> None:
     """
     if step < 1:
         raise ConfigError(f"Adam step must be >= 1, got {step}")
-    if learning_rate <= 0:
-        raise ConfigError(f"learning rate must be positive, got {learning_rate}")
+    if not 0 < learning_rate < np.inf:  # NaN fails both comparisons
+        raise ConfigError(f"learning rate must be positive and finite, got {learning_rate}")
     grad, m, v = params.grad, params.m, params.v
     if not np.isfinite(grad).all():
         bad = next(p.name for p in params if not np.isfinite(p.grad).all())

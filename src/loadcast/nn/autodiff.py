@@ -3,8 +3,9 @@
 A Tensor wraps a float64 ndarray plus an optional node in the backward tape.
 Ops build the tape only while gradients are enabled; inference runs the same
 code under `no_grad()` with zero tape overhead. All math is 64-bit.
-Single-parent ops (scale, relu, sigmoid, tanh, exp, log, reshape,
-transpose, softmax, maxpool1d_same) build their node with `_unary`.
+Single-parent ops (scale, relu, sigmoid, tanh, exp, log, tsum, reshape,
+transpose, index, softmax, maxpool1d_same, mse) build their node with
+`_unary`.
 
 Fused ops are one node for what would otherwise be a chain of small ones,
 with the chain's arithmetic in its order, so values and gradients are
@@ -13,14 +14,17 @@ bitwise the chain's: `attention` (split heads, QK^T, scale, mask, softmax,
 (conv1d_same, relu, maxpool1d_same), and for the baselines `dense_stack`
 and `mse`.
 
-Gradient ownership: a tensor adopts the first gradient array it is handed
-and adds later ones into it in place, so a handed-over array must not be
-written again. An op gives its incoming gradient, or a view of it, to one
-parent only; when the first parent of `add`, or the x of `add_layer_norm`,
-adopts the sum's gradient, the second parent (y) adopts a copy.
-ParamStore leaves keep their external `grad_buffer` and always add into it:
-that buffer is a view into the store's flat gradient array, which
-`adam_update` reads and zeroes as a whole.
+Gradient ownership: an op's backward function returns one gradient, or
+None, per parent, in the parents' order, and `_make` hands them over. A
+tensor adopts the first gradient array it is handed and adds later ones
+into it in place, so a handed-over array is not written again. When an
+earlier parent of the same node adopted the very array a later parent is
+handed (`add` returns its gradient twice, `add_layer_norm` its sum's), the
+later parent adopts a copy. Only that array itself is copied, so no two
+parents are handed overlapping views of one array (concat's slices are
+disjoint). ParamStore leaves keep their external `grad_buffer` and always
+add into it: that buffer is a view into the store's flat gradient array,
+which `adam_update` reads and zeroes as a whole.
 
 Memory: every op allocates as numpy does. `Tensor.backward` spends the
 tape as it goes, so Python frees each node's arrays once nothing reads
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import itertools
 import math
 from typing import Callable
 
@@ -164,20 +169,37 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _taped(parents) -> bool:
+    """Whether an op on `parents` records a node: gradients are on and a parent needs one."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(value: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """The op's output, and on the tape its node. `backward(g)` returns one
+    gradient, or None, per parent, in the parents' order (a miscount raises
+    ValueError); the node hands each
+    to a parent that needs it, a copy where an earlier parent adopted that
+    very array (see the module docstring)."""
     out = Tensor(value)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _taped(parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
-        out._backward = backward
+
+        def hand_over(g):
+            adopted = []  # ids of the arrays earlier parents adopted
+            for parent, grad in zip(parents, backward(g), strict=True):
+                if grad is not None and parent.requires_grad:
+                    _accumulate(parent, grad, id(grad) in adopted)
+                    if parent.grad is grad:
+                        adopted.append(id(grad))
+
+        out._backward = hand_over
     return out
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray, shared: bool = False) -> None:
     """Add `grad` into tensor.grad, adopting it on the first write unless it is
     `shared` with another tensor, which gets a copy (see the module docstring)."""
-    if not tensor.requires_grad:
-        return
     reduced = _unbroadcast(grad, tensor.value.shape)
     if tensor.grad is not None:
         tensor.grad += reduced
@@ -189,40 +211,22 @@ def _accumulate(tensor: Tensor, grad: np.ndarray, shared: bool = False) -> None:
 
 def _unary(a: Tensor, value: np.ndarray, grad) -> Tensor:
     """A node with the one parent `a`, whose gradient is `grad(g)`."""
-    return _make(value, (a,), lambda g: _accumulate(a, grad(g)))
+    return _make(value, (a,), lambda g: (grad(g),))
 
 
 def add(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
-    value = a.value + b.value
-
-    def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, g, shared=a.grad is g)
-
-    return _make(value, (a, b), backward)
+    return _make(a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
-    value = a.value - b.value
-
-    def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
-
-    return _make(value, (a, b), backward)
+    return _make(a.value - b.value, (a, b), lambda g: (g, -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
-    value = a.value * b.value
-
-    def backward(g):
-        _accumulate(a, g * b.value)
-        _accumulate(b, g * a.value)
-
-    return _make(value, (a, b), backward)
+    return _make(a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
 
 
 def scale(a, factor: float) -> Tensor:
@@ -245,14 +249,12 @@ def matmul(a, b) -> Tensor:
     def backward(g):
         if fold:
             g = g.reshape(-1, g.shape[-1])
+        da = db = None
         if a.requires_grad:
-            if fold:
-                da = (g @ b.value.T).reshape(a.value.shape)
-            else:
-                da = g @ np.swapaxes(b.value, -1, -2)
-            _accumulate(a, da)
+            da = (g @ b.value.T).reshape(a.value.shape) if fold else g @ np.swapaxes(b.value, -1, -2)
         if b.requires_grad:
-            _accumulate(b, np.swapaxes(left, -1, -2) @ g)
+            db = np.swapaxes(left, -1, -2) @ g
+        return da, db
 
     return _make(value, (a, b), backward)
 
@@ -305,14 +307,12 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = astensor(a)
     value = a.value.sum(axis=axis, keepdims=keepdims)
 
-    def backward(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.value.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(gg, a.value.shape).copy())
+    def grad(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, a.value.shape).copy()
 
-    return _make(value, (a,), backward)
+    return _unary(a, value, grad)
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -335,17 +335,12 @@ def transpose(a, axes) -> Tensor:
 
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = [astensor(t) for t in tensors]
-    sizes = [t.value.shape[axis] for t in tensors]
-    shape = list(tensors[0].value.shape)
-    shape[axis] = sum(sizes)
     value = np.concatenate([t.value for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + sizes)
+    lead = (slice(None),) * (axis % value.ndim)  # the axes before `axis`
+    bounds = list(itertools.accumulate([t.value.shape[axis] for t in tensors], initial=0))
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(index)])
+        return [g[lead + (slice(lo, hi),)] for lo, hi in zip(bounds, bounds[1:])]
 
     return _make(value, tuple(tensors), backward)
 
@@ -353,14 +348,13 @@ def concat(tensors, axis: int = -1) -> Tensor:
 def index(a, key) -> Tensor:
     """a[key] for any numpy index; the gradient is scattered back (repeats add)."""
     a = astensor(a)
-    value = a.value[key]
 
-    def backward(g):
+    def grad(g):
         full = np.zeros(a.value.shape)
         np.add.at(full, key, g)
-        _accumulate(a, full)
+        return full
 
-    return _make(value, (a,), backward)
+    return _unary(a, a.value[key], grad)
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
@@ -460,20 +454,21 @@ def attention(q, k, v, head_count: int = 1, mask: np.ndarray | None = None) -> T
     qh, kh, vh = (_heads(t.value, head_count) for t in (q, k, v))
     factor = 1.0 / np.sqrt(qh.shape[-1])
 
-    def product_into(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
-        if t.requires_grad:
-            grad = np.empty(t.value.shape)
-            np.matmul(a, b, out=_heads(grad, head_count))
-            _accumulate(t, grad)
+    def merged(t: Tensor, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+        """a @ b per head into a contiguous array of t's shape, if t needs a gradient."""
+        if not t.requires_grad:
+            return None
+        grad = np.empty(t.value.shape)
+        np.matmul(a, b, out=_heads(grad, head_count))
+        return grad
 
     def backward(g):
         gh = _heads(g, head_count)
         dscores = gh @ np.swapaxes(vh, -1, -2)
-        product_into(v, np.swapaxes(probs, -1, -2), gh)
+        dv = merged(v, np.swapaxes(probs, -1, -2), gh)
         _softmax_grad(probs, dscores, out=dscores)
         dscores *= factor
-        product_into(q, dscores, kh)
-        product_into(k, np.swapaxes(dscores, -1, -2), qh)
+        return merged(q, dscores, kh), merged(k, np.swapaxes(dscores, -1, -2), qh), dv
 
     return _make(value, (q, k, v), backward)
 
@@ -497,9 +492,10 @@ def layer_norm_forward(s, gamma, beta, out: np.ndarray | None = None) -> tuple[n
     return value, xhat, inv
 
 
-def _layer_norm(s: np.ndarray, out: np.ndarray | None, inputs: tuple[Tensor, ...], gamma, beta, route) -> Tensor:
-    """The node both layer norms build; `route` takes the gradient with
-    respect to s to `inputs`. Full-size temporaries are reused in place."""
+def _layer_norm(s: np.ndarray, out: np.ndarray | None, inputs: tuple[Tensor, ...], gamma, beta) -> Tensor:
+    """The node both layer norms build over s, the sum of `inputs`, each of
+    which gets the gradient with respect to s. Full-size temporaries are
+    reused in place."""
     gamma, beta = astensor(gamma), astensor(beta)
     if gamma.value.shape[-1] != s.shape[-1] or beta.value.shape[-1] != s.shape[-1]:
         raise ShapeError("gamma/beta must match the normalized axis length")
@@ -507,7 +503,6 @@ def _layer_norm(s: np.ndarray, out: np.ndarray | None, inputs: tuple[Tensor, ...
     value, xhat, inv = layer_norm_forward(s, gamma.value, beta.value, out)
 
     def backward(g):
-        _accumulate(gamma, g * xhat)
         dxhat = g * gamma.value
         s1 = dxhat.sum(axis=-1, keepdims=True)
         work = dxhat * xhat
@@ -517,8 +512,7 @@ def _layer_norm(s: np.ndarray, out: np.ndarray | None, inputs: tuple[Tensor, ...
         dx -= s1
         dx -= np.multiply(xhat, s2, out=work)
         dx *= np.divide(inv, n, out=s1)
-        route(dx)
-        _accumulate(beta, g)
+        return (dx,) * len(inputs) + (np.multiply(g, xhat, out=work), g)
 
     return _make(value, inputs + (gamma, beta), backward)
 
@@ -527,21 +521,15 @@ def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize x over its last axis (population variance), then scale by
     gamma and shift by beta."""
     x = astensor(x)
-    return _layer_norm(x.value, None, (x,), gamma, beta, lambda dx: _accumulate(x, dx))
+    return _layer_norm(x.value, None, (x,), gamma, beta)
 
 
 def add_layer_norm(x, y, gamma, beta) -> Tensor:
     """layer_norm(x + y, gamma, beta) as one node: a residual sublayer's
-    output. The sum's gradient goes to x and y as `add` hands it over: when
-    x adopts it, y adopts a copy."""
+    output. x and y are both handed the sum's gradient, as `add` hands it."""
     x, y = astensor(x), astensor(y)
     s = x.value + y.value
-
-    def route(ds):
-        _accumulate(x, ds)
-        _accumulate(y, ds, shared=x.grad is ds)
-
-    return _layer_norm(s, s, (x, y), gamma, beta, route)
+    return _layer_norm(s, s, (x, y), gamma, beta)
 
 
 def _pad_time(x: np.ndarray, width: int, causal: bool, fill: float) -> tuple[np.ndarray, int]:
@@ -559,7 +547,7 @@ def _pad_time(x: np.ndarray, width: int, causal: bool, fill: float) -> tuple[np.
 
 def _conv(x: Tensor, weights: Tensor, bias: Tensor, causal: bool):
     """conv1d_same's value and the backward function that takes its output
-    gradient to x, weights and bias."""
+    gradient to those of x, weights and bias."""
     k, cin, cout = weights.value.shape
     if k % 2 == 0:
         raise ConfigError(f"convolution kernel width must be odd, got {k}")
@@ -577,13 +565,12 @@ def _conv(x: Tensor, weights: Tensor, bias: Tensor, causal: bool):
 
     def backward(g):
         g2 = g.reshape(-1, cout)
-        _accumulate(weights, (cols.T @ g2).reshape(k, cin, cout))
+        dweights = (cols.T @ g2).reshape(k, cin, cout)
         dcols = (g2 @ kernel.T).reshape(x.value.shape[:-1] + (k, cin))
         dxpad = np.zeros(padded)
         for j in range(k):
             dxpad[..., j : j + t, :] += dcols[..., j, :]
-        _accumulate(x, dxpad[..., left : left + t, :])
-        _accumulate(bias, g)
+        return dxpad[..., left : left + t, :], dweights, g
 
     return value, backward
 
@@ -656,7 +643,7 @@ def conv_relu_pool(x, weights, bias, pool_range: int, causal: bool = False) -> T
     def backward(g):
         if pool_backward is not None:
             g = pool_backward(g)
-        conv_backward(g * (activated > 0.0))
+        return conv_backward(g * (activated > 0.0))
 
     return _make(value, (x, weights, bias), backward)
 
@@ -736,7 +723,7 @@ def lstm_layer(x, w, u, b) -> Tensor:
             f"lstm_layer shapes x {x.value.shape}, w {w.value.shape}, u {u.value.shape}, "
             f"b {b.value.shape} do not fit (B, T, in), (in, 4n), (n, 4n), (1, 4n)"
         )
-    tracked = _GRAD_ENABLED and any(t.requires_grad for t in (x, w, u, b))
+    tracked = _taped((x, w, u, b))
     inputs = x.value.transpose(1, 0, 2).reshape(-1, width)
     projected = (inputs @ w.value).reshape(steps, batch, 4 * n)
     zero = np.zeros((n, batch))
@@ -776,11 +763,9 @@ def lstm_layer(x, w, u, b) -> Tensor:
             d_z[t] = dz.T
             np.matmul(d_z[t], u_t, out=dh_next)
         flat = d_z.reshape(-1, 4 * n)
-        _accumulate(w, inputs.T @ flat)
-        _accumulate(u, hidden[:-1].transpose(0, 2, 1).reshape(-1, n).T @ flat)
-        _accumulate(b, flat.sum(axis=0, keepdims=True))
-        if x.requires_grad:
-            _accumulate(x, (flat @ w.value.T).reshape(steps, batch, width).transpose(1, 0, 2))
+        dx = (flat @ w.value.T).reshape(steps, batch, width).transpose(1, 0, 2) if x.requires_grad else None
+        return (dx, inputs.T @ flat, hidden[:-1].transpose(0, 2, 1).reshape(-1, n).T @ flat,
+                flat.sum(axis=0, keepdims=True))
 
     return _make(hidden[1:].transpose(2, 0, 1), (x, w, u, b), backward)
 
@@ -809,17 +794,19 @@ def dense_stack(x, weights, biases) -> Tensor:
         s = outputs[-1]
         g = g * s
         g *= 1.0 - s
+        dx, dweights, dbiases = None, [None] * len(weights), [None] * len(weights)
         for k in range(len(weights) - 1, -1, -1):
             w, h = weights[k], outputs[k]
-            _accumulate(biases[k], g)
+            dbiases[k] = g
             if w.requires_grad:
-                _accumulate(w, h.T @ g)
+                dweights[k] = h.T @ g
             if k > 0 or x.requires_grad:
                 dh = g @ w.value.T
             if k > 0:  # h is a ReLU output, positive exactly where its input was
                 g = np.multiply(dh, h > 0.0, out=dh)
             elif x.requires_grad:
-                _accumulate(x, dh)
+                dx = dh
+        return dx, *dweights, *dbiases
 
     return _make(outputs[-1], (x, *weights, *biases), backward)
 
@@ -842,9 +829,9 @@ def mse(prediction, target, count: int | None = None) -> Tensor:
     factor = 1.0 / (diff.size if count is None else count)
     value = (diff * diff).sum() * factor
 
-    def backward(g):
-        grad = np.broadcast_to(g * factor, diff.shape) * diff
+    def grad(g):
+        grad = g * factor * diff
         grad += grad
-        _accumulate(prediction, grad)
+        return grad
 
-    return _make(value, (prediction,), backward)
+    return _unary(prediction, value, grad)

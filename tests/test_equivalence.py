@@ -298,11 +298,8 @@ def _batch_major_lstm_layer(x, w, u, b):
             dc *= f[t]
             np.matmul(dz, u_t, out=dh_next)
         flat = d_z.reshape(-1, 4 * n)
-        ad._accumulate(w, inputs.T @ flat)
-        ad._accumulate(u, hidden[:-1].reshape(-1, n).T @ flat)
-        ad._accumulate(b, flat.sum(axis=0, keepdims=True))
-        if x.requires_grad:
-            ad._accumulate(x, (flat @ w.value.T).reshape(steps, batch, width).transpose(1, 0, 2))
+        dx = (flat @ w.value.T).reshape(steps, batch, width).transpose(1, 0, 2) if x.requires_grad else None
+        return dx, inputs.T @ flat, hidden[:-1].reshape(-1, n).T @ flat, flat.sum(axis=0, keepdims=True)
 
     return ad._make(hidden[1:].transpose(1, 0, 2), (x, w, u, b), backward)
 
@@ -585,12 +582,11 @@ def _einsum_conv(x, weights, bias, causal=False):
     value = np.einsum("...tck,kcd->...td", xw, weights.value) + bias.value
 
     def backward(g):
-        ad._accumulate(weights, np.einsum("mck,md->kcd", xw.reshape(-1, cin, k), g.reshape(-1, cout)))
+        dweights = np.einsum("mck,md->kcd", xw.reshape(-1, cin, k), g.reshape(-1, cout))
         dxpad = np.zeros_like(xpad)
         for j in range(k):
             dxpad[..., j : j + t, :] += g @ weights.value[j].T
-        ad._accumulate(x, dxpad[..., left : left + t, :])
-        ad._accumulate(bias, g)
+        return dxpad[..., left : left + t, :], dweights, g
 
     return ad._make(value, (x, weights, bias), backward)
 
@@ -609,7 +605,7 @@ def _argmax_pool(x, pool_range, causal=False):
         dxpad = np.zeros_like(xpad)
         for j in range(pool_range):
             dxpad[..., j : j + t, :] += g * (arg == j)
-        ad._accumulate(x, dxpad[..., left : left + t, :])
+        return (dxpad[..., left : left + t, :],)
 
     return ad._make(value, (x,), backward)
 
@@ -619,8 +615,7 @@ def _batched_matmul(a, b):
     value = a.value @ b.value
 
     def backward(g):
-        ad._accumulate(a, g @ np.swapaxes(b.value, -1, -2))
-        ad._accumulate(b, np.swapaxes(a.value, -1, -2) @ g)
+        return g @ np.swapaxes(b.value, -1, -2), np.swapaxes(a.value, -1, -2) @ g
 
     return ad._make(value, (a, b), backward)
 

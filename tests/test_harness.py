@@ -791,6 +791,19 @@ def test_cli_select_reports_a_csv_that_is_not_utf8_as_one_error_line(tmp_path, c
     assert err.startswith("loadcast: error: ") and err.count("\n") == 1 and "history.csv" in err
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_cli_pretrain_rejects_a_non_finite_learning_rate_without_writing_an_artifact(tmp_path, capsys, rate):
+    out = tmp_path / "model.bin"
+    code = cli_main(["pretrain", "--series-count", "1", "--series-length", "285", "--epochs", "1",
+                     "--learning-rate", rate, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert [line for line in err if line.startswith("loadcast: error:")] == [
+        f"loadcast: error: learning rate must be positive and finite, got {rate}"]
+    assert "Traceback" not in "\n".join(err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_select_zero_shot_transformer(tmp_path, capsys, tiny_artifact):
     csv_path = tmp_path / "history.csv"
     write_csv(seasonal_series(length=100, seed=33), str(csv_path))

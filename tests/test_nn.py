@@ -384,8 +384,11 @@ def test_adam_update_is_bitwise_the_allocating_formula():
 def test_adam_guards():
     store = ParamStore()
     store.add("w", np.zeros((1, 1)))
-    with pytest.raises(ConfigError):
-        adam_update(store, learning_rate=0.0, step=1)
+    before = store.state_hash()
+    for rate in (0.0, np.nan, np.inf):  # a NaN or infinite rate would write non-finite weights
+        with pytest.raises(ConfigError, match="learning rate"):
+            adam_update(store, learning_rate=rate, step=1)
+    assert store.state_hash() == before
     with pytest.raises(ConfigError):
         adam_update(store, learning_rate=0.1, step=0)
     store.get("w").grad[...] = np.inf
@@ -828,6 +831,51 @@ def _hidden_residual(x, w):
     """h + h @ w with h = x @ w: the branches meet at h, then at the leaves."""
     h = ad.matmul(x, w)
     return _weighted_sum(ad.add(h, ad.matmul(h, w)))
+
+
+def _three_parent_node(handed):
+    """A node over three leaves whose backward function returns its one
+    gradient array for all three, recording that array in `handed`."""
+
+    def build(a, b, c):
+        def backward(g):
+            handed.append(g)
+            return g, g, g
+
+        return _weighted_sum(ad._make(a.value + b.value + c.value, (a, b, c), backward))
+
+    return build
+
+
+def test_make_hands_one_array_to_the_first_parent_and_copies_to_the_others():
+    handed = []
+    a, b, c = _leaves((3, 4), (3, 4), (3, 4))
+    _three_parent_node(handed)(a, b, c).backward()
+    assert a.grad is handed[0]
+    for x, y in ((b, a), (c, a), (c, b)):
+        assert not np.shares_memory(x.grad, y.grad)
+    for leaf in (b, c):
+        np.testing.assert_array_equal(leaf.grad, handed[0])
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_make_rejects_a_backward_without_one_gradient_per_parent(count):
+    """Too few gradients would silently leave the trailing parents without one."""
+    a, b, c = _leaves((3, 4), (3, 4), (3, 4))
+    out = _weighted_sum(ad._make(a.value + b.value + c.value, (a, b, c), lambda g: (g,) * count))
+    with pytest.raises(ValueError):
+        out.backward()
+
+
+def test_make_hand_over_gives_the_zero_then_add_gradients_over_two_passes(monkeypatch):
+    """A second pass adds into every adopted array: had two parents adopted
+    one array, each would see the other's additions too."""
+    new, old = _leaf_grads_both_rules(monkeypatch, lambda: _leaves((3, 4), (3, 4), (3, 4)), _three_parent_node([]),
+                                      passes=2)
+    upstream = np.random.default_rng(0).normal(size=(3, 4))
+    for x, y in zip(new, old):
+        np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(x, 2.0 * upstream)
 
 
 def test_first_write_gradients_for_a_tensor_added_to_itself(monkeypatch):
