@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InsufficientDataError
+from ..errors import ConfigError, InsufficientDataError, require_integer
 from ..series import SupervisedWindowSet, TimeSeries
 
 RIDGE_LAMBDA = 1e-8
@@ -12,6 +12,9 @@ RIDGE_LAMBDA = 1e-8
 
 def pm_forecast(history, horizon: int) -> np.ndarray:
     """Persistence forecast: every future hour copies the last observed value."""
+    require_integer("horizon", horizon)
+    if horizon < 0:
+        raise ConfigError(f"horizon must be >= 0, got {horizon}")
     values = history.values if isinstance(history, TimeSeries) else np.asarray(history, dtype=np.float64)
     if values.size == 0:
         raise InsufficientDataError("persistence forecast needs a non-empty history")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, NumericError
+from ..errors import ConfigError, NumericError, require_integer
 from .params import ParamStore
 
 BETA1 = 0.9
@@ -82,6 +82,8 @@ def train_minibatch(params: ParamStore, loss_fn, sample_count: int, epochs: int,
     `autodiff._keep_freed_memory`). Gradients reach the store through its
     parameter tensors.
     """
+    require_integer("batch", batch)
+    require_integer("epochs", epochs)
     if batch < 1 or epochs < 0:
         raise ConfigError(f"training needs batch >= 1 and epochs >= 0, got batch {batch}, epochs {epochs}")
     params.m.fill(0.0)

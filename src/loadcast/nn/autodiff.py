@@ -3,9 +3,15 @@
 A Tensor wraps a float64 ndarray plus an optional node in the backward tape.
 Ops build the tape only while gradients are enabled; inference runs the same
 code under `no_grad()` with zero tape overhead. All math is 64-bit.
-Single-parent ops (scale, relu, sigmoid, tanh, exp, log, tsum, reshape,
-transpose, index, softmax, maxpool1d_same, mse) build their node with
-`_unary`.
+
+The op contract: an op's forward is a function on arrays that returns its
+value and a backward function, and `backward(g)` returns one gradient per
+array argument, in order. `_op(n)` makes it the public Tensor op: the first
+n arguments are converted with `astensor`, the forward runs on their values
+with the other arguments as given, and `_make` puts the node on the tape.
+A forward computes every gradient and `_make` drops those no parent needs.
+The op's `__wrapped__` is its forward. `mean`, `concat` and `dense_stack`
+compose other ops or take lists, and call `_make` themselves.
 
 Fused ops are one node for what would otherwise be a chain of small ones,
 with the chain's arithmetic in its order, so values and gradients are
@@ -14,17 +20,16 @@ bitwise the chain's: `attention` (split heads, QK^T, scale, mask, softmax,
 (conv1d_same, relu, maxpool1d_same), and for the baselines `dense_stack`
 and `mse`.
 
-Gradient ownership: an op's backward function returns one gradient, or
-None, per parent, in the parents' order, and `_make` hands them over. A
-tensor adopts the first gradient array it is handed and adds later ones
-into it in place, so a handed-over array is not written again. When an
-earlier parent of the same node adopted the very array a later parent is
-handed (`add` returns its gradient twice, `add_layer_norm` its sum's), the
-later parent adopts a copy. Only that array itself is copied, so no two
-parents are handed overlapping views of one array (concat's slices are
-disjoint). ParamStore leaves keep their external `grad_buffer` and always
-add into it: that buffer is a view into the store's flat gradient array,
-which `adam_update` reads and zeroes as a whole.
+Gradient ownership: `_make` hands each gradient to its parent. A tensor
+adopts the first gradient array it is handed and adds later ones into it
+in place, so a handed-over array is not written again. When an earlier
+parent of the same node adopted the very array a later parent is handed
+(`add` returns its gradient twice, `add_layer_norm` its sum's), the later
+parent adopts a copy. Only that array itself is copied, so no two parents
+are handed overlapping views of one array (concat's slices are disjoint).
+ParamStore leaves keep their external `grad_buffer` and always add into
+it: that buffer is a view into the store's flat gradient array, which
+`adam_update` reads and zeroes as a whole.
 
 Memory: every op allocates as numpy does. `Tensor.backward` spends the
 tape as it goes, so Python frees each node's arrays once nothing reads
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import itertools
 import math
 from typing import Callable
@@ -169,19 +175,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _taped(parents) -> bool:
-    """Whether an op on `parents` records a node: gradients are on and a parent needs one."""
-    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
-
-
-def _make(value: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """The op's output, and on the tape its node. `backward(g)` returns one
-    gradient, or None, per parent, in the parents' order (a miscount raises
-    ValueError); the node hands each
-    to a parent that needs it, a copy where an earlier parent adopted that
-    very array (see the module docstring)."""
+def _make(value: np.ndarray, parents: tuple[Tensor, ...] | list[Tensor], backward) -> Tensor:
+    """The op's output, and on the tape, while gradients are on and a parent
+    needs one, its node. `backward(g)` returns one gradient, or None, per
+    parent, in the parents' order (a miscount raises ValueError); the node
+    hands each to a parent that needs it, a copy where an earlier parent
+    adopted that very array (see the module docstring)."""
     out = Tensor(value)
-    if _taped(parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
 
@@ -209,59 +210,60 @@ def _accumulate(tensor: Tensor, grad: np.ndarray, shared: bool = False) -> None:
         tensor.grad = reduced
 
 
-def _unary(a: Tensor, value: np.ndarray, grad) -> Tensor:
-    """A node with the one parent `a`, whose gradient is `grad(g)`."""
-    return _make(value, (a,), lambda g: (grad(g),))
+def _op(n: int):
+    """The public Tensor op over `forward(*arrays, *rest) -> (value, backward)`,
+    whose first n arguments it takes as Tensors (see the module docstring)."""
+
+    def wrap(forward):
+        @functools.wraps(forward)
+        def op(*args, **kwargs):
+            parents = [astensor(x) for x in args[:n]]
+            value, backward = forward(*[p.value for p in parents], *args[n:], **kwargs)
+            return _make(value, parents, backward)
+
+        return op
+
+    return wrap
 
 
-def add(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    return _make(a.value + b.value, (a, b), lambda g: (g, g))
+@_op(2)
+def add(a, b):
+    return a + b, lambda g: (g, g)
 
 
-def sub(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    return _make(a.value - b.value, (a, b), lambda g: (g, -g))
+@_op(2)
+def sub(a, b):
+    return a - b, lambda g: (g, -g)
 
 
-def mul(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    return _make(a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
+@_op(2)
+def mul(a, b):
+    return a * b, lambda g: (g * b, g * a)
 
 
-def scale(a, factor: float) -> Tensor:
-    a = astensor(a)
-    return _unary(a, a.value * factor, lambda g: g * factor)
+@_op(1)
+def scale(a, factor: float):
+    return a * factor, lambda g: (g * factor,)
 
 
-def matmul(a, b) -> Tensor:
+@_op(2)
+def matmul(a, b):
     """a @ b. With a 2-D b, a's leading axes fold into rows, so the product
     and both gradients are single GEMMs instead of a loop over the batch."""
-    a, b = astensor(a), astensor(b)
-    fold = b.value.ndim == 2
-    if fold:
-        left = a.value.reshape(-1, a.value.shape[-1])
-        value = (left @ b.value).reshape(a.value.shape[:-1] + b.value.shape[1:])
-    else:
-        left = a.value
-        value = left @ b.value
+    if b.ndim != 2:
+        return a @ b, lambda g: (g @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ g)
+    left = a.reshape(-1, a.shape[-1])
 
     def backward(g):
-        if fold:
-            g = g.reshape(-1, g.shape[-1])
-        da = db = None
-        if a.requires_grad:
-            da = (g @ b.value.T).reshape(a.value.shape) if fold else g @ np.swapaxes(b.value, -1, -2)
-        if b.requires_grad:
-            db = np.swapaxes(left, -1, -2) @ g
-        return da, db
+        g = g.reshape(-1, g.shape[-1])
+        return (g @ b.T).reshape(a.shape), left.T @ g
 
-    return _make(value, (a, b), backward)
+    return (left @ b).reshape(a.shape[:-1] + b.shape[1:]), backward
 
 
-def relu(a) -> Tensor:
-    a = astensor(a)
-    return _unary(a, np.maximum(a.value, 0.0), lambda g: g * (a.value > 0.0))
+@_op(1)
+def relu(a):
+    return np.maximum(a, 0.0), lambda g: (g * (a > 0.0),)
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
@@ -280,39 +282,37 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | No
     return np.divide(out, e, out=out)
 
 
-def sigmoid(a) -> Tensor:
-    a = astensor(a)
-    value = _sigmoid(a.value)
-    return _unary(a, value, lambda g: g * value * (1.0 - value))
+@_op(1)
+def sigmoid(a):
+    value = _sigmoid(a)
+    return value, lambda g: (g * value * (1.0 - value),)
 
 
-def tanh(a) -> Tensor:
-    a = astensor(a)
-    value = np.tanh(a.value)
-    return _unary(a, value, lambda g: g * (1.0 - value * value))
+@_op(1)
+def tanh(a):
+    value = np.tanh(a)
+    return value, lambda g: (g * (1.0 - value * value),)
 
 
-def exp(a) -> Tensor:
-    a = astensor(a)
-    value = np.exp(a.value)
-    return _unary(a, value, lambda g: g * value)
+@_op(1)
+def exp(a):
+    value = np.exp(a)
+    return value, lambda g: (g * value,)
 
 
-def log(a) -> Tensor:
-    a = astensor(a)
-    return _unary(a, np.log(a.value), lambda g: g / a.value)
+@_op(1)
+def log(a):
+    return np.log(a), lambda g: (g / a,)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = astensor(a)
-    value = a.value.sum(axis=axis, keepdims=keepdims)
-
-    def grad(g):
+@_op(1)
+def tsum(a, axis=None, keepdims: bool = False):
+    def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.value.shape).copy()
+        return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _unary(a, value, grad)
+    return a.sum(axis=axis, keepdims=keepdims), backward
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -321,16 +321,16 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def reshape(a, shape) -> Tensor:
-    a = astensor(a)
-    return _unary(a, a.value.reshape(shape), lambda g: g.reshape(a.value.shape))
+@_op(1)
+def reshape(a, shape):
+    return a.reshape(shape), lambda g: (g.reshape(a.shape),)
 
 
-def transpose(a, axes) -> Tensor:
-    a = astensor(a)
+@_op(1)
+def transpose(a, axes):
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    return _unary(a, a.value.transpose(axes), lambda g: g.transpose(inverse))
+    return a.transpose(axes), lambda g: (g.transpose(inverse),)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -342,19 +342,19 @@ def concat(tensors, axis: int = -1) -> Tensor:
     def backward(g):
         return [g[lead + (slice(lo, hi),)] for lo, hi in zip(bounds, bounds[1:])]
 
-    return _make(value, tuple(tensors), backward)
+    return _make(value, tensors, backward)
 
 
-def index(a, key) -> Tensor:
+@_op(1)
+def index(a, key):
     """a[key] for any numpy index; the gradient is scattered back (repeats add)."""
-    a = astensor(a)
 
-    def grad(g):
-        full = np.zeros(a.value.shape)
+    def backward(g):
+        full = np.zeros(a.shape)
         np.add.at(full, key, g)
-        return full
+        return (full,)
 
-    return _unary(a, a.value[key], grad)
+    return a[key], backward
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
@@ -391,17 +391,17 @@ def _softmax_grad(p: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -
     return out
 
 
-def softmax(a, mask: np.ndarray | None = None) -> Tensor:
+@_op(1)
+def softmax(a, mask: np.ndarray | None = None):
     """Row-wise softmax over the last axis; masked-out entries get zero weight.
 
     `mask` is a boolean array broadcastable to a.shape with True = attend.
     The shift, exp and division run in place on one full-size array: the
     masked copy of the logits, or `a - max` without a mask.
     """
-    a = astensor(a)
-    logits = a.value if mask is None else np.where(mask, a.value, -np.inf)
+    logits = a if mask is None else np.where(mask, a, -np.inf)
     value = _softmax(logits, out=None if mask is None else logits)
-    return _unary(a, value, lambda g: _softmax_grad(value, g))
+    return value, lambda g: (_softmax_grad(value, g),)
 
 
 def _heads(x: np.ndarray, head_count: int) -> np.ndarray:
@@ -414,69 +414,67 @@ def attention_probabilities(q: np.ndarray, k: np.ndarray, mask: np.ndarray | Non
     (..., Tk, d) keys, with no tape: the first half of `attention_forward`.
     `mask` (True = attend) broadcasts to (..., Tq, Tk); a query with no key
     left gets all-zero weights."""
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"Q/K feature dims differ: {q.shape[-1]} vs {k.shape[-1]}")
     probs = q @ np.swapaxes(k, -1, -2)
-    probs *= 1.0 / np.sqrt(q.shape[-1])
+    probs *= 1.0 / math.sqrt(q.shape[-1])
     if mask is not None:
         np.copyto(probs, -np.inf, where=~mask)
     return _softmax(probs, out=probs)
 
 
-def attention_forward(q, k, v, head_count: int, mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """`attention`'s forward pass on arrays: the (..., Tq, dv) output and (..., H, Tq, Tk) probabilities."""
-    probs = attention_probabilities(_heads(q, head_count), _heads(k, head_count), mask)
+def _merged(shape: tuple[int, ...], head_count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b per head, written into a contiguous array of the (..., T, d) `shape`."""
+    out = np.empty(shape)
+    np.matmul(a, b, out=_heads(out, head_count))
+    return out
+
+
+def attention_forward(q, k, v, head_count: int, mask: np.ndarray | None = None):
+    """`attention`'s forward on arrays, with no shape checks: the (..., Tq, dv)
+    output and the backward function that takes its gradient to those of q,
+    k and v, each a contiguous array of its input's shape."""
+    qh, kh, vh = _heads(q, head_count), _heads(k, head_count), _heads(v, head_count)
+    probs = attention_probabilities(qh, kh, mask)
     value = np.empty(q.shape[:-1] + v.shape[-1:])
-    np.matmul(probs, _heads(v, head_count), out=_heads(value, head_count))
-    return value, probs
-
-
-def attention(q, k, v, head_count: int = 1, mask: np.ndarray | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention as one node on `attention_forward`.
-
-    q: (..., Tq, d); k: (..., Tk, d); v: (..., Tk, dv), with the same
-    leading axes (they do not broadcast); `mask` (True = attend) broadcasts
-    to (..., head_count, Tq, Tk). The backward pass writes dQ, dK and dV
-    into contiguous arrays of their inputs' shapes, so the projections get
-    contiguous gradients. Every product and row sum repeats the matmul,
-    scale, softmax and transpose tape this node replaced, so its values and
-    gradients are bitwise that tape's.
-    """
-    q, k, v = astensor(q), astensor(k), astensor(v)
-    if (not q.value.shape[:-2] == k.value.shape[:-2] == v.value.shape[:-2]
-            or k.value.shape[-2] != v.value.shape[-2] or q.value.shape[-1] != k.value.shape[-1]):
-        raise ShapeError(f"attention shapes q {q.value.shape}, k {k.value.shape}, v {v.value.shape} "
-                         f"do not fit (..., Tq, d), (..., Tk, d), (..., Tk, dv)")
-    if q.value.shape[-1] % head_count or v.value.shape[-1] % head_count:
-        raise ConfigError(f"feature dims {q.value.shape[-1]}, {v.value.shape[-1]} "
-                          f"not divisible by head_count {head_count}")
-    value, probs = attention_forward(q.value, k.value, v.value, head_count, mask)
-    qh, kh, vh = (_heads(t.value, head_count) for t in (q, k, v))
-    factor = 1.0 / np.sqrt(qh.shape[-1])
-
-    def merged(t: Tensor, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-        """a @ b per head into a contiguous array of t's shape, if t needs a gradient."""
-        if not t.requires_grad:
-            return None
-        grad = np.empty(t.value.shape)
-        np.matmul(a, b, out=_heads(grad, head_count))
-        return grad
+    np.matmul(probs, vh, out=_heads(value, head_count))
 
     def backward(g):
         gh = _heads(g, head_count)
         dscores = gh @ np.swapaxes(vh, -1, -2)
-        dv = merged(v, np.swapaxes(probs, -1, -2), gh)
+        dv = _merged(v.shape, head_count, np.swapaxes(probs, -1, -2), gh)
         _softmax_grad(probs, dscores, out=dscores)
-        dscores *= factor
-        return merged(q, dscores, kh), merged(k, np.swapaxes(dscores, -1, -2), qh), dv
+        dscores *= 1.0 / math.sqrt(qh.shape[-1])
+        return (_merged(q.shape, head_count, dscores, kh),
+                _merged(k.shape, head_count, np.swapaxes(dscores, -1, -2), qh), dv)
 
-    return _make(value, (q, k, v), backward)
+    return value, backward
 
 
-def layer_norm_forward(s, gamma, beta, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both layer norms' forward pass on arrays: value, xhat and 1 / std of `s` over the last
-    axis (population variance, LAYER_NORM_EPSILON; a mean is a sum over n, as np.mean takes it).
-    `s - mu` is written to `out` (s itself when the caller made s) and scaled into xhat."""
+@_op(3)
+def attention(q, k, v, head_count: int = 1, mask: np.ndarray | None = None):
+    """Multi-head scaled dot-product attention as one node, on `attention_forward`.
+
+    q: (..., Tq, d); k: (..., Tk, d); v: (..., Tk, dv), with the same
+    leading axes (they do not broadcast); `mask` (True = attend) broadcasts
+    to (..., head_count, Tq, Tk). Every product and row sum repeats the
+    matmul, scale, softmax and transpose tape this node replaced, so its
+    values and gradients are bitwise that tape's.
+    """
+    if not q.shape[:-2] == k.shape[:-2] == v.shape[:-2] or k.shape[-2] != v.shape[-2] or q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"attention shapes q {q.shape}, k {k.shape}, v {v.shape} "
+                         f"do not fit (..., Tq, d), (..., Tk, d), (..., Tk, dv)")
+    if q.shape[-1] % head_count or v.shape[-1] % head_count:
+        raise ConfigError(f"feature dims {q.shape[-1]}, {v.shape[-1]} not divisible by head_count {head_count}")
+    return attention_forward(q, k, v, head_count, mask)
+
+
+def layer_norm_forward(s, gamma, beta, out: np.ndarray | None = None):
+    """Both layer norms' forward on arrays, with no shape checks: `s`
+    normalized over its last axis (population variance, LAYER_NORM_EPSILON;
+    a mean is a sum over n, as np.mean takes it), then scaled by gamma and
+    shifted by beta, and the backward function that takes its gradient to
+    those of s, gamma and beta. `s - mu` is written to `out` (s itself when
+    the caller made s) and scaled into xhat; the backward pass reuses its
+    full-size temporaries in place."""
     n = s.shape[-1]
     mu = s.sum(axis=-1, keepdims=True)
     mu /= n
@@ -489,21 +487,9 @@ def layer_norm_forward(s, gamma, beta, out: np.ndarray | None = None) -> tuple[n
     xhat *= inv
     value = gamma * xhat
     value += beta
-    return value, xhat, inv
-
-
-def _layer_norm(s: np.ndarray, out: np.ndarray | None, inputs: tuple[Tensor, ...], gamma, beta) -> Tensor:
-    """The node both layer norms build over s, the sum of `inputs`, each of
-    which gets the gradient with respect to s. Full-size temporaries are
-    reused in place."""
-    gamma, beta = astensor(gamma), astensor(beta)
-    if gamma.value.shape[-1] != s.shape[-1] or beta.value.shape[-1] != s.shape[-1]:
-        raise ShapeError("gamma/beta must match the normalized axis length")
-    n = s.shape[-1]
-    value, xhat, inv = layer_norm_forward(s, gamma.value, beta.value, out)
 
     def backward(g):
-        dxhat = g * gamma.value
+        dxhat = g * gamma
         s1 = dxhat.sum(axis=-1, keepdims=True)
         work = dxhat * xhat
         s2 = work.sum(axis=-1, keepdims=True)
@@ -512,24 +498,34 @@ def _layer_norm(s: np.ndarray, out: np.ndarray | None, inputs: tuple[Tensor, ...
         dx -= s1
         dx -= np.multiply(xhat, s2, out=work)
         dx *= np.divide(inv, n, out=s1)
-        return (dx,) * len(inputs) + (np.multiply(g, xhat, out=work), g)
+        return dx, np.multiply(g, xhat, out=work), g
 
-    return _make(value, inputs + (gamma, beta), backward)
+    return value, backward
 
 
-def layer_norm(x, gamma, beta) -> Tensor:
+@_op(3)
+def layer_norm(x, gamma, beta):
     """Normalize x over its last axis (population variance), then scale by
     gamma and shift by beta."""
-    x = astensor(x)
-    return _layer_norm(x.value, None, (x,), gamma, beta)
+    if gamma.shape[-1] != x.shape[-1] or beta.shape[-1] != x.shape[-1]:
+        raise ShapeError("gamma/beta must match the normalized axis length")
+    return layer_norm_forward(x, gamma, beta)
 
 
-def add_layer_norm(x, y, gamma, beta) -> Tensor:
+@_op(4)
+def add_layer_norm(x, y, gamma, beta):
     """layer_norm(x + y, gamma, beta) as one node: a residual sublayer's
     output. x and y are both handed the sum's gradient, as `add` hands it."""
-    x, y = astensor(x), astensor(y)
-    s = x.value + y.value
-    return _layer_norm(s, s, (x, y), gamma, beta)
+    s = x + y
+    if gamma.shape[-1] != s.shape[-1] or beta.shape[-1] != s.shape[-1]:
+        raise ShapeError("gamma/beta must match the normalized axis length")
+    value, backward = layer_norm_forward(s, gamma, beta, out=s)
+
+    def both(g):
+        ds, dgamma, dbeta = backward(g)
+        return ds, ds, dgamma, dbeta
+
+    return value, both
 
 
 def _pad_time(x: np.ndarray, width: int, causal: bool, fill: float) -> tuple[np.ndarray, int]:
@@ -545,37 +541,7 @@ def _pad_time(x: np.ndarray, width: int, causal: bool, fill: float) -> tuple[np.
     return xpad, left
 
 
-def _conv(x: Tensor, weights: Tensor, bias: Tensor, causal: bool):
-    """conv1d_same's value and the backward function that takes its output
-    gradient to those of x, weights and bias."""
-    k, cin, cout = weights.value.shape
-    if k % 2 == 0:
-        raise ConfigError(f"convolution kernel width must be odd, got {k}")
-    if x.value.shape[-1] != cin:
-        raise ShapeError(f"input channels {x.value.shape[-1]} != kernel channels {cin}")
-    t = x.value.shape[-2]
-    xpad, left = _pad_time(x.value, k, causal, 0.0)
-    # (..., T, Cin, K) windows -> rows of [x[t], x[t + 1], ..., x[t + K - 1]]
-    windows = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=-2)
-    cols = np.swapaxes(windows, -1, -2).copy().reshape(-1, k * cin)
-    padded = xpad.shape  # the backward pass reads cols, not xpad
-    kernel = weights.value.reshape(k * cin, cout)
-    value = (cols @ kernel).reshape(x.value.shape[:-1] + (cout,))
-    value += bias.value
-
-    def backward(g):
-        g2 = g.reshape(-1, cout)
-        dweights = (cols.T @ g2).reshape(k, cin, cout)
-        dcols = (g2 @ kernel.T).reshape(x.value.shape[:-1] + (k, cin))
-        dxpad = np.zeros(padded)
-        for j in range(k):
-            dxpad[..., j : j + t, :] += dcols[..., j, :]
-        return dxpad[..., left : left + t, :], dweights, g
-
-    return value, backward
-
-
-def conv1d_same(x, weights, bias, causal: bool = False) -> Tensor:
+def _conv(x, weights, bias, causal: bool = False):
     """1-D convolution along the time axis, zero-padded to preserve length.
 
     x: (..., T, Cin); weights: (K, Cin, Cout) with odd K; bias: broadcastable
@@ -584,16 +550,49 @@ def conv1d_same(x, weights, bias, causal: bool = False) -> Tensor:
     Computed as im2col (Chellapilla et al., 2006): the (N*T, K*Cin) matrix of
     windows times the kernel as a (K*Cin, Cout) matrix, one GEMM each way.
     """
-    x, weights, bias = astensor(x), astensor(weights), astensor(bias)
-    value, backward = _conv(x, weights, bias, causal)
-    return _make(value, (x, weights, bias), backward)
+    k, cin, cout = weights.shape
+    if k % 2 == 0:
+        raise ConfigError(f"convolution kernel width must be odd, got {k}")
+    if x.shape[-1] != cin:
+        raise ShapeError(f"input channels {x.shape[-1]} != kernel channels {cin}")
+    t = x.shape[-2]
+    xpad, left = _pad_time(x, k, causal, 0.0)
+    # (..., T, Cin, K) windows -> rows of [x[t], x[t + 1], ..., x[t + K - 1]]
+    windows = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=-2)
+    cols = np.swapaxes(windows, -1, -2).copy().reshape(-1, k * cin)
+    padded = xpad.shape  # the backward pass reads cols, not xpad
+    kernel = weights.reshape(k * cin, cout)
+    value = (cols @ kernel).reshape(x.shape[:-1] + (cout,))
+    value += bias
+
+    def backward(g):
+        g2 = g.reshape(-1, cout)
+        dweights = (cols.T @ g2).reshape(k, cin, cout)
+        dcols = (g2 @ kernel.T).reshape(x.shape[:-1] + (k, cin))
+        dxpad = np.zeros(padded)
+        for j in range(k):
+            dxpad[..., j : j + t, :] += dcols[..., j, :]
+        return dxpad[..., left : left + t, :], dweights, g
+
+    return value, backward
 
 
-def _pool(x: np.ndarray, pool_range: int, causal: bool):
-    """maxpool1d_same's value over x and the function that takes its output
-    gradient to x's."""
+conv1d_same = _op(3)(_conv)
+
+
+def _pool(x, pool_range: int, causal: bool = False):
+    """Sliding max over the time axis, stride 1, length-preserving.
+
+    Edge windows shrink to whatever lies inside the sequence. With
+    causal=True the window at position t covers [t - pool_range + 1, t].
+    The max is pool_range - 1 shifted np.maximum passes; the gradient goes
+    to the first window position holding the max, argmax's tie rule. A
+    pool_range of 1 passes x and its gradient through.
+    """
     if pool_range % 2 == 0 or pool_range < 1:
         raise ConfigError(f"pool range must be odd and positive, got {pool_range}")
+    if pool_range == 1:
+        return x, lambda g: (g,)
     t = x.shape[-2]
     xpad, left = _pad_time(x, pool_range, causal, -np.inf)
     value = xpad[..., :t, :].copy()
@@ -610,42 +609,29 @@ def _pool(x: np.ndarray, pool_range: int, causal: bool):
             first &= unclaimed
             unclaimed ^= first
             dxpad[..., j : j + t, :] += np.multiply(g, first, out=routed)
-        return dxpad[..., left : left + t, :]
+        return (dxpad[..., left : left + t, :],)
 
     return value, backward
 
 
-def maxpool1d_same(x, pool_range: int, causal: bool = False) -> Tensor:
-    """Sliding max over the time axis, stride 1, length-preserving.
-
-    Edge windows shrink to whatever lies inside the sequence. With
-    causal=True the window at position t covers [t - pool_range + 1, t].
-    The max is pool_range - 1 shifted np.maximum passes; the gradient goes
-    to the first window position holding the max, argmax's tie rule.
-    """
-    x = astensor(x)
-    if pool_range == 1:
-        return x
-    value, backward = _pool(x.value, pool_range, causal)
-    return _unary(x, value, backward)
+maxpool1d_same = _op(1)(_pool)
 
 
-def conv_relu_pool(x, weights, bias, pool_range: int, causal: bool = False) -> Tensor:
+@_op(3)
+def conv_relu_pool(x, weights, bias, pool_range: int, causal: bool = False):
     """maxpool1d_same(relu(conv1d_same(x, weights, bias))) as one node, on
-    the same kernels: the backward pass routes the pool gradient, masks it
+    the same forwards: the backward pass routes the pool gradient, masks it
     where the ReLU was off and runs the im2col backward, so values and
     gradients are bitwise those of the three ops."""
-    x, weights, bias = astensor(x), astensor(weights), astensor(bias)
     conv, conv_backward = _conv(x, weights, bias, causal)
     activated = np.maximum(conv, 0.0, out=conv)
-    value, pool_backward = (activated, None) if pool_range == 1 else _pool(activated, pool_range, causal)
+    value, pool_backward = _pool(activated, pool_range, causal)
 
     def backward(g):
-        if pool_backward is not None:
-            g = pool_backward(g)
+        (g,) = pool_backward(g)
         return conv_backward(g * (activated > 0.0))
 
-    return _make(value, (x, weights, bias), backward)
+    return value, backward
 
 
 def lstm_recurrence(projected: np.ndarray, u: np.ndarray, b: np.ndarray, h0: np.ndarray,
@@ -694,7 +680,8 @@ def lstm_recurrence(projected: np.ndarray, u: np.ndarray, b: np.ndarray, h0: np.
     return hidden, cells, gates, squashed
 
 
-def lstm_layer(x, w, u, b) -> Tensor:
+@_op(4)
+def lstm_layer(x, w, u, b):
     """One LSTM layer over a whole sequence as a single tape node.
 
     x: (B, T, in); w: (in, 4n); u: (n, 4n); b: (1, 4n). Gate columns run
@@ -709,25 +696,23 @@ def lstm_layer(x, w, u, b) -> Tensor:
     contiguous blocks; every product keeps the batch-major orientation of
     the (B, 4n) rows, whose bits would otherwise depend on the BLAS kernel:
     each step writes its gate gradients transposed into a (T, B, 4n) slab
-    and takes dh from dz @ u^T. Without a tape, gates are kept for one step
+    and takes dh from dz @ u^T. Under `no_grad`, gates are kept for one step
     only. `LSTMModel.roll` runs the same recurrence from saved states: a
     rolling sweep computes each layer's (h, c) over the actual lags once per
     window start and resumes every origin from there over its own
     predictions.
     """
-    x, w, u, b = astensor(x), astensor(w), astensor(u), astensor(b)
-    batch, steps, width = x.value.shape
-    n = u.value.shape[0]
-    if w.value.shape != (width, 4 * n) or u.value.shape != (n, 4 * n) or b.value.shape != (1, 4 * n):
+    batch, steps, width = x.shape
+    n = u.shape[0]
+    if w.shape != (width, 4 * n) or u.shape != (n, 4 * n) or b.shape != (1, 4 * n):
         raise ShapeError(
-            f"lstm_layer shapes x {x.value.shape}, w {w.value.shape}, u {u.value.shape}, "
-            f"b {b.value.shape} do not fit (B, T, in), (in, 4n), (n, 4n), (1, 4n)"
+            f"lstm_layer shapes x {x.shape}, w {w.shape}, u {u.shape}, "
+            f"b {b.shape} do not fit (B, T, in), (in, 4n), (n, 4n), (1, 4n)"
         )
-    tracked = _taped((x, w, u, b))
-    inputs = x.value.transpose(1, 0, 2).reshape(-1, width)
-    projected = (inputs @ w.value).reshape(steps, batch, 4 * n)
+    inputs = x.transpose(1, 0, 2).reshape(-1, width)
+    projected = (inputs @ w).reshape(steps, batch, 4 * n)
     zero = np.zeros((n, batch))
-    hidden, cells, gates, squashed = lstm_recurrence(projected, u.value, b.value, zero, zero, record=tracked)
+    hidden, cells, gates, squashed = lstm_recurrence(projected, u, b, zero, zero, record=_GRAD_ENABLED)
 
     def backward(grad):
         grad = np.ascontiguousarray(grad.transpose(1, 2, 0))
@@ -746,7 +731,7 @@ def lstm_layer(x, w, u, b) -> Tensor:
         through = squashed * squashed
         np.subtract(1.0, through, out=through)
         np.multiply(o, through, out=through)
-        u_t = u.value.T
+        u_t = u.T
         d_z = np.empty((steps, batch, 4 * n))
         dz = np.empty((4 * n, batch))
         dh_next = np.zeros((batch, n))
@@ -763,11 +748,10 @@ def lstm_layer(x, w, u, b) -> Tensor:
             d_z[t] = dz.T
             np.matmul(d_z[t], u_t, out=dh_next)
         flat = d_z.reshape(-1, 4 * n)
-        dx = (flat @ w.value.T).reshape(steps, batch, width).transpose(1, 0, 2) if x.requires_grad else None
-        return (dx, inputs.T @ flat, hidden[:-1].transpose(0, 2, 1).reshape(-1, n).T @ flat,
-                flat.sum(axis=0, keepdims=True))
+        return ((flat @ w.T).reshape(steps, batch, width).transpose(1, 0, 2), inputs.T @ flat,
+                hidden[:-1].transpose(0, 2, 1).reshape(-1, n).T @ flat, flat.sum(axis=0, keepdims=True))
 
-    return _make(hidden[1:].transpose(2, 0, 1), (x, w, u, b), backward)
+    return hidden[1:].transpose(2, 0, 1), backward
 
 
 def dense_stack(x, weights, biases) -> Tensor:
@@ -811,7 +795,8 @@ def dense_stack(x, weights, biases) -> Tensor:
     return _make(outputs[-1], (x, *weights, *biases), backward)
 
 
-def mse(prediction, target, count: int | None = None) -> Tensor:
+@_op(1)
+def mse(prediction, target, count: int | None = None):
     """Mean squared error against a constant target, as a single tape node.
 
     Value and gradient repeat the sub/mul/tsum/scale tape's arithmetic: the
@@ -821,17 +806,15 @@ def mse(prediction, target, count: int | None = None) -> Tensor:
     target is a slice of, so the slices' losses sum to the batch mean and
     each element's gradient is bitwise the whole batch's.
     """
-    prediction = astensor(prediction)
     target = np.asarray(target, dtype=np.float64)
-    if prediction.value.shape != target.shape:
-        raise ShapeError(f"prediction {prediction.value.shape} vs target {target.shape}")
-    diff = prediction.value - target
+    if prediction.shape != target.shape:
+        raise ShapeError(f"prediction {prediction.shape} vs target {target.shape}")
+    diff = prediction - target
     factor = 1.0 / (diff.size if count is None else count)
-    value = (diff * diff).sum() * factor
 
-    def grad(g):
+    def backward(g):
         grad = g * factor * diff
         grad += grad
-        return grad
+        return (grad,)
 
-    return _unary(prediction, value, grad)
+    return (diff * diff).sum() * factor, backward

@@ -22,7 +22,7 @@ def _materialize(out: Tensor, *inputs) -> Tensor | np.ndarray:
 
 def layer_norm(x, gamma, beta):
     """Normalize x over its last axis (population variance), then scale and shift."""
-    out = autodiff.layer_norm(astensor(x), astensor(gamma), astensor(beta))
+    out = autodiff.layer_norm(x, gamma, beta)
     return _materialize(out, x, gamma, beta)
 
 
@@ -45,5 +45,5 @@ def conv_pool_forward(x, weights, bias, pool_range: int, causal: bool = False):
     wt = astensor(weights)
     if wt.value.ndim != 3:
         raise ShapeError(f"kernel must be (K, Cin, Cout), got shape {wt.value.shape}")
-    out = autodiff.conv_relu_pool(astensor(x), wt, astensor(bias), pool_range, causal=causal)
+    out = autodiff.conv_relu_pool(x, wt, bias, pool_range, causal=causal)
     return _materialize(out, x, weights, bias)

@@ -68,6 +68,8 @@ def _causal_mask(tq: int, tk: int) -> np.ndarray:
 def attention_weights(q, k, causal: bool = False) -> np.ndarray:
     """The row-stochastic softmax(QK^T/sqrt(d)) matrix, without applying V."""
     q, k = ad.astensor(q).value, ad.astensor(k).value
+    if q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"Q/K feature dims differ: {q.shape[-1]} vs {k.shape[-1]}")
     return ad.attention_probabilities(q, k, _causal_mask(q.shape[-2], k.shape[-2]) if causal else None)
 
 
@@ -79,8 +81,9 @@ def multi_head_attention(x, params: ParamStore, head_count: int, causal: bool = 
 
     Expects square projection matrices named {prefix}wq/wk/wv/wo in `params`.
     `kv` switches the key/value source for cross-attention. Takes (B, T, d)
-    input, an array or a Tensor; returns a Tensor. The cached decode runs
-    it on arrays, a position at a time (see `_CachedLayer`).
+    input, an array or a Tensor; returns a Tensor. The cached decode does
+    not call it: `_CachedLayer` runs the projections and `attention_forward`
+    on arrays, a position at a time.
     """
     xt = ad.astensor(x)
     if xt.value.ndim != 3:
@@ -474,8 +477,8 @@ class TransformerForecaster:
             )
         if learning_rate is None:
             learning_rate = FINE_TUNE_LR_FACTOR * self.pretrain_learning_rate
-        self.normalizer = fit_normalizer(values)
-        normalized = self.normalizer.apply(values)
+        normalizer = fit_normalizer(values)  # set on the model after training, so bad arguments change nothing
+        normalized = normalizer.apply(values)
         horizon = min(cfg.horizon_length, len(values) - cfg.context_length)
         contexts, targets = sequence_windows(normalized, cfg.context_length, horizon)
         n = contexts.shape[0]
@@ -489,6 +492,7 @@ class TransformerForecaster:
             self.params, self._teacher_losses(contexts, targets)[0], len(contexts),
             epochs, FINE_TUNE_BATCH, learning_rate, np.random.default_rng(seed), validation,
         )
+        self.normalizer = normalizer
         if epochs > 0:
             self.trained = "fine_tuned"
             self.provenance.update({"fine_tune_seed": seed, "fine_tune_epochs": epochs})

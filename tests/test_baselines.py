@@ -99,6 +99,14 @@ def test_pm_forecast_copies_last_value():
     np.testing.assert_allclose(pm_forecast(series, 3), np.full(3, 0.55), rtol=0)
     with pytest.raises(InsufficientDataError):
         pm_forecast(np.array([]), 2)
+    assert pm_forecast(history, 0).shape == (0,)
+
+
+@pytest.mark.parametrize("horizon", [-1, 2.5, True])
+def test_pm_forecast_horizon_must_be_a_count(horizon):
+    """-1 raised numpy's ValueError, 2.5 a TypeError, and True forecast one hour."""
+    with pytest.raises(ConfigError, match="horizon"):
+        pm_forecast(np.array([0.3, 0.55]), horizon)
 
 
 def test_persistence_model_predicts_newest_lag():
@@ -369,6 +377,14 @@ def test_lstm_outputs_stay_in_unit_interval():
     out = model.predict(windows.inputs)
     assert np.all(out > 0.0)
     assert np.all(out < 1.0)
+
+
+@pytest.mark.parametrize("cls", [MLPModel, LSTMModel])
+@pytest.mark.parametrize("field, value", [("epochs", 2.5), ("epochs", True), ("batch", 2.5), ("batch", True)])
+def test_training_epochs_and_batch_must_be_integers(cls, field, value):
+    """2.5 failed inside `range` with a bare TypeError; True trained one epoch, or at batch 1."""
+    with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+        cls(**{field: value}).fit(window_fixture(seed=2), seed=0)
 
 
 def test_lstm_config_guards():

@@ -1,6 +1,8 @@
 """Tests for the autodiff substrate: tensors, layers, Adam, and gradient checks."""
 
+import contextlib
 import ctypes
+import inspect
 import os
 import platform
 import struct
@@ -865,6 +867,57 @@ def test_make_rejects_a_backward_without_one_gradient_per_parent(count):
     out = _weighted_sum(ad._make(a.value + b.value + c.value, (a, b, c), lambda g: (g,) * count))
     with pytest.raises(ValueError):
         out.backward()
+
+
+#: Public functions of nn.autodiff that `_op` does not build: tape plumbing,
+#: the array kernels the decode step and the LSTM sweep call, and the ops
+#: that compose others or take lists, which call `_make` themselves.
+_NOT_OPS = {"astensor", "no_grad", "grad_enabled", "mean", "concat", "dense_stack",
+            "attention_probabilities", "attention_forward", "layer_norm_forward", "lstm_recurrence"}
+_OP_CODE = ad._op(0)(lambda: (None, None)).__code__  # the body every `_op` op runs
+_PUBLIC_FUNCTIONS = sorted(name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+                           if not name.startswith("_") and fn.__module__ == ad.__name__)
+
+
+def _op_samples():
+    """Per op, small array arguments (the first n) and the arguments after them."""
+    rng = np.random.default_rng(29)
+    x, y, q, k, v = (rng.normal(size=(2, 5, 4)) for _ in range(5))
+    gamma, beta = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
+    return {
+        "add": ((x, y), ()), "sub": ((x, y), ()), "mul": ((x, y), ()), "scale": ((x,), (1.5,)),
+        "matmul": ((x, rng.normal(size=(4, 3))), ()), "relu": ((x,), ()), "sigmoid": ((x,), ()),
+        "tanh": ((x,), ()), "exp": ((x,), ()), "log": ((np.abs(x) + 0.5,), ()), "tsum": ((x,), (1,)),
+        "reshape": ((x,), ((10, 4),)), "transpose": ((x,), ((0, 2, 1),)), "index": ((x,), ((slice(None), -1),)),
+        "softmax": ((x,), (np.tril(np.ones((5, 4), bool)),)),
+        "attention": ((q, k, v), (2, np.tril(np.ones((5, 5), bool)))),
+        "layer_norm": ((x, gamma, beta), ()), "add_layer_norm": ((x, y, gamma, beta), ()),
+        "conv1d_same": ((x, rng.normal(size=(3, 4, 3)), rng.normal(size=(1, 3))), (True,)),
+        "maxpool1d_same": ((x,), (3,)),
+        "conv_relu_pool": ((x, rng.normal(size=(3, 4, 4)), rng.normal(size=(1, 4))), (3, True)),
+        "lstm_layer": ((x, rng.normal(size=(4, 12)), rng.normal(size=(3, 12)), rng.normal(size=(1, 12))), ()),
+        "mse": ((x,), (y,)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(set(_PUBLIC_FUNCTIONS) | _NOT_OPS))
+def test_every_public_autodiff_op_is_an_array_forward_put_on_the_tape(name):
+    """The op contract: each public op is `_op` over a forward on arrays, whose
+    value is bitwise the op's with gradients on and under no_grad; a
+    hand-rolled op, or one without a sample here, fails."""
+    fn = getattr(ad, name)
+    if name in _NOT_OPS:
+        assert fn.__code__ is not _OP_CODE
+        return
+    assert hasattr(fn, "__wrapped__") and fn.__code__ is _OP_CODE, f"{name} is not built by _op"
+    arrays, rest = _op_samples()[name]
+    expected = np.asarray(fn.__wrapped__(*[a.copy() for a in arrays], *rest)[0])
+    for taped in (True, False):
+        with contextlib.nullcontext() if taped else no_grad():
+            out = fn(*[Tensor(a.copy(), requires_grad=True) for a in arrays], *rest)
+        assert (out._backward is not None) == taped
+        assert out.value.shape == expected.shape
+        assert out.value.tobytes() == expected.tobytes()
 
 
 def test_make_hand_over_gives_the_zero_then_add_gradients_over_two_passes(monkeypatch):

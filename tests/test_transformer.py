@@ -397,6 +397,19 @@ def test_fine_tune_insufficient_history_guard():
         model.fine_tune(np.linspace(0.0, 1.0, 12), epochs=1)
 
 
+@pytest.mark.parametrize("bad", [{"epochs": -1}, {"epochs": 1.5}, {"learning_rate": np.nan}, {"learning_rate": -1.0}],
+                         ids=["negative_epochs", "fractional_epochs", "nan_rate", "negative_rate"])
+def test_a_failed_fine_tune_leaves_the_model_unchanged(bad):
+    """The target's normalizer once replaced the model's before training checked its arguments."""
+    model = pretrained_tiny(seed=5)
+    normalizer, weights = model.normalizer, model.state_hash()
+    series = generate_series(GeneratorSpec(family="seasonal", length=64, period=12, seed=5))
+    with pytest.raises(ConfigError):
+        model.fine_tune(series, **{"epochs": 1, **bad})
+    assert model.normalizer is normalizer
+    assert model.state_hash() == weights and model.trained == "pretrained"
+
+
 def test_zero_shot_forecast_never_mutates_weights():
     model = pretrained_tiny(seed=5)
     model.set_normalizer(NormalizationParams(0.0, 1.0))
